@@ -14,6 +14,9 @@ import numpy as np
 from .data import JUNK_IDENTITIES, parse_image_name
 
 CMC_RANKS = (1, 5, 10)
+#: Cells in each per-block (query rows x gallery) matrix; 2**21 float64 cells
+#: is 16 MB, so a block holds BLOCK_CELLS // G queries (at least one).
+BLOCK_CELLS = 1 << 21
 
 
 class EvalError(ValueError):
@@ -30,59 +33,67 @@ class Ranking:
 
 
 def cosine_similarities(query: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """dot(a, b) / (|a||b|) per gallery row; zero-norm vectors give 0."""
+    """dot(a, b) / (|a||b|) for every query row against every gallery row.
+
+    A 1-D query gives one similarity per gallery row, a (Q, D) query a (Q, G)
+    matrix from one GEMM. Zero-norm vectors give 0.
+    """
     if query.shape[-1] != gallery.shape[-1]:
         raise EvalError(
             f"descriptor dimensions differ: query {query.shape[-1]}, "
             f"gallery {gallery.shape[-1]}"
         )
-    qn = np.linalg.norm(query)
+    qn = np.linalg.norm(query, axis=-1)
     gn = np.linalg.norm(gallery, axis=1)
-    denom = qn * gn
-    sims = np.zeros(gallery.shape[0])
-    ok = denom > 0
-    sims[ok] = (gallery[ok] @ query) / denom[ok]
-    return sims
+    denom = qn[..., None] * gn
+    return np.divide(query @ gallery.T, denom, out=np.zeros(denom.shape), where=denom > 0)
+
+
+def rank_order(sims: np.ndarray) -> np.ndarray:
+    """Column indices by descending similarity along the last axis.
+
+    The sort is stable, so equal similarities keep column order; callers put
+    the gallery in ascending id order to break ties by gallery id.
+    """
+    return np.argsort(-sims, axis=-1, kind="stable")
 
 
 def cosine_rank(
     query_id: str, query: np.ndarray, gallery: dict[str, np.ndarray]
 ) -> Ranking:
     """Rank gallery entries by cosine similarity, ties broken by gallery id."""
-    ids = list(gallery)
-    mat = np.stack([gallery[g] for g in ids])
-    sims = cosine_similarities(query, mat)
-    order = sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i]))
+    ids = sorted(gallery)
+    sims = cosine_similarities(query, np.stack([gallery[g] for g in ids]))
+    order = rank_order(sims)
     return Ranking(
         query_id=query_id,
         gallery_ids=tuple(ids[i] for i in order),
-        similarities=tuple(float(sims[i]) for i in order),
+        similarities=tuple(sims[order].tolist()),
     )
 
 
-def average_precision(relevance: np.ndarray) -> float:
-    """Mean of precision@p over the relevant positions p (1-based)."""
+def average_precision(relevance: np.ndarray) -> float | np.ndarray:
+    """Mean of precision@p over the relevant positions p (1-based).
+
+    Works along the last axis: a 1-D relevance list gives a float, a (Q, G)
+    matrix one AP per row. Every list needs at least one relevant item.
+    """
     relevance = np.asarray(relevance, dtype=np.float64)
-    n_rel = relevance.sum()
-    if n_rel == 0:
+    n_rel = relevance.sum(axis=-1)
+    if np.any(n_rel == 0):
         raise EvalError("average precision needs at least one relevant item")
-    hits = np.cumsum(relevance)
-    positions = np.arange(1, relevance.size + 1)
-    return float(((hits / positions) * relevance).sum() / n_rel)
+    hits = np.cumsum(relevance, axis=-1)
+    hits /= np.arange(1, relevance.shape[-1] + 1)
+    hits *= relevance
+    ap = hits.sum(axis=-1) / n_rel
+    return float(ap) if ap.ndim == 0 else ap
 
 
-def cmc_curve(relevance_lists: list[np.ndarray], ranks=CMC_RANKS) -> dict[int, float]:
-    """Fraction of queries with a relevant item within the top k."""
-    hits = {k: 0 for k in ranks}
-    for rel in relevance_lists:
-        first = np.flatnonzero(rel)
-        if first.size == 0:
-            continue
-        for k in ranks:
-            if first[0] < k:
-                hits[k] += 1
-    n = len(relevance_lists)
-    return {k: hits[k] / n for k in ranks}
+def cmc_curve(relevance: np.ndarray, ranks=CMC_RANKS) -> dict[int, float]:
+    """Fraction of relevance lists (along the last axis) with a hit in the top k."""
+    rel = np.asarray(relevance) != 0
+    first = np.where(rel.any(axis=-1), rel.argmax(axis=-1), rel.shape[-1])
+    return {k: float(np.mean(first < k)) for k in ranks}
 
 
 def multi_query_descriptor(descriptors: list[np.ndarray]) -> np.ndarray:
@@ -131,30 +142,53 @@ def _identity_camera(image_id: str) -> tuple[int, int]:
     return parsed[0], parsed[1]
 
 
+def _check_lengths(*descriptor_sets: dict[str, np.ndarray]) -> None:
+    """Every descriptor must be a vector of one common length to be stacked."""
+    first_id = first_shape = None
+    for descs in descriptor_sets:
+        for image_id, vec in descs.items():
+            shape = np.shape(vec)
+            if first_id is None:
+                first_id, first_shape = image_id, shape
+            if len(shape) != 1 or shape != first_shape:
+                raise EvalError(
+                    f"descriptors must be vectors of one length: {image_id!r} has "
+                    f"shape {shape}, {first_id!r} has shape {first_shape}"
+                )
+
+
 def evaluate_retrieval(
     query_descs: dict[str, np.ndarray],
     gallery_descs: dict[str, np.ndarray],
     protocol: str = "single",
 ) -> EvalReport:
-    """Rank every query against the gallery and aggregate CMC and mAP."""
+    """Rank every query against the gallery and aggregate CMC and mAP.
+
+    Queries are ranked in blocks of rows, one GEMM per block, against the
+    gallery stacked once in ascending id order.
+    """
     if protocol not in ("single", "multi"):
         raise EvalError(f"protocol must be 'single' or 'multi', got {protocol!r}")
-    gallery_meta = {}
-    for gid in gallery_descs:
+    _check_lengths(gallery_descs, query_descs)
+    gallery_ids, gallery_meta = [], []
+    for gid in sorted(gallery_descs):  # id order makes the stable sort's tie-break the id
         ident, cam = _identity_camera(gid)
         if ident in JUNK_IDENTITIES:
             continue
-        gallery_meta[gid] = (ident, cam)
-    if not gallery_meta:
+        gallery_ids.append(gid)
+        gallery_meta.append((ident, cam))
+    if not gallery_ids:
         raise EvalError("gallery holds no usable entries")
+    gallery = np.stack([gallery_descs[g] for g in gallery_ids])
+    gident, gcam = np.array(gallery_meta).T
 
-    queries: list[tuple[str, int, int, np.ndarray]] = []
+    queries: list[tuple[int, int, np.ndarray]] = []
     if protocol == "single":
         for qid, vec in query_descs.items():
             ident, cam = _identity_camera(qid)
             if ident in JUNK_IDENTITIES:
                 continue
-            queries.append((qid, ident, cam, vec))
+            queries.append((ident, cam, vec))
     else:
         groups: dict[tuple[int, int], list[np.ndarray]] = {}
         for qid, vec in query_descs.items():
@@ -163,39 +197,36 @@ def evaluate_retrieval(
                 continue
             groups.setdefault((ident, cam), []).append(vec)
         for (ident, cam), vecs in sorted(groups.items()):
-            queries.append(
-                (f"{ident:04d}_c{cam}_multi", ident, cam, multi_query_descriptor(vecs))
-            )
+            queries.append((ident, cam, multi_query_descriptor(vecs)))
     if not queries:
         raise EvalError("no usable queries")
+    qident = np.array([q[0] for q in queries])
+    qcam = np.array([q[1] for q in queries])
+    qmat = np.stack([q[2] for q in queries])
 
-    relevance_lists: list[np.ndarray] = []
-    aps: list[float] = []
-    for qid, ident, cam, vec in queries:
-        valid = {
-            gid: gallery_descs[gid]
-            for gid, (gident, gcam) in gallery_meta.items()
-            if not (gident == ident and gcam == cam)
-        }
-        if not valid:
-            continue
-        ranking = cosine_rank(qid, vec, valid)
-        rel = np.array(
-            [gallery_meta[gid][0] == ident for gid in ranking.gallery_ids],
-            dtype=np.float64,
-        )
-        if rel.sum() == 0:
-            continue  # nothing retrievable for this query
-        relevance_lists.append(rel)
+    rows = max(1, BLOCK_CELLS // len(gallery_ids))
+    aps, top_relevance = [], []
+    for start in range(0, len(queries), rows):
+        block = slice(start, start + rows)
+        same_id = qident[block, None] == gident
+        excluded = same_id & (qcam[block, None] == gcam)
+        sims = cosine_similarities(qmat[block], gallery)
+        sims[excluded] = -np.inf  # ranked after every valid entry, never relevant
+        order = rank_order(sims)
+        del sims  # one block matrix fewer alive during average_precision
+        rel = np.take_along_axis(same_id & ~excluded, order, axis=-1)
+        rel = rel[rel.any(axis=-1)]  # nothing retrievable for the other queries
         aps.append(average_precision(rel))
-    if not relevance_lists:
+        top_relevance.append(rel[:, : max(CMC_RANKS)])  # all that CMC reads
+    top = np.concatenate(top_relevance)
+    if not len(top):
         raise EvalError("no query has a relevant gallery entry")
-    cmc = cmc_curve(relevance_lists)
+    cmc = cmc_curve(top)
     return EvalReport(
         rank1=cmc[1],
         rank5=cmc[5],
         rank10=cmc[10],
-        mean_ap=float(np.mean(aps)),
-        query_count=len(relevance_lists),
+        mean_ap=float(np.mean(np.concatenate(aps))),
+        query_count=len(top),
         protocol=protocol,
     )

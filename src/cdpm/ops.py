@@ -262,60 +262,29 @@ def bilinear_resize_backward(
 # ---------------------------------------------------------------------------
 # small-kernel convolution (backbone and spatial attention)
 
-try:  # compiled gather/scatter; the numpy fallback below is ~50x slower
-    import numba as _numba
-except ImportError:  # pragma: no cover
-    _numba = None
+
+def _strided_cols(xp, kh, kw, stride, ho, wo):
+    sb, sh, sw, sc = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(xp.shape[0], ho, wo, kh, kw, xp.shape[3]),
+        strides=(sb, sh * stride, sw * stride, sh, sw, sc),
+        writeable=False,
+    )
 
 
-def _im2col_py(xp, cols, stride):
-    b, ho, wo, kh, kw, c = cols.shape
-    for bi in range(b):
-        for i in range(ho):
-            for j in range(wo):
-                ii, jj = i * stride, j * stride
-                for ki in range(kh):
-                    for kj in range(kw):
-                        for ch in range(c):
-                            cols[bi, i, j, ki, kj, ch] = xp[bi, ii + ki, jj + kj, ch]
+def _im2col(xp, cols, stride):
+    _, ho, wo, kh, kw, _ = cols.shape
+    cols[...] = _strided_cols(xp, kh, kw, stride, ho, wo)
 
 
-def _col2im_py(gcols, gxp, stride):
+def _col2im(gcols, gxp, stride):
     b, ho, wo, kh, kw, c = gcols.shape
-    for bi in range(b):
-        for i in range(ho):
-            for j in range(wo):
-                ii, jj = i * stride, j * stride
-                for ki in range(kh):
-                    for kj in range(kw):
-                        for ch in range(c):
-                            gxp[bi, ii + ki, jj + kj, ch] += gcols[bi, i, j, ki, kj, ch]
-
-
-if _numba is not None:
-    _im2col = _numba.njit(cache=True)(_im2col_py)
-    _col2im = _numba.njit(cache=True)(_col2im_py)
-else:  # pragma: no cover
-    def _strided_cols(xp, kh, kw, stride, ho, wo):
-        sb, sh, sw, sc = xp.strides
-        return np.lib.stride_tricks.as_strided(
-            xp,
-            shape=(xp.shape[0], ho, wo, kh, kw, xp.shape[3]),
-            strides=(sb, sh * stride, sw * stride, sh, sw, sc),
-            writeable=False,
-        )
-
-    def _im2col(xp, cols, stride):
-        _, ho, wo, kh, kw, _ = cols.shape
-        cols[...] = _strided_cols(xp, kh, kw, stride, ho, wo)
-
-    def _col2im(gcols, gxp, stride):
-        b, ho, wo, kh, kw, c = gcols.shape
-        for ki in range(kh):
-            for kj in range(kw):
-                gxp[
-                    :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :
-                ] += gcols[:, :, :, ki, kj, :]
+    for ki in range(kh):
+        for kj in range(kw):
+            gxp[
+                :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :
+            ] += gcols[:, :, :, ki, kj, :]
 
 
 def _pad_input(x: np.ndarray, p: int) -> np.ndarray:

@@ -10,6 +10,7 @@ Descriptor dump layout: a sequence of records, each
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -22,6 +23,37 @@ MAX_RANK = 4
 
 class FormatError(ValueError):
     """Raised when a binary file does not match the expected layout."""
+
+
+class _Reader:
+    """Sequential reads from a file's bytes; every read is bounds-checked."""
+
+    def __init__(self, path: str | Path, blob: bytes, offset: int = 0):
+        self.path, self.blob, self.offset = path, blob, offset
+
+    def remaining(self) -> int:
+        return len(self.blob) - self.offset
+
+    def _take(self, size: int, what: str) -> int:
+        if size > self.remaining():
+            raise FormatError(f"{self.path}: truncated {what} at byte {self.offset}")
+        start = self.offset
+        self.offset += size
+        return start
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._take(struct.calcsize(fmt), what))
+
+    def text(self, size: int, what: str) -> str:
+        start = self._take(size, what)
+        try:
+            return self.blob[start : self.offset].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{self.path}: {what} at byte {start} is not UTF-8") from e
+
+    def floats(self, count: int, what: str) -> np.ndarray:
+        start = self._take(8 * count, what)
+        return np.frombuffer(self.blob, dtype="<f8", count=count, offset=start).copy()
 
 
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
@@ -45,28 +77,22 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    version, count = struct.unpack_from("<HI", blob, 4)
+    reader = _Reader(path, blob, len(MAGIC))
+    version, count = reader.unpack("<HI", "header")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
-    offset = 10
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
+        (name_len,) = reader.unpack("<H", "tensor name length")
+        name = reader.text(name_len, "tensor name")
+        (rank,) = reader.unpack("<B", f"rank of tensor {name!r}")
         if rank > MAX_RANK:
             raise FormatError(f"{path}: tensor {name!r} has rank {rank}")
-        shape = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
-        out[name] = arr.copy()
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
+        shape = reader.unpack(f"<{rank}I", f"extents of tensor {name!r}")
+        payload = reader.floats(math.prod(shape), f"payload of tensor {name!r}")
+        out[name] = payload.reshape(shape)
+    if reader.remaining():
+        raise FormatError(f"{path}: {reader.remaining()} trailing bytes")
     return out
 
 
@@ -85,20 +111,11 @@ def write_descriptors(path: str | Path, descriptors: dict[str, np.ndarray]) -> N
 
 def read_descriptors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a descriptor dump written by `write_descriptors`, in file order."""
-    blob = Path(path).read_bytes()
-    offset = 0
+    reader = _Reader(path, Path(path).read_bytes())
     out: dict[str, np.ndarray] = {}
-    while offset < len(blob):
-        if offset + 2 > len(blob):
-            raise FormatError(f"{path}: truncated record header")
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        image_id = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (dim,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if offset + 8 * dim > len(blob):
-            raise FormatError(f"{path}: truncated payload for {image_id!r}")
-        out[image_id] = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset).copy()
-        offset += 8 * dim
+    while reader.remaining():
+        (name_len,) = reader.unpack("<H", "record header")
+        image_id = reader.text(name_len, "image id")
+        (dim,) = reader.unpack("<I", f"vector length for {image_id!r}")
+        out[image_id] = reader.floats(dim, f"payload for {image_id!r}")
     return out

@@ -131,6 +131,25 @@ def test_cli_evaluate_data_error_exit_code(tmp_path):
     assert rc == cli.EXIT_DATA
 
 
+def test_cli_evaluate_truncated_dump_exit_code(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    gallery = {f"{i:04d}_c2_0000": rng.standard_normal(4) for i in (1, 2)}
+    gpath, qpath = tmp_path / "g.bin", tmp_path / "q.bin"
+    tensorio.write_descriptors(gpath, gallery)
+    tensorio.write_descriptors(qpath, {"0001_c1_0000": rng.standard_normal(4),
+                                       "0002_c1_0000": rng.standard_normal(4)})
+    blob = qpath.read_bytes()
+    assert len(blob) == 100
+    for cut in range(len(blob)):
+        if cut in (0, 50):
+            continue  # record boundaries: a shorter but valid dump
+        qpath.write_bytes(blob[:cut])
+        rc = cli.main(["evaluate", "--query", str(qpath), "--gallery", str(gpath),
+                       "--out", str(tmp_path / "r.csv")])
+        assert rc == cli.EXIT_DATA, cut
+        assert "truncated" in capsys.readouterr().err
+
+
 def test_cli_train_extract_align_evaluate_pipeline(tmp_path, capsys):
     bench = tmp_path / "bench"
     assert cli.main([

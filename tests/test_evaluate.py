@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from cdpm import evaluate
+from cdpm.data import parse_image_name
 
 RNG = np.random.default_rng(71)
 
@@ -165,3 +166,124 @@ def test_report_csv_format(tmp_path):
     metrics = dict(l.split(",") for l in lines[1:])
     assert set(metrics) == {"protocol", "queries", "rank1", "rank5", "rank10", "mAP"}
     assert float(metrics["rank1"]) == report.rank1
+
+
+def test_evaluate_retrieval_rejects_unequal_lengths():
+    queries, gallery = toy_setup()
+    gallery["0002_c2_0009"] = np.ones(5)
+    with pytest.raises(evaluate.EvalError, match="0002_c2_0009"):
+        evaluate.evaluate_retrieval(queries, gallery, "single")
+    queries, gallery = toy_setup()
+    queries["0001_c1_0009"] = np.ones(9)
+    with pytest.raises(evaluate.EvalError, match="0001_c1_0009"):
+        evaluate.evaluate_retrieval(queries, gallery, "multi")
+
+
+def cosine_oracle(query, mat):
+    qn = np.linalg.norm(query)
+    gn = np.linalg.norm(mat, axis=1)
+    denom = qn * gn
+    sims = np.zeros(len(mat))
+    ok = denom > 0
+    sims[ok] = (mat[ok] @ query) / denom[ok]
+    return sims
+
+
+def evaluate_oracle(query_descs, gallery_descs, protocol):
+    """Per-query restatement of the protocol: one gallery subset and one key sort
+    per query. Returns None when no query has a relevant gallery entry."""
+    def meta(image_id):
+        ident, cam, _ = parse_image_name(image_id)
+        return ident, cam
+
+    gallery_meta = {g: meta(g) for g in gallery_descs if meta(g)[0] not in (0, -1)}
+    queries = [(*meta(q), v) for q, v in query_descs.items() if meta(q)[0] not in (0, -1)]
+    if protocol == "multi":
+        groups = {}
+        for ident, cam, vec in queries:
+            groups.setdefault((ident, cam), []).append(vec)
+        queries = [(*key, np.mean(np.stack(vecs), axis=0))
+                   for key, vecs in sorted(groups.items())]
+    firsts, aps = [], []
+    for ident, cam, vec in queries:
+        valid = [g for g, key in gallery_meta.items() if key != (ident, cam)]
+        if not valid:
+            continue
+        sims = cosine_oracle(vec, np.stack([gallery_descs[g] for g in valid]))
+        order = sorted(range(len(valid)), key=lambda i: (-sims[i], valid[i]))
+        rel = [gallery_meta[valid[i]][0] == ident for i in order]
+        if not any(rel):
+            continue
+        firsts.append(rel.index(True))
+        aps.append(ap_oracle(rel))
+    if not firsts:
+        return None
+    n = len(firsts)
+    return evaluate.EvalReport(
+        rank1=sum(f < 1 for f in firsts) / n,
+        rank5=sum(f < 5 for f in firsts) / n,
+        rank10=sum(f < 10 for f in firsts) / n,
+        mean_ap=float(np.mean(aps)),
+        query_count=n,
+        protocol=protocol,
+    )
+
+
+def random_retrieval_case(seed):
+    """Small-integer descriptors, so every dot product and norm is exact in any
+    summation order and both implementations see bit-identical similarities.
+
+    The cases hold junk ids, zero vectors, duplicated gallery vectors (exact
+    ties broken by id), queries equal to a gallery vector, same-identity
+    same-camera entries, and query identities absent from the gallery.
+    Multi-query groups have 1, 2 or 4 members so pooled means stay exact.
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+
+    def vector(pool):
+        u = rng.random()
+        if u < 0.1:
+            return np.zeros(dim)
+        if u < 0.35 and pool:
+            return pool[int(rng.integers(len(pool)))].copy()
+        return rng.integers(-2, 3, dim).astype(np.float64)
+
+    idents = [-1, 0, 1, 2, 3, 4, 5]
+    gallery, vectors = {}, []
+    for j in range(int(rng.integers(3, 40))):
+        ident = idents[int(rng.integers(len(idents)))]
+        vec = vector(vectors)
+        vectors.append(vec)
+        gallery[f"{ident:04d}_c{int(rng.integers(1, 4))}_{j:04d}"] = vec
+    queries, seq = {}, 0
+    keys = {(idents[int(rng.integers(len(idents)))] if rng.random() < 0.9 else 6,
+             int(rng.integers(1, 4))) for _ in range(int(rng.integers(1, 10)))}
+    for ident, cam in sorted(keys):
+        for _ in range(int(rng.choice([1, 2, 4]))):
+            queries[f"{ident:04d}_c{cam}_{seq:04d}"] = vector(vectors)
+            seq += 1
+    return queries, gallery
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 3])
+@pytest.mark.parametrize("protocol", ["single", "multi"])
+def test_evaluate_retrieval_matches_per_query_oracle(monkeypatch, protocol, block_rows):
+    compared = 0
+    for seed in range(80):
+        queries, gallery = random_retrieval_case(seed)
+        usable = sum(parse_image_name(g)[0] not in (0, -1) for g in gallery)
+        if block_rows is not None:
+            monkeypatch.setattr(evaluate, "BLOCK_CELLS", block_rows * max(usable, 1))
+        want = evaluate_oracle(queries, gallery, protocol)
+        if want is None:
+            with pytest.raises(evaluate.EvalError):
+                evaluate.evaluate_retrieval(queries, gallery, protocol)
+            continue
+        got = evaluate.evaluate_retrieval(queries, gallery, protocol)
+        assert (got.rank1, got.rank5, got.rank10, got.query_count, got.protocol) == (
+            want.rank1, want.rank5, want.rank10, want.query_count, want.protocol
+        ), seed
+        assert abs(got.mean_ap - want.mean_ap) < 1e-12, seed
+        compared += 1
+    assert compared >= 50

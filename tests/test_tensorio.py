@@ -72,3 +72,52 @@ def test_descriptor_truncation_detected(tmp_path):
     path.write_bytes(blob[:-5])
     with pytest.raises(tensorio.FormatError, match="truncated"):
         tensorio.read_descriptors(path)
+
+
+def two_record_dump(path):
+    tensorio.write_descriptors(path, {
+        "0001_c1_0000": RNG.standard_normal(4),
+        "0002_c1_0001": RNG.standard_normal(4),
+    })
+    return path.read_bytes(), (0, 50)  # cuts at record boundaries are valid dumps
+
+
+def test_descriptor_truncation_at_every_byte(tmp_path):
+    blob, boundaries = two_record_dump(tmp_path / "descs.bin")
+    assert len(blob) == 100
+    path = tmp_path / "cut.bin"
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        if cut in boundaries:
+            assert len(tensorio.read_descriptors(path)) == boundaries.index(cut)
+        else:
+            with pytest.raises(tensorio.FormatError, match="truncated"):
+                tensorio.read_descriptors(path)
+
+
+def test_tensor_truncation_at_every_byte(tmp_path):
+    path = tmp_path / "params.cdpm"
+    tensorio.save_tensors(path, {"w": RNG.standard_normal((2, 2)),
+                                 "bn": RNG.standard_normal(3)})
+    blob = path.read_bytes()
+    assert len(blob) == 87
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(tensorio.FormatError):
+            tensorio.load_tensors(path)
+
+
+def test_non_utf8_names_rejected(tmp_path):
+    path = tmp_path / "params.cdpm"
+    tensorio.save_tensors(path, {"ab": np.zeros(2)})
+    blob = bytearray(path.read_bytes())
+    blob[12] = 0xFF  # first byte of the tensor name
+    path.write_bytes(bytes(blob))
+    with pytest.raises(tensorio.FormatError, match="UTF-8"):
+        tensorio.load_tensors(path)
+    tensorio.write_descriptors(path, {"ab": np.zeros(2)})
+    blob = bytearray(path.read_bytes())
+    blob[2] = 0xFF  # first byte of the image id
+    path.write_bytes(bytes(blob))
+    with pytest.raises(tensorio.FormatError, match="UTF-8"):
+        tensorio.read_descriptors(path)
