@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .alignment import MAP_HEIGHT
+
 IMAGE_HEIGHT = 384
-MAP_HEIGHT = 24
-ROW_SCALE = IMAGE_HEIGHT // MAP_HEIGHT  # 16 px per feature row
 PART_MISSING_THRESHOLD = 1280  # parsing pixels
 
 SOURCES = ("automatic", "manual", "synthetic")

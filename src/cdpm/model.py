@@ -15,13 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alignment, ops, tensorio
+from .alignment import MAP_HEIGHT, WINDOW_HEIGHT
+from .annotations import IMAGE_HEIGHT
+from .data import IMAGE_WIDTH
 from .layers import Block, ChannelAttention, Conv, Dense, SpatialChannelAttention
-
-IMAGE_HEIGHT = 384
-IMAGE_WIDTH = 128
-MAP_HEIGHT = alignment.MAP_HEIGHT
-MAP_WIDTH = 8
-WINDOW_HEIGHT = alignment.WINDOW_HEIGHT
 
 
 class NotInitializedError(RuntimeError):
@@ -81,7 +78,8 @@ class ToyBackbone(Block):
             raise ops.ShapeError(
                 f"backbone expects (B,{IMAGE_HEIGHT},{IMAGE_WIDTH},3), got {images.shape}"
             )
-        x = (images - self.INPUT_MEAN) / self.INPUT_STD
+        x = images - self.INPUT_MEAN
+        x /= self.INPUT_STD
         ctxs = []
         for conv in self.convs:
             x, ctx = conv.forward(x)
@@ -316,6 +314,7 @@ class CdpmNetwork:
         "classes parts feature_dim holistic_dim attention_reduction "
         "with_refinement with_alignment with_mgf"
     ).split()
+    _FLAG_FIELDS = ("with_refinement", "with_alignment", "with_mgf")
 
     def save(self, path) -> None:
         tensors: dict[str, np.ndarray] = {
@@ -329,30 +328,52 @@ class CdpmNetwork:
         tensorio.save_tensors(path, tensors)
 
     @classmethod
+    def _meta_ints(cls, path, tensors: dict, key: str, names, stored: int) -> list[int]:
+        """Pop a meta vector and check each field is an integer in its range.
+
+        Flags are 0 or 1 and parts fit the feature map; every other field is
+        an extent or a divisor, at least 1 and at most the number of values
+        the checkpoint stores.
+        """
+        vec = tensors.pop(key, None)
+        if vec is None or vec.shape != (len(names),):
+            found = "missing" if vec is None else f"shape {vec.shape}"
+            raise tensorio.FormatError(
+                f"{path}: {key} must hold {len(names)} values, found {found}"
+            )
+        out = []
+        for name, v in zip(names, vec):
+            low, high = (0, 1) if name in cls._FLAG_FIELDS else (1, stored)
+            if name == "parts":
+                high = MAP_HEIGHT
+            if not (np.isfinite(v) and v == np.floor(v) and low <= v <= high):
+                raise tensorio.FormatError(
+                    f"{path}: {key} field {name} = {v} is not an integer "
+                    f"in [{low}, {high}]"
+                )
+            out.append(int(v))
+        return out
+
+    @classmethod
     def load(cls, path) -> "CdpmNetwork":
         tensors = tensorio.load_tensors(path)
-        meta = tensors.pop("__meta__")
-        channels = tuple(int(v) for v in tensors.pop("__meta_channels__"))
+        stored = sum(t.size for t in tensors.values())
+        meta = cls._meta_ints(path, tensors, "__meta__", cls._META_FIELDS, stored)
+        convs = [f"conv{i + 1}" for i in range(len(ToyBackbone.STRIDES))]
+        channels = cls._meta_ints(path, tensors, "__meta_channels__", convs, stored)
         kw = dict(zip(cls._META_FIELDS, meta))
-        cfg = ModelConfig(
-            classes=int(kw["classes"]),
-            parts=int(kw["parts"]),
-            backbone_channels=channels,
-            feature_dim=int(kw["feature_dim"]),
-            holistic_dim=int(kw["holistic_dim"]),
-            attention_reduction=int(kw["attention_reduction"]),
-            with_refinement=bool(kw["with_refinement"]),
-            with_alignment=bool(kw["with_alignment"]),
-            with_mgf=bool(kw["with_mgf"]),
-        )
-        net = cls(cfg)
+        for name in cls._FLAG_FIELDS:
+            kw[name] = bool(kw[name])
+        net = cls(ModelConfig(backbone_channels=tuple(channels), **kw))
         slots = {p.name: p for p in (*net.parameters(), *net.buffers())}
         if set(slots) != set(tensors):
             missing = set(slots) ^ set(tensors)
-            raise ValueError(f"checkpoint does not match model structure: {missing}")
+            raise tensorio.FormatError(
+                f"{path}: checkpoint does not match model structure: {missing}"
+            )
         for name, value in tensors.items():
             if slots[name].value.shape != value.shape:
-                raise ValueError(f"shape mismatch for {name}")
+                raise tensorio.FormatError(f"{path}: shape mismatch for {name}")
             slots[name].value[...] = value
         net.initialized = True
         return net

@@ -12,6 +12,10 @@ import numpy as np
 
 BN_EPS = 1e-5
 
+#: Target bytes of one block of a batch-blocked pass (a convolution's patch
+#: matrix, a relu mask); a block holds at least one image.
+BLOCK_BYTES = 2**22
+
 
 class ShapeError(ValueError):
     """Raised when operator inputs have incompatible shapes."""
@@ -27,36 +31,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ShapeError(msg)
 
 
+def _block_images(batch: int, bytes_per_image: int) -> int:
+    return max(1, min(batch, BLOCK_BYTES // bytes_per_image))
+
+
 # ---------------------------------------------------------------------------
-# pointwise channel mixing
-
-
-def conv1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """1x1 convolution: out[..., h, w, d] = sum_c x[..., h, w, c] * w[c, d] + b[d].
-
-    x: (..., H, W, C), w: (C, D), b: (D,).
-    """
-    _require(x.ndim >= 3, f"conv1x1 expects (...,H,W,C) input, got shape {x.shape}")
-    _require(w.ndim == 2, f"conv1x1 weights must be rank 2 (C,D), got {w.shape}")
-    _require(
-        x.shape[-1] == w.shape[0],
-        f"conv1x1 channel mismatch: input has {x.shape[-1]} channels, "
-        f"weights expect {w.shape[0]}",
-    )
-    _require(b.shape == (w.shape[1],), f"conv1x1 bias shape {b.shape} != ({w.shape[1]},)")
-    return x @ w + b
-
-
-def conv1x1_backward(
-    x: np.ndarray, w: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv1x1 w.r.t. input, weights, and bias."""
-    gx = grad_out @ w.T
-    flat_x = x.reshape(-1, x.shape[-1])
-    flat_g = grad_out.reshape(-1, grad_out.shape[-1])
-    gw = flat_x.T @ flat_g
-    gb = flat_g.sum(axis=0)
-    return gx, gw, gb
+# affine maps
 
 
 def fully_connected(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -144,7 +124,13 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out * (x > 0.0)
+    """grad_out * (x > 0), masked in leading-axis blocks so the boolean mask
+    never exists at full size; grad_out is left untouched."""
+    gx = np.empty(grad_out.shape)
+    step = _block_images(len(gx), 8 * (gx[0].size or 1))
+    for i in range(0, len(gx), step):
+        np.multiply(grad_out[i : i + step], x[i : i + step] > 0.0, out=gx[i : i + step])
+    return gx
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -261,6 +247,14 @@ def bilinear_resize_backward(
 
 # ---------------------------------------------------------------------------
 # small-kernel convolution (backbone and spatial attention)
+#
+# im2col + GEMM (Chellapilla et al., 2006), run over the batch in blocks of
+# whole images so that one block's padded input, patch matrix and padded input
+# gradient stay cache-sized. Every GEMM row is one output pixel's dot product
+# over the same depth, so a block's rows equal the whole batch's bit for bit
+# whenever the BLAS runs both through the same kernel (it does at the
+# backbone's sizes; tiny GEMMs may take a small-matrix kernel, which is why
+# the tiny attention convs always run as a single block).
 
 
 def _strided_cols(xp, kh, kw, stride, ho, wo):
@@ -273,11 +267,6 @@ def _strided_cols(xp, kh, kw, stride, ho, wo):
     )
 
 
-def _im2col(xp, cols, stride):
-    _, ho, wo, kh, kw, _ = cols.shape
-    cols[...] = _strided_cols(xp, kh, kw, stride, ho, wo)
-
-
 def _col2im(gcols, gxp, stride):
     b, ho, wo, kh, kw, c = gcols.shape
     for ki in range(kh):
@@ -285,25 +274,6 @@ def _col2im(gcols, gxp, stride):
             gxp[
                 :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :
             ] += gcols[:, :, :, ki, kj, :]
-
-
-def _pad_input(x: np.ndarray, p: int) -> np.ndarray:
-    if not p:
-        return x
-    b, h, w, c = x.shape
-    xp = np.zeros((b, h + 2 * p, w + 2 * p, c))
-    xp[:, p : p + h, p : p + w, :] = x
-    return xp
-
-
-def _conv_cols(x: np.ndarray, kh: int, kw: int, stride: int, p: int):
-    xp = _pad_input(x, p)
-    b, hp, wp, c = xp.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    cols = np.empty((b, ho, wo, kh, kw, c))
-    _im2col(xp, cols, stride)
-    return cols.reshape(b * ho * wo, kh * kw * c), (b, ho, wo)
 
 
 def conv2d(
@@ -326,10 +296,26 @@ def conv2d(
         f"conv2d channel mismatch: input {x.shape[-1]} vs kernel {w.shape[2]}",
     )
     kh, kw, c, d = w.shape
-    flat, (bsz, ho, wo) = _conv_cols(x, kh, kw, stride, padding)
-    out = (flat @ w.reshape(kh * kw * c, d) + b).reshape(bsz, ho, wo, d)
+    bsz, h, wd, _ = x.shape
+    p = padding
+    ho = (h + 2 * p - kh) // stride + 1
+    wo = (wd + 2 * p - kw) // stride + 1
+    rows, depth = ho * wo, kh * kw * c
+    wmat = w.reshape(depth, d)
+    step = _block_images(bsz, 8 * rows * depth)
+    cols = np.empty((bsz if return_cols else step, ho, wo, kh, kw, c))
+    out = np.empty((bsz, ho, wo, d))
+    xp = np.zeros((step, h + 2 * p, wd + 2 * p, c))  # the border stays zero
+    for i in range(0, bsz, step):
+        n = min(step, bsz - i)
+        patches = cols[i : i + n] if return_cols else cols[:n]
+        xp[:n, p : p + h, p : p + wd] = x[i : i + n]
+        patches[...] = _strided_cols(xp[:n], kh, kw, stride, ho, wo)
+        block_out = out[i : i + n].reshape(n * rows, d)
+        np.matmul(patches.reshape(n * rows, depth), wmat, out=block_out)
+        block_out += b
     if return_cols:
-        return out, flat
+        return out, cols.reshape(bsz * rows, depth)
     return out
 
 
@@ -345,21 +331,33 @@ def conv2d_backward(
     """Gradients of conv2d w.r.t. input, kernel, and bias.
 
     `cols` may carry the patch matrix cached by the forward pass; the input
-    gradient is skipped (None) when the caller does not need it.
+    gradient is skipped (None) when the caller does not need it. The kernel
+    gradient is one GEMM over the whole batch; the input gradient is built
+    per image block, scattering the block's patch gradients into a
+    block-sized padded buffer.
     """
     kh, kw, c, d = w.shape
     p = padding
     bsz, ho, wo = grad_out.shape[:3]
-    flat_g = grad_out.reshape(bsz * ho * wo, d)
+    rows, depth = ho * wo, kh * kw * c
+    flat_g = grad_out.reshape(bsz * rows, d)
     if cols is None:
-        cols, _ = _conv_cols(x, kh, kw, stride, p)
+        _, cols = conv2d(x, w, np.zeros(d), stride, p, return_cols=True)
     gw = (cols.T @ flat_g).reshape(kh, kw, c, d)
     gb = flat_g.sum(axis=0)
     if not need_input_grad:
         return None, gw, gb
-    gcols = (flat_g @ w.reshape(kh * kw * c, d).T).reshape(bsz, ho, wo, kh, kw, c)
-    gxp = np.zeros((bsz, x.shape[1] + 2 * p, x.shape[2] + 2 * p, c))
-    _col2im(gcols, gxp, stride)
-    if p:
-        return gxp[:, p:-p, p:-p, :], gw, gb
-    return gxp, gw, gb
+    h, wd = x.shape[1:3]
+    wt = w.reshape(depth, d).T
+    step = _block_images(bsz, 8 * rows * depth)
+    gx = np.empty(x.shape)
+    gxp = np.empty((step, h + 2 * p, wd + 2 * p, c))
+    gcols = np.empty((step * rows, depth))
+    for i in range(0, bsz, step):
+        n = min(step, bsz - i)
+        acc, block = gxp[:n], gcols[: n * rows]
+        np.matmul(flat_g[i * rows : (i + n) * rows], wt, out=block)
+        acc[...] = 0.0
+        _col2im(block.reshape(n, ho, wo, kh, kw, c), acc, stride)
+        gx[i : i + n] = acc[:, p : p + h, p : p + wd]
+    return gx, gw, gb

@@ -11,6 +11,7 @@ Descriptor dump layout: a sequence of records, each
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -26,13 +27,16 @@ class FormatError(ValueError):
 
 
 class _Reader:
-    """Sequential reads from a file's bytes; every read is bounds-checked."""
+    """Sequential reads from an open binary file; every read is checked
+    against the bytes left before anything is read or allocated, so no
+    file-sized buffer is ever built."""
 
-    def __init__(self, path: str | Path, blob: bytes, offset: int = 0):
-        self.path, self.blob, self.offset = path, blob, offset
+    def __init__(self, path: str | Path, fh):
+        self.path, self.fh = path, fh
+        self.offset, self.size = fh.tell(), os.fstat(fh.fileno()).st_size
 
     def remaining(self) -> int:
-        return len(self.blob) - self.offset
+        return self.size - self.offset
 
     def _take(self, size: int, what: str) -> int:
         if size > self.remaining():
@@ -42,25 +46,29 @@ class _Reader:
         return start
 
     def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack_from(fmt, self.blob, self._take(struct.calcsize(fmt), what))
+        size = struct.calcsize(fmt)
+        self._take(size, what)
+        return struct.unpack(fmt, self.fh.read(size))
 
     def text(self, size: int, what: str) -> str:
         start = self._take(size, what)
         try:
-            return self.blob[start : self.offset].decode("utf-8")
+            return self.fh.read(size).decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"{self.path}: {what} at byte {start} is not UTF-8") from e
 
     def floats(self, count: int, what: str) -> np.ndarray:
-        start = self._take(8 * count, what)
-        return np.frombuffer(self.blob, dtype="<f8", count=count, offset=start).copy()
+        self._take(8 * count, what)
+        out = np.empty(count, dtype="<f8")
+        self.fh.readinto(out)
+        return out
 
 
 def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
     """Write named float64 tensors to `path` in a fixed iteration order."""
     chunks = [MAGIC, struct.pack("<HI", FORMAT_VERSION, len(tensors))]
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.asarray(arr, dtype=np.float64)  # keeps 0-d tensors 0-d
         if arr.ndim > MAX_RANK:
             raise FormatError(f"tensor {name!r} has rank {arr.ndim} > {MAX_RANK}")
         encoded = name.encode("utf-8")
@@ -74,25 +82,26 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a tensor container written by `save_tensors`."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    reader = _Reader(path, blob, len(MAGIC))
-    version, count = reader.unpack("<HI", "header")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = reader.unpack("<H", "tensor name length")
-        name = reader.text(name_len, "tensor name")
-        (rank,) = reader.unpack("<B", f"rank of tensor {name!r}")
-        if rank > MAX_RANK:
-            raise FormatError(f"{path}: tensor {name!r} has rank {rank}")
-        shape = reader.unpack(f"<{rank}I", f"extents of tensor {name!r}")
-        payload = reader.floats(math.prod(shape), f"payload of tensor {name!r}")
-        out[name] = payload.reshape(shape)
-    if reader.remaining():
-        raise FormatError(f"{path}: {reader.remaining()} trailing bytes")
+    with open(path, "rb") as fh:
+        magic = fh.read(len(MAGIC))
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        reader = _Reader(path, fh)
+        version, count = reader.unpack("<HI", "header")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported format version {version}")
+        for _ in range(count):
+            (name_len,) = reader.unpack("<H", "tensor name length")
+            name = reader.text(name_len, "tensor name")
+            (rank,) = reader.unpack("<B", f"rank of tensor {name!r}")
+            if rank > MAX_RANK:
+                raise FormatError(f"{path}: tensor {name!r} has rank {rank}")
+            shape = reader.unpack(f"<{rank}I", f"extents of tensor {name!r}")
+            payload = reader.floats(math.prod(shape), f"payload of tensor {name!r}")
+            out[name] = payload.reshape(shape)
+        if reader.remaining():
+            raise FormatError(f"{path}: {reader.remaining()} trailing bytes")
     return out
 
 
@@ -111,11 +120,12 @@ def write_descriptors(path: str | Path, descriptors: dict[str, np.ndarray]) -> N
 
 def read_descriptors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a descriptor dump written by `write_descriptors`, in file order."""
-    reader = _Reader(path, Path(path).read_bytes())
     out: dict[str, np.ndarray] = {}
-    while reader.remaining():
-        (name_len,) = reader.unpack("<H", "record header")
-        image_id = reader.text(name_len, "image id")
-        (dim,) = reader.unpack("<I", f"vector length for {image_id!r}")
-        out[image_id] = reader.floats(dim, f"payload for {image_id!r}")
+    with open(path, "rb") as fh:
+        reader = _Reader(path, fh)
+        while reader.remaining():
+            (name_len,) = reader.unpack("<H", "record header")
+            image_id = reader.text(name_len, "image id")
+            (dim,) = reader.unpack("<I", f"vector length for {image_id!r}")
+            out[image_id] = reader.floats(dim, f"payload for {image_id!r}")
     return out

@@ -4,6 +4,7 @@ import pytest
 
 from cdpm import cli, config, data, tensorio
 from cdpm.config import ConfigError, apply_assignments, load_config, save_config
+from cdpm.model import CdpmNetwork, ModelConfig
 
 
 def test_defaults():
@@ -204,3 +205,67 @@ def test_cli_train_extract_align_evaluate_pipeline(tmp_path, capsys):
 
 def test_cli_train_requires_data(tmp_path):
     assert cli.main(["train", "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+
+
+def _set_meta(field, value):
+    def edit(tensors):
+        tensors["__meta__"][CdpmNetwork._META_FIELDS.index(field)] = value
+    return edit
+
+
+def _set_channel(i, value):
+    def edit(tensors):
+        tensors["__meta_channels__"][i] = value
+    return edit
+
+
+@pytest.fixture(scope="module")
+def extract_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("meta")
+    bench = root / "bench"
+    assert cli.main([
+        "synth-data", "--out", str(bench), "--identities", "2",
+        "--images-per-id", "2", "--test-identities", "2",
+        "--test-images-per-id", "2", "--seed", "5",
+    ]) == cli.EXIT_OK
+    cfg = ModelConfig(classes=2, backbone_channels=(4, 8, 8, 8, 8), feature_dim=8,
+                      holistic_dim=8, attention_reduction=4)
+    checkpoint = root / "net.cdpm"
+    CdpmNetwork(cfg, np.random.default_rng(0)).save(checkpoint)
+    return bench, tensorio.load_tensors(checkpoint)
+
+
+def _extract(tmp_path, bench, tensors):
+    checkpoint = tmp_path / "edited.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    return cli.main(["extract", "--checkpoint", str(checkpoint), "--data", str(bench),
+                     "--split", "query", "--out", str(tmp_path / "q.bin")])
+
+
+def test_cli_extract_accepts_intact_checkpoint_meta(tmp_path, extract_inputs):
+    bench, tensors = extract_inputs
+    assert _extract(tmp_path, bench, dict(tensors)) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t.pop("__meta__"), "__meta__ must hold 8 values, found missing"),
+    (lambda t: t.pop("__meta_channels__"), "__meta_channels__ must hold 5 values"),
+    (lambda t: t.update(__meta__=t["__meta__"][:-1]), "found shape (7,)"),
+    (_set_meta("classes", np.inf), "classes = inf"),
+    (_set_meta("feature_dim", np.nan), "feature_dim = nan"),
+    (_set_meta("parts", 6.5), "parts = 6.5 is not an integer in [1, 24]"),
+    (_set_meta("parts", 25.0), "parts = 25.0"),
+    (_set_meta("classes", 0.0), "classes = 0.0"),
+    (_set_meta("holistic_dim", 1e300), "holistic_dim = 1e+300"),
+    (_set_meta("with_mgf", 2.0), "with_mgf = 2.0 is not an integer in [0, 1]"),
+    (_set_channel(2, -8.0), "conv3 = -8.0"),
+    (_set_channel(4, np.inf), "conv5 = inf"),
+])
+def test_cli_extract_rejects_bad_checkpoint_meta(tmp_path, capsys, extract_inputs,
+                                                  edit, message):
+    bench, tensors = extract_inputs
+    tensors = {k: v.copy() for k, v in tensors.items()}
+    edit(tensors)
+    assert _extract(tmp_path, bench, tensors) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and message in err, err

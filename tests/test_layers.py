@@ -1,6 +1,7 @@
 """Gradient checks through the parameterized blocks."""
 import numpy as np
 
+from cdpm import ops
 from cdpm.layers import ChannelAttention, Conv, Dense, SpatialChannelAttention
 from gradcheck import check_grad
 
@@ -57,6 +58,15 @@ def test_conv_block_gradients():
     for stride in (1, 2):
         c = Conv("c", RNG, 3, 2, 3, stride=stride, padding=1, activation="relu")
         x = RNG.standard_normal((2, 6, 4, 2)) + 0.2
+        check_block(c, x, c.forward, c.backward)
+
+
+def test_conv_block_gradients_across_image_blocks(monkeypatch):
+    # two images per block, so a batch of 5 ends in a one-image remainder
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 2 * 8 * 3 * 2 * 9 * 2)
+    for stride in (1, 2):
+        c = Conv("c", RNG, 3, 2, 3, stride=stride, padding=1, activation="relu")
+        x = RNG.standard_normal((5, 6, 4, 2)) + 0.2
         check_block(c, x, c.forward, c.backward)
 
 

@@ -2,43 +2,11 @@
 import numpy as np
 import pytest
 
+import conv_reference as ref
 from cdpm import ops
 from gradcheck import check_grad, numerical_grad, rel_error
 
 RNG = np.random.default_rng(7)
-
-
-def test_conv1x1_identity_kernel():
-    x = np.array([[[1.0, 2.0]]])
-    w = np.array([[1.0, 0.0], [0.0, 1.0]])
-    b = np.zeros(2)
-    np.testing.assert_array_equal(ops.conv1x1(x, w, b), x)
-
-
-def test_conv1x1_hand_value():
-    # 1*3 + 2*4 + 1 = 12
-    x = np.array([[[1.0, 2.0]]])
-    w = np.array([[3.0], [4.0]])
-    b = np.array([1.0])
-    np.testing.assert_allclose(ops.conv1x1(x, w, b), [[[12.0]]])
-
-
-def test_conv1x1_shape_mismatch_rejected():
-    with pytest.raises(ops.ShapeError, match="channel mismatch"):
-        ops.conv1x1(np.zeros((2, 2, 3)), np.zeros((4, 5)), np.zeros(5))
-    with pytest.raises(ops.ShapeError, match="bias"):
-        ops.conv1x1(np.zeros((2, 2, 3)), np.zeros((3, 5)), np.zeros(4))
-
-
-def test_conv1x1_gradients():
-    x = RNG.standard_normal((3, 2, 4))
-    w = RNG.standard_normal((4, 5))
-    b = RNG.standard_normal(5)
-    g = RNG.standard_normal((3, 2, 5))
-    gx, gw, gb = ops.conv1x1_backward(x, w, g)
-    check_grad(lambda v: float((ops.conv1x1(v, w, b) * g).sum()), x.copy(), gx)
-    check_grad(lambda v: float((ops.conv1x1(x, v, b) * g).sum()), w.copy(), gw)
-    check_grad(lambda v: float((ops.conv1x1(x, w, v) * g).sum()), b.copy(), gb)
 
 
 def test_fully_connected_identity_and_hand_value():
@@ -238,3 +206,55 @@ def test_forward_determinism_and_finiteness():
     a = ops.conv2d(x, w, b, stride=2, padding=1)
     assert np.array_equal(a, ops.conv2d(x, w, b, stride=2, padding=1))
     assert np.all(np.isfinite(a))
+
+
+#: output (H, W) per input channel count: a one-image block's GEMM still does
+#: over 10^6 multiply-adds, as every backbone layer's does. Below that a BLAS
+#: may take a small-matrix kernel whose rounding differs from the one it uses
+#: for the whole batch; the attention convs, the only small ones, always run
+#: in a single block (see the next test).
+ORACLE_MAPS = {1: (48, 40), 3: (24, 32), 16: (12, 12)}
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("channels", [1, 3, 16])
+@pytest.mark.parametrize("batch", [1, 5, 16, 25])
+def test_blocked_conv2d_bit_identical_to_reference(monkeypatch, stride, channels, batch):
+    """Every block size gives the pre-blocking outputs and gradients bit for bit."""
+    ho, wo = ORACLE_MAPS[channels]
+    x = RNG.standard_normal((batch, stride * ho, stride * wo, channels))
+    w = RNG.standard_normal((3, 3, channels, 64))
+    b = RNG.standard_normal(64)
+    want, want_cols = ref.conv2d(x, w, b, stride, 1, return_cols=True)
+    g = RNG.standard_normal(want.shape)
+    patch_bytes = 8 * want.shape[1] * want.shape[2] * 9 * channels
+    for images_per_block in (1, 3, None):
+        if images_per_block is None:
+            monkeypatch.undo()
+        else:
+            monkeypatch.setattr(ops, "BLOCK_BYTES", images_per_block * patch_bytes)
+        out, cols = ops.conv2d(x, w, b, stride, 1, return_cols=True)
+        assert np.array_equal(out, want) and np.array_equal(cols, want_cols)
+        assert np.array_equal(ops.conv2d(x, w, b, stride, 1), want)
+        for need in (True, False):
+            want_grads = ref.conv2d_backward(x, w, g, stride, 1, want_cols, need)
+            for c in (cols, None):
+                got = ops.conv2d_backward(x, w, g, stride, 1, c, need)
+                for gv, wv in zip(got, want_grads):
+                    assert (gv is None and wv is None) or np.array_equal(gv, wv)
+
+
+def test_attention_conv_maps_fit_one_block():
+    # spatial attention convs: one channel on at most 12x8 maps, 48-image batches
+    assert ops._block_images(48, 8 * 12 * 8 * 9) == 48
+
+
+def test_conv2d_backward_leaves_grad_out_untouched():
+    x = RNG.standard_normal((3, 6, 5, 2))
+    w = RNG.standard_normal((3, 3, 2, 3))
+    out = ops.conv2d(x, w, np.zeros(3), 2, 1)
+    g = RNG.standard_normal(out.shape)
+    before = g.copy()
+    ops.conv2d_backward(x, w, g, 2, 1)
+    ops.relu_backward(out, g)
+    assert np.array_equal(g, before)

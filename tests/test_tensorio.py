@@ -25,6 +25,16 @@ def test_tensor_roundtrip_bit_exact(tmp_path):
         assert loaded[name].tobytes() == np.ascontiguousarray(tensors[name]).tobytes()
 
 
+def test_tensor_roundtrip_keeps_rank_zero_and_one(tmp_path):
+    tensors = {"s": np.array(2.0), "v": np.array([2.0]), "n": np.array(-0.0)}
+    path = tmp_path / "ranks.cdpm"
+    tensorio.save_tensors(path, tensors)
+    loaded = tensorio.load_tensors(path)
+    for name, value in tensors.items():
+        assert loaded[name].shape == value.shape
+        assert loaded[name].tobytes() == value.tobytes()
+
+
 def test_tensor_header_layout(tmp_path):
     path = tmp_path / "one.cdpm"
     tensorio.save_tensors(path, {"ab": np.zeros((2, 3))})
