@@ -184,26 +184,24 @@ class Conv(Block):
         self.norm = self._child(BatchNorm(f"{name}.bn", out_ch)) if normalize else None
 
     def forward(self, x: np.ndarray):
-        out, cols = ops.conv2d(
-            x, self.w.value, self.b.value, self.stride, self.padding, return_cols=True
-        )
+        out = ops.conv2d(x, self.w.value, self.b.value, self.stride, self.padding)
         norm_ctx = None
         if self.norm is not None:
             out, norm_ctx = self.norm.forward(out)
         if self.activation == "relu":
             # in place; (out > 0) still marks the pre-activation sign for backward
             np.maximum(out, 0.0, out=out)
-        return out, (x, out, cols, norm_ctx)
+        return out, (x, out, norm_ctx)
 
     def backward(self, ctx, grad_out: np.ndarray, need_input_grad: bool = True):
-        x, out, cols, norm_ctx = ctx
+        x, out, norm_ctx = ctx
         if self.activation == "relu":
             grad_out = ops.relu_backward(out, grad_out)
         if self.norm is not None:
             grad_out = self.norm.backward(norm_ctx, grad_out)
         gx, gw, gb = ops.conv2d_backward(
             x, self.w.value, grad_out, self.stride, self.padding,
-            cols=cols, need_input_grad=need_input_grad,
+            need_input_grad=need_input_grad,
         )
         self.w.grad += gw
         self.b.grad += gb

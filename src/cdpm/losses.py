@@ -73,11 +73,6 @@ def part_softmax_loss(scores: np.ndarray, labels: np.ndarray) -> float:
     return part_softmax_loss_with_grad(scores, labels)[0]
 
 
-def feature_learning_loss(per_part_losses) -> float:
-    """Sum of the per-part softmax losses."""
-    return float(sum(per_part_losses))
-
-
 # ---------------------------------------------------------------------------
 # window classification
 
@@ -141,22 +136,21 @@ def regression_loss(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> fl
 # combined objectives
 
 
-def vertical_loss(classification_term: float, regression_terms) -> float:
-    """Joint detection objective: classification plus all regression terms."""
-    return float(classification_term + sum(regression_terms))
-
-
 def total_loss(
     feature_term: float,
     classification_term: float,
-    regression_terms,
+    regression_term: float,
     weights: LossWeights = LossWeights(),
+    triplet_term: float = 0.0,
 ) -> float:
-    """Overall objective: feature term + weighted detection terms."""
+    """Overall objective, added left to right: the feature term (per-part
+    softmax losses summed), the weighted classification term, the weighted
+    regression term (per-part losses summed) and the triplet term."""
     return float(
         feature_term
         + weights.lambda1 * classification_term
-        + weights.lambda2 * sum(regression_terms)
+        + weights.lambda2 * regression_term
+        + triplet_term
     )
 
 

@@ -254,7 +254,9 @@ def bilinear_resize_backward(
 # over the same depth, so a block's rows equal the whole batch's bit for bit
 # whenever the BLAS runs both through the same kernel (it does at the
 # backbone's sizes; tiny GEMMs may take a small-matrix kernel, which is why
-# the tiny attention convs always run as a single block).
+# the tiny attention convs always run as a single block). Forward passes
+# gather into a block-sized patch buffer; only the kernel gradient needs the
+# whole-batch patch matrix, so only the backward builds it (`_im2col`).
 
 
 def _strided_cols(xp, kh, kw, stride, ho, wo):
@@ -276,18 +278,44 @@ def _col2im(gcols, gxp, stride):
             ] += gcols[:, :, :, ki, kj, :]
 
 
+def _padded_blocks(x: np.ndarray, p: int, step: int):
+    """Yield (first image, padded block) over `x` in blocks of `step` images,
+    each copied into one reused buffer whose zero border is never written."""
+    bsz, h, wd, c = x.shape
+    xp = np.zeros((step, h + 2 * p, wd + 2 * p, c))
+    for i in range(0, bsz, step):
+        n = min(step, bsz - i)
+        xp[:n, p : p + h, p : p + wd] = x[i : i + n]
+        yield i, xp[:n]
+
+
+def _out_hw(x: np.ndarray, kh: int, kw: int, stride: int, p: int) -> tuple[int, int]:
+    h, wd = x.shape[1:3]
+    return (h + 2 * p - kh) // stride + 1, (wd + 2 * p - kw) // stride + 1
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """Whole-batch patch matrix (B*ho*wo, kh*kw*C) of `x`, gathered per image block."""
+    bsz, c = len(x), x.shape[3]
+    ho, wo = _out_hw(x, kh, kw, stride, padding)
+    cols = np.empty((bsz, ho, wo, kh, kw, c))
+    step = _block_images(bsz, 8 * cols[0].size)
+    for i, xp in _padded_blocks(x, padding, step):
+        cols[i : i + len(xp)] = _strided_cols(xp, kh, kw, stride, ho, wo)
+    return cols.reshape(bsz * ho * wo, kh * kw * c)
+
+
 def conv2d(
     x: np.ndarray,
     w: np.ndarray,
     b: np.ndarray,
     stride: int = 1,
     padding: int = 1,
-    return_cols: bool = False,
-):
+) -> np.ndarray:
     """2-D convolution on (B, H, W, C) with kernel (kh, kw, C, D) and zero padding.
 
-    With return_cols=True also returns the flattened patch matrix so a
-    following backward pass can skip re-gathering it.
+    Each image block's patches are gathered into one reused block-sized
+    buffer; the whole-batch patch matrix is never built here.
     """
     _require(x.ndim == 4, f"conv2d expects (B,H,W,C), got {x.shape}")
     _require(w.ndim == 4, f"conv2d kernel must be rank 4, got {w.shape}")
@@ -296,26 +324,20 @@ def conv2d(
         f"conv2d channel mismatch: input {x.shape[-1]} vs kernel {w.shape[2]}",
     )
     kh, kw, c, d = w.shape
-    bsz, h, wd, _ = x.shape
-    p = padding
-    ho = (h + 2 * p - kh) // stride + 1
-    wo = (wd + 2 * p - kw) // stride + 1
+    bsz = len(x)
+    ho, wo = _out_hw(x, kh, kw, stride, padding)
     rows, depth = ho * wo, kh * kw * c
     wmat = w.reshape(depth, d)
     step = _block_images(bsz, 8 * rows * depth)
-    cols = np.empty((bsz if return_cols else step, ho, wo, kh, kw, c))
+    cols = np.empty((step, ho, wo, kh, kw, c))
     out = np.empty((bsz, ho, wo, d))
-    xp = np.zeros((step, h + 2 * p, wd + 2 * p, c))  # the border stays zero
-    for i in range(0, bsz, step):
-        n = min(step, bsz - i)
-        patches = cols[i : i + n] if return_cols else cols[:n]
-        xp[:n, p : p + h, p : p + wd] = x[i : i + n]
-        patches[...] = _strided_cols(xp[:n], kh, kw, stride, ho, wo)
+    for i, xp in _padded_blocks(x, padding, step):
+        n = len(xp)
+        patches = cols[:n]
+        patches[...] = _strided_cols(xp, kh, kw, stride, ho, wo)
         block_out = out[i : i + n].reshape(n * rows, d)
         np.matmul(patches.reshape(n * rows, depth), wmat, out=block_out)
         block_out += b
-    if return_cols:
-        return out, cols.reshape(bsz * rows, depth)
     return out
 
 
@@ -325,25 +347,21 @@ def conv2d_backward(
     grad_out: np.ndarray,
     stride: int = 1,
     padding: int = 1,
-    cols: np.ndarray | None = None,
     need_input_grad: bool = True,
 ):
     """Gradients of conv2d w.r.t. input, kernel, and bias.
 
-    `cols` may carry the patch matrix cached by the forward pass; the input
-    gradient is skipped (None) when the caller does not need it. The kernel
-    gradient is one GEMM over the whole batch; the input gradient is built
-    per image block, scattering the block's patch gradients into a
-    block-sized padded buffer.
+    The kernel gradient is one GEMM over the whole-batch patch matrix, built
+    here by `_im2col` and dropped right after; the input gradient is skipped
+    (None) when the caller does not need it, else built per image block,
+    scattering the block's patch gradients into a block-sized padded buffer.
     """
     kh, kw, c, d = w.shape
     p = padding
     bsz, ho, wo = grad_out.shape[:3]
     rows, depth = ho * wo, kh * kw * c
     flat_g = grad_out.reshape(bsz * rows, d)
-    if cols is None:
-        _, cols = conv2d(x, w, np.zeros(d), stride, p, return_cols=True)
-    gw = (cols.T @ flat_g).reshape(kh, kw, c, d)
+    gw = (_im2col(x, kh, kw, stride, p).T @ flat_g).reshape(kh, kw, c, d)
     gb = flat_g.sum(axis=0)
     if not need_input_grad:
         return None, gw, gb

@@ -422,9 +422,7 @@ def train_step(
 
     if gfmap is not None:
         net.backbone.backward(bb_ctx, gfmap)
-    terms["total"] = (
-        loss_f + weights.lambda1 * loss_c + weights.lambda2 * loss_r + loss_g
-    )
+    terms["total"] = losses.total_loss(loss_f, loss_c, loss_r, weights, loss_g)
     return terms
 
 

@@ -140,10 +140,8 @@ def test_cli_evaluate_truncated_dump_exit_code(tmp_path, capsys):
     tensorio.write_descriptors(qpath, {"0001_c1_0000": rng.standard_normal(4),
                                        "0002_c1_0000": rng.standard_normal(4)})
     blob = qpath.read_bytes()
-    assert len(blob) == 100
-    for cut in range(len(blob)):
-        if cut in (0, 50):
-            continue  # record boundaries: a shorter but valid dump
+    assert len(blob) == 110
+    for cut in range(len(blob)):  # a cut at the record boundary (byte 60) too
         qpath.write_bytes(blob[:cut])
         rc = cli.main(["evaluate", "--query", str(qpath), "--gallery", str(gpath),
                        "--out", str(tmp_path / "r.csv")])

@@ -60,10 +60,6 @@ def test_part_softmax_gradient():
     )
 
 
-def test_feature_learning_loss_sums_parts():
-    assert losses.feature_learning_loss([1.0, 2.5, 0.5]) == 4.0
-
-
 # ---------------------------------------------------------------------------
 # window classification
 
@@ -181,17 +177,19 @@ def test_regression_loss_gradient():
 
 def test_total_loss_weights():
     w = losses.LossWeights(lambda1=1.0, lambda2=1.0)
-    lf, lc, lr = 2.0, 0.5, [0.1, 0.2]
-    assert losses.total_loss(lf, lc, lr, w) == lf + losses.vertical_loss(lc, lr)
+    lf, lc, lr, lg = 2.0, 0.5, 0.1 + 0.2, 0.25
+    assert losses.total_loss(lf, lc, lr, w) == lf + lc + lr
+    assert losses.total_loss(lf, lc, lr, w, lg) == lf + lc + lr + lg
     z = losses.LossWeights(lambda1=0.0, lambda2=0.0)
     assert losses.total_loss(lf, lc, lr, z) == lf
+    assert losses.total_loss(lf, lc, lr, z, lg) == lf + lg
 
 
 def test_total_loss_linear_in_weights():
-    lf, lc, lr = 1.0, 0.7, [0.3, 0.4]
+    lf, lc, lr = 1.0, 0.7, 0.3 + 0.4
     for lam in (0.0, 0.5, 1.0):
         w = losses.LossWeights(lambda1=lam, lambda2=lam)
-        want = lf + lam * lc + lam * sum(lr)
+        want = lf + lam * lc + lam * lr
         assert abs(losses.total_loss(lf, lc, lr, w) - want) < 1e-15
 
 

@@ -1,4 +1,6 @@
 """Network assembly: shapes, selection wiring, descriptors, checkpoints."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,3 +264,21 @@ def test_select_part_windows_routes_per_part(net):
     picks = net.select_part_windows(scores, offsets, alignment.SelectionConfig(0.6))
     assert picks[0, 0] == 5
     assert picks[0, 2] == 10  # smaller |offset| among the two candidates
+
+
+def test_forward_only_passes_never_build_whole_batch_patches():
+    """descriptor and calibrate gather patches one image block at a time, so
+    their peak stays below conv1's and conv2's whole-batch patch matrices."""
+    cfg = ModelConfig(classes=12, with_mgf=True)
+    net = CdpmNetwork(cfg, np.random.default_rng(3))
+    imgs = RNG.random((8, 384, 128, 3))
+    c1 = cfg.backbone_channels[0]
+    limit = 8 * len(imgs) * (192 * 64 * 9 * 3 + 96 * 32 * 9 * c1)  # 49.5 MB
+    for forward in (net.calibrate, net.descriptor):
+        tracemalloc.start()
+        try:
+            forward(imgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"{forward.__name__} peaked at {peak / 1e6:.1f} MB"

@@ -233,15 +233,13 @@ def test_blocked_conv2d_bit_identical_to_reference(monkeypatch, stride, channels
             monkeypatch.undo()
         else:
             monkeypatch.setattr(ops, "BLOCK_BYTES", images_per_block * patch_bytes)
-        out, cols = ops.conv2d(x, w, b, stride, 1, return_cols=True)
-        assert np.array_equal(out, want) and np.array_equal(cols, want_cols)
         assert np.array_equal(ops.conv2d(x, w, b, stride, 1), want)
+        assert np.array_equal(ops._im2col(x, 3, 3, stride, 1), want_cols)
         for need in (True, False):
             want_grads = ref.conv2d_backward(x, w, g, stride, 1, want_cols, need)
-            for c in (cols, None):
-                got = ops.conv2d_backward(x, w, g, stride, 1, c, need)
-                for gv, wv in zip(got, want_grads):
-                    assert (gv is None and wv is None) or np.array_equal(gv, wv)
+            got = ops.conv2d_backward(x, w, g, stride, 1, need_input_grad=need)
+            for gv, wv in zip(got, want_grads):
+                assert (gv is None and wv is None) or np.array_equal(gv, wv)
 
 
 def test_attention_conv_maps_fit_one_block():

@@ -89,20 +89,43 @@ def two_record_dump(path):
         "0001_c1_0000": RNG.standard_normal(4),
         "0002_c1_0001": RNG.standard_normal(4),
     })
-    return path.read_bytes(), (0, 50)  # cuts at record boundaries are valid dumps
+    return path.read_bytes()
+
+
+def test_descriptor_header_layout(tmp_path):
+    blob = two_record_dump(tmp_path / "descs.bin")
+    assert blob[:4] == b"CDPD"
+    assert struct.unpack_from("<HIH", blob, 4) == (1, 2, 12)
+    assert blob[12:24] == b"0001_c1_0000"
+    assert struct.unpack_from("<I", blob, 24) == (4,)
+    assert len(blob) == 10 + 2 * (2 + 12 + 4 + 4 * 8)
 
 
 def test_descriptor_truncation_at_every_byte(tmp_path):
-    blob, boundaries = two_record_dump(tmp_path / "descs.bin")
-    assert len(blob) == 100
+    blob = two_record_dump(tmp_path / "descs.bin")
+    assert len(blob) == 110
     path = tmp_path / "cut.bin"
-    for cut in range(len(blob)):
+    for cut in range(len(blob)):  # a cut at the record boundary (byte 60) too
         path.write_bytes(blob[:cut])
-        if cut in boundaries:
-            assert len(tensorio.read_descriptors(path)) == boundaries.index(cut)
-        else:
-            with pytest.raises(tensorio.FormatError, match="truncated"):
-                tensorio.read_descriptors(path)
+        with pytest.raises(tensorio.FormatError, match="truncated"):
+            tensorio.read_descriptors(path)
+
+
+def test_descriptor_count_trailing_bytes_and_magic_checked(tmp_path):
+    blob = two_record_dump(tmp_path / "descs.bin")
+    path = tmp_path / "bad.bin"
+    for bad, message in [
+        (blob[:6] + struct.pack("<I", 1) + blob[10:], "trailing bytes"),
+        (blob[:6] + struct.pack("<I", 3) + blob[10:], "truncated"),
+        (blob + b"\0", "trailing bytes"),
+        (blob + blob[10:60], "trailing bytes"),
+        (blob[:6] + struct.pack("<I", 3) + blob[10:] + blob[10:60], "repeated"),
+        (b"CDPM" + blob[4:], "magic"),
+        (blob[:4] + struct.pack("<H", 2) + blob[6:], "version"),
+    ]:
+        path.write_bytes(bad)
+        with pytest.raises(tensorio.FormatError, match=message):
+            tensorio.read_descriptors(path)
 
 
 def test_tensor_truncation_at_every_byte(tmp_path):
@@ -127,7 +150,7 @@ def test_non_utf8_names_rejected(tmp_path):
         tensorio.load_tensors(path)
     tensorio.write_descriptors(path, {"ab": np.zeros(2)})
     blob = bytearray(path.read_bytes())
-    blob[2] = 0xFF  # first byte of the image id
+    blob[12] = 0xFF  # first byte of the image id
     path.write_bytes(bytes(blob))
     with pytest.raises(tensorio.FormatError, match="UTF-8"):
         tensorio.read_descriptors(path)

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from cdpm import augment, data, training
+import conv_reference
+from cdpm import augment, data, ops, training
 from cdpm.annotations import load_annotations
 from cdpm.augment import AugmentationConfig
 from cdpm.losses import LossWeights, TripletConfig
@@ -320,6 +321,47 @@ def test_train_step_end_to_end_gradient_sample(tiny_bench):
         )
         net.zero_grad()
         total()  # restore gradients for the next sample
+
+
+@pytest.mark.parametrize("flags", [
+    StepFlags(refinement=False, detection=False, mgf=False, backbone_grad=True),
+    StepFlags(refinement=True, detection=True, mgf=True, backbone_grad=True),
+], ids=["stage1", "stage3"])
+def test_train_step_and_descriptor_bit_identical_with_reference_convs(
+    tiny_bench, monkeypatch, flags
+):
+    """The full model's descriptors and every parameter gradient equal those
+    of the unblocked convolution kept in tests/conv_reference.py."""
+    index, anns = tiny_bench
+    cfg = ModelConfig(classes=index.class_count, with_mgf=True)
+    aug = AugmentationConfig(translation_copies=1)
+    items = training.build_train_items(index, anns, cfg, aug, np.random.default_rng(0))
+    tri = TripletConfig(identities_per_batch=2, images_per_identity=2)
+    batch = compose_batch(items, training.ImageStore(), np.random.default_rng(5), aug,
+                          4, tri)
+
+    def run():
+        net = CdpmNetwork(cfg, np.random.default_rng(4))
+        training.train_step(net, batch, flags, LossWeights(), tri)
+        return net.descriptor(batch.images[:2]), [p.grad for p in net.parameters()]
+
+    want_desc, want_grads = run()
+    monkeypatch.setattr(
+        ops, "conv2d",
+        lambda x, w, b, stride=1, padding=1: conv_reference.conv2d(x, w, b, stride, padding),
+    )
+    monkeypatch.setattr(
+        ops, "conv2d_backward",
+        lambda x, w, grad_out, stride=1, padding=1, need_input_grad=True: (
+            conv_reference.conv2d_backward(x, w, grad_out, stride, padding, None,
+                                           need_input_grad)
+        ),
+    )
+    got_desc, got_grads = run()
+    assert np.array_equal(got_desc, want_desc)
+    assert len(got_grads) == len(want_grads)
+    for got, want in zip(got_grads, want_grads):
+        assert np.array_equal(got, want)
 
 
 def test_run_aborts_with_dump_when_loss_diverges(tiny_bench, tmp_path, monkeypatch):
