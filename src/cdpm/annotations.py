@@ -20,6 +20,10 @@ PART_MISSING_THRESHOLD = 1280  # parsing pixels
 SOURCES = ("automatic", "manual", "synthetic")
 
 
+class AnnotationError(ValueError):
+    """Raised for a malformed annotation record or file."""
+
+
 @dataclass(frozen=True)
 class BoundaryAnnotation:
     """Upper/lower pedestrian boundary plus parsing pixel counts for one image."""
@@ -34,15 +38,15 @@ class BoundaryAnnotation:
     def __post_init__(self):
         if self.upper_px is not None and self.lower_px is not None:
             if not 0 <= self.upper_px < self.lower_px <= IMAGE_HEIGHT:
-                raise ValueError(
+                raise AnnotationError(
                     f"{self.image_id}: boundaries ({self.upper_px}, {self.lower_px}) "
                     f"must satisfy 0 <= U < V <= {IMAGE_HEIGHT}"
                 )
         for count in (self.head_pixels, self.lower_pixels):
             if count is not None and count < 0:
-                raise ValueError(f"{self.image_id}: negative pixel count {count}")
+                raise AnnotationError(f"{self.image_id}: negative pixel count {count}")
         if self.source not in SOURCES:
-            raise ValueError(f"{self.image_id}: unknown source {self.source!r}")
+            raise AnnotationError(f"{self.image_id}: unknown source {self.source!r}")
 
     @property
     def has_boundaries(self) -> bool:
@@ -110,26 +114,41 @@ def _parse_field(raw: str) -> float | None:
     return float(raw) if raw else None
 
 
+def _parse_record(fields: list[str]) -> BoundaryAnnotation:
+    head = _parse_field(fields[3])
+    lower = _parse_field(fields[4])
+    return BoundaryAnnotation(
+        image_id=fields[0].strip(),
+        upper_px=_parse_field(fields[1]),
+        lower_px=_parse_field(fields[2]),
+        head_pixels=int(head) if head is not None else None,
+        lower_pixels=int(lower) if lower is not None else None,
+        source=fields[5].strip() or "automatic",
+    )
+
+
 def load_annotations(path: str | Path) -> dict[str, BoundaryAnnotation]:
-    """Read an annotation CSV into a dict keyed by image id."""
+    """Read an annotation CSV into a dict keyed by image id.
+
+    Raises AnnotationError, naming the line, for a file that is not UTF-8 or
+    a record that does not parse or validate.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise AnnotationError(f"{path}: not UTF-8: {e}") from e
     out: dict[str, BoundaryAnnotation] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split(",")
         if len(fields) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-        head = _parse_field(fields[3])
-        lower = _parse_field(fields[4])
-        ann = BoundaryAnnotation(
-            image_id=fields[0].strip(),
-            upper_px=_parse_field(fields[1]),
-            lower_px=_parse_field(fields[2]),
-            head_pixels=int(head) if head is not None else None,
-            lower_pixels=int(lower) if lower is not None else None,
-            source=fields[5].strip() or "automatic",
-        )
+            raise AnnotationError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+        try:
+            ann = _parse_record(fields)
+        except (ValueError, OverflowError) as e:  # bad number, NaN or infinite count
+            raise AnnotationError(f"{path}:{lineno}: {e}") from e
         out[ann.image_id] = ann
     return out
 

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: synth-data, train, extract, align, evaluate, ablate.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
+4 internal error (a fault in cdpm itself, reported on one line as
+`internal error: <type>: <message>`, without a traceback).
 Every subcommand accepts --config <path>, --set section.key=value (repeatable),
 and --seed <int>.
 """
@@ -15,7 +17,7 @@ from pathlib import Path
 
 from . import data, evaluate, pipeline, tensorio
 from .alignment import SelectionConfig
-from .annotations import load_annotations
+from .annotations import AnnotationError, load_annotations
 from .config import ConfigError, load_config, save_config
 from .model import CdpmNetwork
 from .training import TrainingDiverged
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -234,15 +237,14 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (data.DataError, evaluate.EvalError, tensorio.FormatError) as e:
+    except (AnnotationError, data.DataError, evaluate.EvalError, tensorio.FormatError,
+            OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    except Exception as e:
+        message = " ".join(str(e).splitlines())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from . import alignment
 from .augment import AugmentationConfig
 from .losses import LossWeights, TripletConfig
 from .model import ModelConfig
@@ -163,14 +164,29 @@ def load_config(
     overrides: dict[str, str] | None = None,
     seed: int | None = None,
 ) -> Config:
-    """Defaults, then file values, then --set overrides, then --seed."""
+    """Defaults, then file values, then --set overrides, then --seed.
+
+    A value the run would refuse (a negative loss weight, a probability or
+    threshold outside [0, 1], more parts than map rows) is a ConfigError.
+    """
     cfg = Config()
     if path is not None:
-        cfg = apply_assignments(cfg, parse_config_text(Path(path).read_text("utf-8")))
+        try:
+            text = Path(path).read_text("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8: {e}") from e
+        cfg = apply_assignments(cfg, parse_config_text(text))
     if overrides:
         cfg = apply_assignments(cfg, overrides)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
+    try:
+        cfg.loss_weights()
+        cfg.augmentation_config()
+        alignment.SelectionConfig(cfg.selection_threshold)
+        alignment.uniform_layout(alignment.MAP_HEIGHT, cfg.parts)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     return cfg
 
 

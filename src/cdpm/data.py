@@ -21,13 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import alignment
-from .annotations import (
-    IMAGE_HEIGHT,
-    BoundaryAnnotation,
-    save_annotations,
-    supervision_mode,
-)
+from .annotations import IMAGE_HEIGHT, BoundaryAnnotation, save_annotations
 
 IMAGE_WIDTH = 128
 SPLITS = ("train", "query", "gallery")
@@ -63,9 +57,9 @@ def read_ppm(path: str | Path) -> np.ndarray:
     w, h, maxval = (int(g) for g in m.groups())
     if maxval != 255:
         raise DataError(f"{path}: unsupported max value {maxval}")
-    pixels = np.frombuffer(blob, dtype=np.uint8, count=h * w * 3, offset=m.end())
-    if pixels.size != h * w * 3:
+    if len(blob) - m.end() < h * w * 3:
         raise DataError(f"{path}: truncated pixel data")
+    pixels = np.frombuffer(blob, dtype=np.uint8, count=h * w * 3, offset=m.end())
     return pixels.reshape(h, w, 3).copy()
 
 
@@ -369,25 +363,3 @@ def generate_benchmark(
     )
     save_annotations(out_root / "annotations.csv", anns)
     return load_dataset(out_root)
-
-
-# ---------------------------------------------------------------------------
-# alignment ground truth
-
-
-def ground_truth_window(
-    ann: BoundaryAnnotation,
-    part: int,
-    parts: int = alignment.NUM_PARTS,
-    window_height: int = alignment.WINDOW_HEIGHT,
-) -> int:
-    """1-based index of the window best overlapping part `part`'s true interval.
-
-    Requires an annotation that admits aligned supervision.
-    """
-    mode = supervision_mode(ann)
-    if not mode.is_aligned:
-        raise DataError(f"{ann.image_id}: no aligned ground truth available")
-    layout = alignment.part_intervals(mode.upper, mode.lower, parts)
-    grid = alignment.enumerate_windows(alignment.MAP_HEIGHT, window_height)
-    return alignment.best_overlap_window(grid, layout.interval(part))

@@ -8,6 +8,11 @@ test suite.
 """
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
+
 import numpy as np
 
 BN_EPS = 1e-5
@@ -15,6 +20,21 @@ BN_EPS = 1e-5
 #: Target bytes of one block of a batch-blocked pass (a convolution's patch
 #: matrix, a relu mask); a block holds at least one image.
 BLOCK_BYTES = 2**22
+
+
+def _core_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+#: Threads that run the image blocks of a batch-blocked pass side by side.
+#: Each block is computed the same way on whichever thread takes it, so
+#: results are bit-identical at any count.
+WORKERS = _core_count()
+
+_pool: ThreadPoolExecutor | None = None  # made on first use, never at import
 
 
 class ShapeError(ValueError):
@@ -33,6 +53,50 @@ def _require(cond: bool, msg: str) -> None:
 
 def _block_images(batch: int, bytes_per_image: int) -> int:
     return max(1, min(batch, BLOCK_BYTES // bytes_per_image))
+
+
+class _Starts:
+    """The image-block starts of one pass; each goes to the first worker
+    that asks for the next one."""
+
+    def __init__(self, batch: int, step: int):
+        self._starts = iter(range(0, batch, step))
+        self._lock = threading.Lock()
+
+    def __iter__(self):
+        while True:
+            with self._lock:
+                i = next(self._starts, None)
+            if i is None:
+                return
+            yield i
+
+
+def _run_blocks(work, batch: int, step: int, *extra) -> None:
+    """Run `work(starts)` (unless `work` is None) on min(WORKERS, blocks)
+    workers that share out the block starts of `batch` images in blocks of
+    `step`, alongside the zero-argument tasks `extra`.
+
+    With one worker or at most one block every task runs inline, in order.
+    Else the tasks run on the pool, and every task has ended before the
+    first exception (in task order) is re-raised, so no worker still writes
+    into a buffer the caller returns or drops.
+    """
+    global _pool
+    blocks = -(-batch // step)
+    tasks = list(extra)
+    if work is not None:
+        tasks += [partial(work, _Starts(batch, step))] * min(WORKERS, blocks)
+    if WORKERS == 1 or blocks <= 1:
+        for task in tasks:
+            task()
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="cdpm-ops")
+    futures = [_pool.submit(task) for task in tasks]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +192,12 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     never exists at full size; grad_out is left untouched."""
     gx = np.empty(grad_out.shape)
     step = _block_images(len(gx), 8 * (gx[0].size or 1))
-    for i in range(0, len(gx), step):
-        np.multiply(grad_out[i : i + step], x[i : i + step] > 0.0, out=gx[i : i + step])
+
+    def mask(starts):
+        for i in starts:
+            np.multiply(grad_out[i : i + step], x[i : i + step] > 0.0, out=gx[i : i + step])
+
+    _run_blocks(mask, len(gx), step)
     return gx
 
 
@@ -257,6 +325,14 @@ def bilinear_resize_backward(
 # the tiny attention convs always run as a single block). Forward passes
 # gather into a block-sized patch buffer; only the kernel gradient needs the
 # whole-batch patch matrix, so only the backward builds it (`_im2col`).
+#
+# The image blocks run on one worker per core (`WORKERS`, `_run_blocks`):
+# each worker pulls the next block start and reuses its own pad, patch and
+# gradient buffers, and every block writes only its own slice of the result,
+# so the bits do not depend on the core count. The backward runs the
+# whole-batch kernel-gradient GEMM and the bias sum, each unsplit, beside the
+# per-block input-gradient work. A multi-threaded BLAS
+# (OPENBLAS_NUM_THREADS > 1) adds its threads on top of these workers.
 
 
 def _strided_cols(xp, kh, kw, stride, ho, wo):
@@ -278,12 +354,13 @@ def _col2im(gcols, gxp, stride):
             ] += gcols[:, :, :, ki, kj, :]
 
 
-def _padded_blocks(x: np.ndarray, p: int, step: int):
-    """Yield (first image, padded block) over `x` in blocks of `step` images,
-    each copied into one reused buffer whose zero border is never written."""
+def _padded_blocks(x: np.ndarray, p: int, step: int, starts):
+    """Yield (first image, padded block) for each block start in `starts`,
+    each block of up to `step` images copied into one reused buffer whose
+    zero border is never written."""
     bsz, h, wd, c = x.shape
     xp = np.zeros((step, h + 2 * p, wd + 2 * p, c))
-    for i in range(0, bsz, step):
+    for i in starts:
         n = min(step, bsz - i)
         xp[:n, p : p + h, p : p + wd] = x[i : i + n]
         yield i, xp[:n]
@@ -300,8 +377,12 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nd
     ho, wo = _out_hw(x, kh, kw, stride, padding)
     cols = np.empty((bsz, ho, wo, kh, kw, c))
     step = _block_images(bsz, 8 * cols[0].size)
-    for i, xp in _padded_blocks(x, padding, step):
-        cols[i : i + len(xp)] = _strided_cols(xp, kh, kw, stride, ho, wo)
+
+    def gather(starts):
+        for i, xp in _padded_blocks(x, padding, step, starts):
+            cols[i : i + len(xp)] = _strided_cols(xp, kh, kw, stride, ho, wo)
+
+    _run_blocks(gather, bsz, step)
     return cols.reshape(bsz * ho * wo, kh * kw * c)
 
 
@@ -314,7 +395,7 @@ def conv2d(
 ) -> np.ndarray:
     """2-D convolution on (B, H, W, C) with kernel (kh, kw, C, D) and zero padding.
 
-    Each image block's patches are gathered into one reused block-sized
+    Each worker gathers its image blocks' patches into one reused block-sized
     buffer; the whole-batch patch matrix is never built here.
     """
     _require(x.ndim == 4, f"conv2d expects (B,H,W,C), got {x.shape}")
@@ -329,15 +410,19 @@ def conv2d(
     rows, depth = ho * wo, kh * kw * c
     wmat = w.reshape(depth, d)
     step = _block_images(bsz, 8 * rows * depth)
-    cols = np.empty((step, ho, wo, kh, kw, c))
     out = np.empty((bsz, ho, wo, d))
-    for i, xp in _padded_blocks(x, padding, step):
-        n = len(xp)
-        patches = cols[:n]
-        patches[...] = _strided_cols(xp, kh, kw, stride, ho, wo)
-        block_out = out[i : i + n].reshape(n * rows, d)
-        np.matmul(patches.reshape(n * rows, depth), wmat, out=block_out)
-        block_out += b
+
+    def forward(starts):
+        cols = np.empty((step, ho, wo, kh, kw, c))
+        for i, xp in _padded_blocks(x, padding, step, starts):
+            n = len(xp)
+            patches = cols[:n]
+            patches[...] = _strided_cols(xp, kh, kw, stride, ho, wo)
+            block_out = out[i : i + n].reshape(n * rows, d)
+            np.matmul(patches.reshape(n * rows, depth), wmat, out=block_out)
+            block_out += b
+
+    _run_blocks(forward, bsz, step)
     return out
 
 
@@ -352,30 +437,41 @@ def conv2d_backward(
     """Gradients of conv2d w.r.t. input, kernel, and bias.
 
     The kernel gradient is one GEMM over the whole-batch patch matrix, built
-    here by `_im2col` and dropped right after; the input gradient is skipped
-    (None) when the caller does not need it, else built per image block,
-    scattering the block's patch gradients into a block-sized padded buffer.
+    here by `_im2col` and dropped as soon as the GEMM returns; the bias
+    gradient is one sum. Both run beside the input gradient, which is
+    skipped (None) when the caller does not need it, else built per image
+    block, scattering the block's patch gradients into a block-sized padded
+    buffer.
     """
     kh, kw, c, d = w.shape
     p = padding
     bsz, ho, wo = grad_out.shape[:3]
+    h, wd = x.shape[1:3]
     rows, depth = ho * wo, kh * kw * c
     flat_g = grad_out.reshape(bsz * rows, d)
-    gw = (_im2col(x, kh, kw, stride, p).T @ flat_g).reshape(kh, kw, c, d)
-    gb = flat_g.sum(axis=0)
-    if not need_input_grad:
-        return None, gw, gb
-    h, wd = x.shape[1:3]
-    wt = w.reshape(depth, d).T
     step = _block_images(bsz, 8 * rows * depth)
-    gx = np.empty(x.shape)
-    gxp = np.empty((step, h + 2 * p, wd + 2 * p, c))
-    gcols = np.empty((step * rows, depth))
-    for i in range(0, bsz, step):
-        n = min(step, bsz - i)
-        acc, block = gxp[:n], gcols[: n * rows]
-        np.matmul(flat_g[i * rows : (i + n) * rows], wt, out=block)
-        acc[...] = 0.0
-        _col2im(block.reshape(n, ho, wo, kh, kw, c), acc, stride)
-        gx[i : i + n] = acc[:, p : p + h, p : p + wd]
-    return gx, gw, gb
+    # held only by this list, so the GEMM's task frees the matrix when it returns
+    patches = [_im2col(x, kh, kw, stride, p)]
+    wt = w.reshape(depth, d).T
+    gx = np.empty(x.shape) if need_input_grad else None
+    grads = {}
+
+    def kernel_grad():
+        grads["w"] = (patches.pop().T @ flat_g).reshape(kh, kw, c, d)
+
+    def bias_grad():
+        grads["b"] = flat_g.sum(axis=0)
+
+    def input_grad(starts):
+        gxp = np.empty((step, h + 2 * p, wd + 2 * p, c))
+        gcols = np.empty((step * rows, depth))
+        for i in starts:
+            n = min(step, bsz - i)
+            acc, block = gxp[:n], gcols[: n * rows]
+            np.matmul(flat_g[i * rows : (i + n) * rows], wt, out=block)
+            acc[...] = 0.0
+            _col2im(block.reshape(n, ho, wo, kh, kw, c), acc, stride)
+            gx[i : i + n] = acc[:, p : p + h, p : p + wd]
+
+    _run_blocks(input_grad if need_input_grad else None, bsz, step, kernel_grad, bias_grad)
+    return gx, grads["w"], grads["b"]

@@ -1,8 +1,10 @@
 """Config file parsing, overrides, and the command-line surface."""
+import shutil
+
 import numpy as np
 import pytest
 
-from cdpm import cli, config, data, tensorio
+from cdpm import cli, config, data, ops, tensorio
 from cdpm.config import ConfigError, apply_assignments, load_config, save_config
 from cdpm.model import CdpmNetwork, ModelConfig
 
@@ -267,3 +269,71 @@ def test_cli_extract_rejects_bad_checkpoint_meta(tmp_path, capsys, extract_input
     assert _extract(tmp_path, bench, tensors) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err, err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("0001_c1_0000,0,384,9000,9000", "expected 6 fields, got 5"),
+    ("0001_c1_0000,top,384,9000,9000,manual", "could not convert string to float"),
+    ("0001_c1_0000,0,384,nan,9000,manual", "cannot convert float NaN to integer"),
+    ("0001_c1_0000,0,384,inf,9000,manual", "cannot convert float infinity"),
+    ("0001_c1_0000,200,100,9000,9000,manual", "must satisfy 0 <= U < V <= 384"),
+    ("0001_c1_0000,0,384,-5,9000,manual", "negative pixel count -5"),
+    ("0001_c1_0000,0,384,9000,9000,drawn", "unknown source 'drawn'"),
+])
+def test_cli_align_bad_annotation_file_exit_code(tmp_path, capsys, extract_inputs,
+                                                  line, message):
+    bench, tensors = extract_inputs
+    copy = tmp_path / "bench"
+    shutil.copytree(bench, copy)
+    (copy / "annotations.csv").write_text(f"# header comment\n{line}\n")
+    checkpoint = tmp_path / "net.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    rc = cli.main(["align", "--checkpoint", str(checkpoint), "--data", str(copy),
+                   "--out", str(tmp_path / "align.csv")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "annotations.csv:2:" in err, err
+    assert message in err, err
+
+
+def test_cli_non_utf8_annotation_file_exit_code(tmp_path, capsys, extract_inputs):
+    bench, tensors = extract_inputs
+    copy = tmp_path / "bench"
+    shutil.copytree(bench, copy)
+    (copy / "annotations.csv").write_bytes(b"\xff\xfe,0,384\n")
+    checkpoint = tmp_path / "net.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    rc = cli.main(["align", "--checkpoint", str(checkpoint), "--data", str(copy),
+                   "--out", str(tmp_path / "align.csv")])
+    assert rc == cli.EXIT_DATA
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_internal_error_is_one_line_exit_4(monkeypatch, capsys):
+    def broken(args):
+        raise ops.ShapeError("conv2d channel mismatch: input 3 vs kernel 4\nsecond line")
+
+    monkeypatch.setitem(cli.COMMANDS, "evaluate", broken)
+    rc = cli.main(["evaluate", "--query", "q.bin", "--gallery", "g.bin", "--out", "r.csv"])
+    assert rc == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == ("internal error: ShapeError: conv2d channel mismatch: "
+                   "input 3 vs kernel 4 second line\n")
+
+
+@pytest.mark.parametrize("assignment", [
+    "select.threshold=2", "augment.flip_probability=-0.5", "loss.lambda1=-1",
+    "augment.translation_copies=0", "model.parts=25", "model.parts=0",
+])
+def test_cli_out_of_range_config_value_is_usage_error(tmp_path, capsys, assignment):
+    rc = cli.main(["evaluate", "--query", "q.bin", "--gallery", "g.bin",
+                   "--out", str(tmp_path / "r.csv"), "--set", assignment])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_non_utf8_config_file_rejected(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_bytes(b"train.seed = \xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(path)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cdpm import alignment, data
+from cdpm import data
 from cdpm.annotations import load_annotations, supervision_mode
 
 RNG = np.random.default_rng(61)
@@ -25,6 +25,13 @@ def test_ppm_rejects_bad_input(tmp_path):
     bad.write_bytes(b"P5\n2 2\n255\n....")
     with pytest.raises(data.DataError):
         data.read_ppm(bad)
+
+
+def test_ppm_header_larger_than_pixel_data_is_truncated(tmp_path):
+    path = tmp_path / "big.ppm"
+    path.write_bytes(b"P6\n9999 9999\n255\n" + bytes(30))
+    with pytest.raises(data.DataError, match="truncated pixel data"):
+        data.read_ppm(path)
 
 
 def test_parse_image_name():
@@ -154,32 +161,6 @@ def test_generator_deterministic(tmp_path):
     data.generate_benchmark(b_root, **spec)
     for rel in sorted(p.relative_to(a_root) for p in a_root.rglob("*") if p.is_file()):
         assert (a_root / rel).read_bytes() == (b_root / rel).read_bytes(), rel
-
-
-def test_ground_truth_window_matches_soft_label_argmax(bench):
-    root, index = bench
-    anns = load_annotations(root / "annotations.csv")
-    grid = alignment.enumerate_windows(24, 4)
-    for record in index.split("train"):
-        ann = anns[record.image_id]
-        mode = supervision_mode(ann)
-        layout = alignment.part_intervals(mode.upper, mode.lower, 6)
-        labels = alignment.soft_label_matrix(grid, layout)
-        for k in range(1, 7):
-            r = data.ground_truth_window(ann, k)
-            assert labels[r - 1, k - 1] == labels[:, k - 1].max()
-
-
-def test_ground_truth_window_spec_cases(tmp_path, bench):
-    from cdpm.annotations import BoundaryAnnotation
-
-    full = BoundaryAnnotation("full", 0, 384, 9000, 9000, "manual")
-    assert data.ground_truth_window(full, 1) == 1
-    off = BoundaryAnnotation("off", 32, 320, 9000, 9000, "manual")  # rows [2, 20)
-    assert data.ground_truth_window(off, 1) == 2
-    missing = BoundaryAnnotation("m", 0, 384, 10, 9000, "manual")
-    with pytest.raises(data.DataError):
-        data.ground_truth_window(missing, 1)
 
 
 def test_renderer_bands_identity_specific(bench):

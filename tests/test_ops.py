@@ -1,4 +1,10 @@
 """Operator forward values and analytic-vs-numerical gradient agreement."""
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -214,32 +220,39 @@ def test_forward_determinism_and_finiteness():
 #: for the whole batch; the attention convs, the only small ones, always run
 #: in a single block (see the next test).
 ORACLE_MAPS = {1: (48, 40), 3: (24, 32), 16: (12, 12)}
+DEFAULT_BLOCK_BYTES = ops.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("channels", [1, 3, 16])
 @pytest.mark.parametrize("batch", [1, 5, 16, 25])
 def test_blocked_conv2d_bit_identical_to_reference(monkeypatch, stride, channels, batch):
-    """Every block size gives the pre-blocking outputs and gradients bit for bit."""
+    """Every block size and worker count gives the pre-blocking outputs and
+    gradients bit for bit; three workers take uneven shares of the blocks."""
     ho, wo = ORACLE_MAPS[channels]
     x = RNG.standard_normal((batch, stride * ho, stride * wo, channels))
     w = RNG.standard_normal((3, 3, channels, 64))
     b = RNG.standard_normal(64)
     want, want_cols = ref.conv2d(x, w, b, stride, 1, return_cols=True)
     g = RNG.standard_normal(want.shape)
+    want_grads = {
+        need: ref.conv2d_backward(x, w, g, stride, 1, want_cols, need)
+        for need in (True, False)
+    }
     patch_bytes = 8 * want.shape[1] * want.shape[2] * 9 * channels
-    for images_per_block in (1, 3, None):
-        if images_per_block is None:
-            monkeypatch.undo()
-        else:
-            monkeypatch.setattr(ops, "BLOCK_BYTES", images_per_block * patch_bytes)
-        assert np.array_equal(ops.conv2d(x, w, b, stride, 1), want)
-        assert np.array_equal(ops._im2col(x, 3, 3, stride, 1), want_cols)
-        for need in (True, False):
-            want_grads = ref.conv2d_backward(x, w, g, stride, 1, want_cols, need)
-            got = ops.conv2d_backward(x, w, g, stride, 1, need_input_grad=need)
-            for gv, wv in zip(got, want_grads):
-                assert (gv is None and wv is None) or np.array_equal(gv, wv)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ops, "WORKERS", workers)
+        for images_per_block in (1, 3, None):
+            block_bytes = DEFAULT_BLOCK_BYTES
+            if images_per_block is not None:
+                block_bytes = images_per_block * patch_bytes
+            monkeypatch.setattr(ops, "BLOCK_BYTES", block_bytes)
+            assert np.array_equal(ops.conv2d(x, w, b, stride, 1), want)
+            assert np.array_equal(ops._im2col(x, 3, 3, stride, 1), want_cols)
+            for need in (True, False):
+                got = ops.conv2d_backward(x, w, g, stride, 1, need_input_grad=need)
+                for gv, wv in zip(got, want_grads[need]):
+                    assert (gv is None and wv is None) or np.array_equal(gv, wv)
 
 
 def test_attention_conv_maps_fit_one_block():
@@ -256,3 +269,77 @@ def test_conv2d_backward_leaves_grad_out_untouched():
     ops.conv2d_backward(x, w, g, 2, 1)
     ops.relu_backward(out, g)
     assert np.array_equal(g, before)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_relu_backward_over_many_blocks_equals_one_block(monkeypatch, workers):
+    x = RNG.standard_normal((7, 5, 4, 3))
+    g = RNG.standard_normal(x.shape)
+    want = ops.relu_backward(x, g)  # the whole batch is one block
+    assert np.array_equal(want, g * (x > 0.0))
+    monkeypatch.setattr(ops, "WORKERS", workers)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 2 * 8 * x[0].size)  # 4 blocks, the last short
+    assert np.array_equal(ops.relu_backward(x, g), want)
+
+
+def test_blocks_reraise_only_after_every_task_has_ended(monkeypatch):
+    monkeypatch.setattr(ops, "WORKERS", 2)
+    done = []
+
+    def fail_now():
+        raise ops.ShapeError("first task")
+
+    def work(starts):
+        for i in starts:
+            if i == 3:
+                raise ops.ShapeError("block 3")
+            time.sleep(0.02)
+            done.append(i)
+
+    with pytest.raises(ops.ShapeError, match="first task"):
+        ops._run_blocks(work, 6, 1, fail_now)
+    assert sorted(done) == [0, 1, 2, 4, 5]
+
+
+def test_blocks_reraise_the_first_exception_in_task_order(monkeypatch):
+    monkeypatch.setattr(ops, "WORKERS", 2)
+
+    def late():
+        time.sleep(0.05)
+        raise KeyError("first task")
+
+    def early():
+        raise ValueError("second task")
+
+    with pytest.raises(KeyError, match="first task"):
+        ops._run_blocks(None, 2, 1, late, early)
+
+
+def test_no_thread_until_a_convolution_needs_one():
+    """Importing cdpm and ranking descriptors start no thread, nor does a
+    single-block convolution; only one with several blocks starts workers."""
+    script = """
+import threading
+import numpy as np
+import cdpm
+from cdpm import evaluate, ops
+rng = np.random.default_rng(0)
+queries = {f"{i:04d}_c1_0000": rng.standard_normal(8) for i in (1, 2)}
+gallery = {f"{i:04d}_c2_{j:04d}": rng.standard_normal(8) for i in (1, 2) for j in range(3)}
+evaluate.evaluate_retrieval(queries, gallery, "single")
+evaluate.evaluate_retrieval(queries, gallery, "multi")
+print(threading.active_count(), ops._pool is None)
+ops.WORKERS = 2
+x, w = rng.standard_normal((3, 4, 4, 1)), rng.standard_normal((3, 3, 1, 2))
+out = ops.conv2d(x, w, np.zeros(2))  # one image block: runs on this thread
+ops.conv2d_backward(x, w, ops.relu_backward(out, out))
+print(threading.active_count())
+ops.BLOCK_BYTES = 1
+ops.conv2d(x, w, np.zeros(2))
+print(threading.active_count() > 1)
+"""
+    src = Path(ops.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["1", "True", "1", "True"]

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 import conv_reference
-from cdpm import augment, data, ops, training
-from cdpm.annotations import load_annotations
+from cdpm import alignment, augment, data, ops, training
+from cdpm.annotations import BoundaryAnnotation, load_annotations, supervision_mode
 from cdpm.augment import AugmentationConfig
 from cdpm.losses import LossWeights, TripletConfig
 from cdpm.model import CdpmNetwork, ModelConfig
@@ -165,6 +165,34 @@ def tiny_bench(tmp_path_factory):
     )
     anns = load_annotations(index.annotations_path)
     return index, anns
+
+
+def _part_tops(ann):
+    mode = supervision_mode(ann)
+    layout = alignment.part_intervals(mode.upper, mode.lower, alignment.NUM_PARTS)
+    return training._layout_tops(layout, alignment.WINDOW_HEIGHT)
+
+
+def test_layout_tops_match_soft_label_argmax(tiny_bench):
+    index, anns = tiny_bench
+    grid = alignment.enumerate_windows(24, 4)
+    for record in index.split("train"):
+        ann = anns[record.image_id]
+        mode = supervision_mode(ann)
+        layout = alignment.part_intervals(mode.upper, mode.lower, 6)
+        labels = alignment.soft_label_matrix(grid, layout)
+        tops = training._layout_tops(layout, 4)
+        for k in range(1, 7):
+            assert labels[tops[k - 1], k - 1] == labels[:, k - 1].max()
+
+
+def test_layout_tops_spec_cases():
+    full = BoundaryAnnotation("full", 0, 384, 9000, 9000, "manual")
+    assert _part_tops(full)[0] == 0  # window 1
+    off = BoundaryAnnotation("off", 32, 320, 9000, 9000, "manual")  # rows [2, 20)
+    assert _part_tops(off)[0] == 1  # window 2
+    missing = BoundaryAnnotation("m", 0, 384, 10, 9000, "manual")
+    assert supervision_mode(missing).is_aligned is False
 
 
 def model_cfg(index, **kw):
@@ -331,7 +359,8 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
     tiny_bench, monkeypatch, flags
 ):
     """The full model's descriptors and every parameter gradient equal those
-    of the unblocked convolution kept in tests/conv_reference.py."""
+    of the unblocked convolution kept in tests/conv_reference.py, with one
+    block worker and with two."""
     index, anns = tiny_bench
     cfg = ModelConfig(classes=index.class_count, with_mgf=True)
     aug = AugmentationConfig(translation_copies=1)
@@ -345,7 +374,10 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
         training.train_step(net, batch, flags, LossWeights(), tri)
         return net.descriptor(batch.images[:2]), [p.grad for p in net.parameters()]
 
-    want_desc, want_grads = run()
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(ops, "WORKERS", workers)
+        got[workers] = run()
     monkeypatch.setattr(
         ops, "conv2d",
         lambda x, w, b, stride=1, padding=1: conv_reference.conv2d(x, w, b, stride, padding),
@@ -357,11 +389,12 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
                                            need_input_grad)
         ),
     )
-    got_desc, got_grads = run()
-    assert np.array_equal(got_desc, want_desc)
-    assert len(got_grads) == len(want_grads)
-    for got, want in zip(got_grads, want_grads):
-        assert np.array_equal(got, want)
+    want_desc, want_grads = run()
+    for got_desc, got_grads in got.values():
+        assert np.array_equal(got_desc, want_desc)
+        assert len(got_grads) == len(want_grads)
+        for got_grad, want_grad in zip(got_grads, want_grads):
+            assert np.array_equal(got_grad, want_grad)
 
 
 def test_run_aborts_with_dump_when_loss_diverges(tiny_bench, tmp_path, monkeypatch):
