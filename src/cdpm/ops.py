@@ -72,10 +72,14 @@ class _Starts:
             yield i
 
 
-def _run_blocks(work, batch: int, step: int, *extra) -> None:
-    """Run `work(starts)` (unless `work` is None) on min(WORKERS, blocks)
-    workers that share out the block starts of `batch` images in blocks of
-    `step`, alongside the zero-argument tasks `extra`.
+def _run_blocks(work, batch: int, step: int, *extra, scratch=tuple) -> None:
+    """Run `work(starts, *scratch())` (unless `work` is None) on
+    min(WORKERS, blocks) workers that share out the block starts of `batch`
+    images in blocks of `step`, alongside the zero-argument tasks `extra`.
+
+    `scratch` makes one worker's reused buffers. It is called here, on the
+    calling thread, so the buffers come from that thread's allocator arena;
+    made on the workers, they would each keep a heap of their own alive.
 
     With one worker or at most one block every task runs inline, in order.
     Else the tasks run on the pool, and every task has ended before the
@@ -86,7 +90,8 @@ def _run_blocks(work, batch: int, step: int, *extra) -> None:
     blocks = -(-batch // step)
     tasks = list(extra)
     if work is not None:
-        tasks += [partial(work, _Starts(batch, step))] * min(WORKERS, blocks)
+        starts = _Starts(batch, step)
+        tasks += [partial(work, starts, *scratch()) for _ in range(min(WORKERS, blocks))]
     if WORKERS == 1 or blocks <= 1:
         for task in tasks:
             task()
@@ -354,14 +359,18 @@ def _col2im(gcols, gxp, stride):
             ] += gcols[:, :, :, ki, kj, :]
 
 
-def _padded_blocks(x: np.ndarray, p: int, step: int, starts):
+def _pad_buffer(x: np.ndarray, p: int, step: int) -> np.ndarray:
+    h, wd, c = x.shape[1:]
+    return np.zeros((step, h + 2 * p, wd + 2 * p, c))
+
+
+def _padded_blocks(x: np.ndarray, p: int, starts, xp: np.ndarray):
     """Yield (first image, padded block) for each block start in `starts`,
-    each block of up to `step` images copied into one reused buffer whose
-    zero border is never written."""
-    bsz, h, wd, c = x.shape
-    xp = np.zeros((step, h + 2 * p, wd + 2 * p, c))
+    each block copied into the reused buffer `xp` (from `_pad_buffer`),
+    whose zero border is never written."""
+    bsz, h, wd = x.shape[:3]
     for i in starts:
-        n = min(step, bsz - i)
+        n = min(len(xp), bsz - i)
         xp[:n, p : p + h, p : p + wd] = x[i : i + n]
         yield i, xp[:n]
 
@@ -378,11 +387,11 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nd
     cols = np.empty((bsz, ho, wo, kh, kw, c))
     step = _block_images(bsz, 8 * cols[0].size)
 
-    def gather(starts):
-        for i, xp in _padded_blocks(x, padding, step, starts):
+    def gather(starts, pad):
+        for i, xp in _padded_blocks(x, padding, starts, pad):
             cols[i : i + len(xp)] = _strided_cols(xp, kh, kw, stride, ho, wo)
 
-    _run_blocks(gather, bsz, step)
+    _run_blocks(gather, bsz, step, scratch=lambda: (_pad_buffer(x, padding, step),))
     return cols.reshape(bsz * ho * wo, kh * kw * c)
 
 
@@ -412,9 +421,8 @@ def conv2d(
     step = _block_images(bsz, 8 * rows * depth)
     out = np.empty((bsz, ho, wo, d))
 
-    def forward(starts):
-        cols = np.empty((step, ho, wo, kh, kw, c))
-        for i, xp in _padded_blocks(x, padding, step, starts):
+    def forward(starts, pad, cols):
+        for i, xp in _padded_blocks(x, padding, starts, pad):
             n = len(xp)
             patches = cols[:n]
             patches[...] = _strided_cols(xp, kh, kw, stride, ho, wo)
@@ -422,7 +430,9 @@ def conv2d(
             np.matmul(patches.reshape(n * rows, depth), wmat, out=block_out)
             block_out += b
 
-    _run_blocks(forward, bsz, step)
+    _run_blocks(forward, bsz, step, scratch=lambda: (
+        _pad_buffer(x, padding, step), np.empty((step, ho, wo, kh, kw, c))
+    ))
     return out
 
 
@@ -462,9 +472,7 @@ def conv2d_backward(
     def bias_grad():
         grads["b"] = flat_g.sum(axis=0)
 
-    def input_grad(starts):
-        gxp = np.empty((step, h + 2 * p, wd + 2 * p, c))
-        gcols = np.empty((step * rows, depth))
+    def input_grad(starts, gxp, gcols):
         for i in starts:
             n = min(step, bsz - i)
             acc, block = gxp[:n], gcols[: n * rows]
@@ -473,5 +481,7 @@ def conv2d_backward(
             _col2im(block.reshape(n, ho, wo, kh, kw, c), acc, stride)
             gx[i : i + n] = acc[:, p : p + h, p : p + wd]
 
-    _run_blocks(input_grad if need_input_grad else None, bsz, step, kernel_grad, bias_grad)
+    _run_blocks(input_grad if need_input_grad else None, bsz, step, kernel_grad, bias_grad,
+                scratch=lambda: (np.empty((step, h + 2 * p, wd + 2 * p, c)),
+                                 np.empty((step * rows, depth))))
     return gx, grads["w"], grads["b"]
