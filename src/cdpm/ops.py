@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
 import numpy as np
@@ -34,7 +33,7 @@ def _core_count() -> int:
 #: results are bit-identical at any count.
 WORKERS = _core_count()
 
-_pool: ThreadPoolExecutor | None = None  # made on first use, never at import
+_pool = None  # a ThreadPoolExecutor, made on first use, never at import
 
 
 class ShapeError(ValueError):
@@ -97,9 +96,14 @@ def _run_blocks(work, batch: int, step: int, *extra, scratch=tuple) -> None:
             task()
         return
     if _pool is None:
+        # imported here: importing it with this module shifted the allocator
+        # state of processes that never convolve and slowed their retrieval
+        from concurrent.futures import ThreadPoolExecutor
+
         _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="cdpm-ops")
     futures = [_pool.submit(task) for task in tasks]
-    wait(futures)
+    for future in futures:
+        future.exception()  # waits for the task; raises nothing
     for future in futures:
         future.result()
 
