@@ -207,6 +207,15 @@ def best_overlap_window(grid: WindowGrid, interval: tuple[float, float]) -> int:
     return int(np.argmax(overlaps)) + 1
 
 
+def layout_tops(layout: PartLayout, window_height: int) -> np.ndarray:
+    """Top row of each part's window: its best-overlap window over the map, (K,)."""
+    grid = enumerate_windows(MAP_HEIGHT, window_height)
+    return np.array(
+        [best_overlap_window(grid, layout.interval(k)) - 1 for k in range(1, layout.parts + 1)],
+        dtype=np.int64,
+    )
+
+
 @dataclass(frozen=True)
 class GranularityWindow:
     """A derived part window of a coarser granularity."""

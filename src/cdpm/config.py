@@ -167,7 +167,8 @@ def load_config(
     """Defaults, then file values, then --set overrides, then --seed.
 
     A value the run would refuse (a negative loss weight, a probability or
-    threshold outside [0, 1], more parts than map rows) is a ConfigError.
+    threshold outside [0, 1], more parts than map rows, multi-granularity
+    features with other than 6 parts) is a ConfigError.
     """
     cfg = Config()
     if path is not None:
@@ -185,6 +186,7 @@ def load_config(
         cfg.augmentation_config()
         alignment.SelectionConfig(cfg.selection_threshold)
         alignment.uniform_layout(alignment.MAP_HEIGHT, cfg.parts)
+        cfg.model_config(classes=1)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return cfg

@@ -39,6 +39,13 @@ class ModelConfig:
     with_alignment: bool = True  # window detection heads drive part locations
     with_mgf: bool = False  # granularity branches + holistic embedding
 
+    def __post_init__(self):
+        if self.with_mgf and self.parts != alignment.NUM_PARTS:
+            raise ValueError(
+                f"multi-granularity features need {alignment.NUM_PARTS} parts, "
+                f"got {self.parts}"
+            )
+
     @property
     def descriptor_dim(self) -> int:
         dim = self.parts * self.feature_dim
@@ -364,7 +371,11 @@ class CdpmNetwork:
         kw = dict(zip(cls._META_FIELDS, meta))
         for name in cls._FLAG_FIELDS:
             kw[name] = bool(kw[name])
-        net = cls(ModelConfig(backbone_channels=tuple(channels), **kw))
+        try:
+            cfg = ModelConfig(backbone_channels=tuple(channels), **kw)
+        except ValueError as e:
+            raise tensorio.FormatError(f"{path}: {e}") from e
+        net = cls(cfg)
         slots = {p.name: p for p in (*net.parameters(), *net.buffers())}
         if set(slots) != set(tensors):
             missing = set(slots) ^ set(tensors)
@@ -386,8 +397,8 @@ class CdpmNetwork:
     def calibrate(self, images: np.ndarray) -> None:
         """Fit every normalization layer's statistics with one batch pass.
 
-        Runs all heads and branches in dependency order while the layers
-        record their input statistics; called at stage boundaries.
+        Runs all heads, and all branches on uniform-division windows, while
+        the layers record their input statistics; called at stage boundaries.
         """
         norms = []
         for block in self.blocks():
@@ -395,21 +406,10 @@ class CdpmNetwork:
         for n in norms:
             n.calibrating = True
         try:
-            fmap, _ = self.backbone_forward(images)
-            b = fmap.shape[0]
-            tops = self.uniform_part_tops(b)
-            for k, branch in enumerate(self.part_branches):
-                window = gather_windows(fmap, tops[:, k], WINDOW_HEIGHT)
-                branch.forward(window, self.cfg.with_refinement)
+            fmap = self.backbone_forward(images)[0]
+            self._branch_features(fmap, *self.uniform_tops(fmap.shape[0]))
             if self.heads is not None:
                 self.detection_forward(fmap)
-            for g in alignment.GRANULARITIES:
-                if g not in self.granularity_branches:
-                    continue
-                gtops = self.uniform_granularity_tops(b, g)
-                for j, branch in enumerate(self.granularity_branches[g]):
-                    window = gather_windows(fmap, gtops[:, j], MAP_HEIGHT // g)
-                    branch.forward(window, self.cfg.with_refinement)
         finally:
             for n in norms:
                 n.calibrating = False
@@ -455,14 +455,42 @@ class CdpmNetwork:
                 )
         return picks
 
-    def uniform_part_tops(self, batch: int) -> np.ndarray:
-        layout = alignment.uniform_layout(MAP_HEIGHT, self.cfg.parts)
-        tops = [int(layout.interval(k)[0]) for k in range(1, self.cfg.parts + 1)]
-        return np.tile(np.array(tops, dtype=np.int64), (batch, 1))
+    def uniform_tops(self, batch: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Uniform-division window tops: parts (B, K) and each granularity (B, g)."""
 
-    def uniform_granularity_tops(self, batch: int, g: int) -> np.ndarray:
-        height = MAP_HEIGHT // g
-        return np.tile(np.arange(g, dtype=np.int64) * height, (batch, 1))
+        def tiled(parts: int, height: int) -> np.ndarray:
+            layout = alignment.uniform_layout(MAP_HEIGHT, parts)
+            return np.tile(alignment.layout_tops(layout, height), (batch, 1))
+
+        gran = {g: tiled(g, MAP_HEIGHT // g) for g in self.granularity_branches}
+        return tiled(self.cfg.parts, WINDOW_HEIGHT), gran
+
+    def part_tops(
+        self, fmap: np.ndarray, selection: alignment.SelectionConfig
+    ) -> np.ndarray:
+        """Window top of each part per image, (B, K): the detected windows, or
+        uniform division when the network has no detection heads."""
+        if self.heads is None:
+            return self.uniform_tops(fmap.shape[0])[0]
+        scores, offsets, _ = self.detection_forward(fmap)
+        return self.select_part_windows(scores, offsets, selection) - 1
+
+    def branch_groups(self, part_tops: np.ndarray, gran_tops: dict[int, np.ndarray]):
+        """(branches, tops, window height) per group in descriptor order: the
+        parts, then each granularity in `gran_tops` ascending."""
+        groups = [(self.part_branches, part_tops, WINDOW_HEIGHT)]
+        for g in sorted(gran_tops):
+            groups.append((self.granularity_branches[g], gran_tops[g], MAP_HEIGHT // g))
+        return groups
+
+    def _branch_features(self, fmap, part_tops, gran_tops) -> list[np.ndarray]:
+        feats = []
+        for branches, tops, height in self.branch_groups(part_tops, gran_tops):
+            for j, branch in enumerate(branches):
+                window = gather_windows(fmap, tops[:, j], height)
+                feat, _, _ = branch.forward(window, self.cfg.with_refinement)
+                feats.append(feat)
+        return feats
 
     def descriptor(
         self, images: np.ndarray, selection: alignment.SelectionConfig | None = None
@@ -470,32 +498,18 @@ class CdpmNetwork:
         """Concatenated image representation, shape (B, descriptor_dim)."""
         if not self.initialized:
             raise NotInitializedError("parameters are neither initialized nor loaded")
-        selection = selection or alignment.SelectionConfig()
-        fmap, _ = self.backbone_forward(images)
-        b = fmap.shape[0]
-        if self.cfg.with_alignment:
-            scores, offsets, _ = self.detection_forward(fmap)
-            picks = self.select_part_windows(scores, offsets, selection)
-            part_tops = picks - 1
-        else:
-            part_tops = self.uniform_part_tops(b)
-        pieces = []
-        for k, branch in enumerate(self.part_branches):
-            window = gather_windows(fmap, part_tops[:, k], WINDOW_HEIGHT)
-            feat, _, _ = branch.forward(window, self.cfg.with_refinement)
-            pieces.append(feat)
-        if self.cfg.with_mgf:
-            centers = part_tops + WINDOW_HEIGHT / 2.0
-            for g in alignment.GRANULARITIES:
-                height = MAP_HEIGHT // g
-                tops = np.zeros((b, g), dtype=np.int64)
-                for i in range(b):
-                    wins = alignment.infer_granularity_layout(centers[i], g, MAP_HEIGHT)
-                    tops[i] = [w.top for w in wins]
-                for j, branch in enumerate(self.granularity_branches[g]):
-                    window = gather_windows(fmap, tops[:, j], height)
-                    feat, _, _ = branch.forward(window, self.cfg.with_refinement)
-                    pieces.append(feat)
+        # drop the backbone's per-layer contexts at once: only a backward reads them
+        fmap = self.backbone_forward(images)[0]
+        part_tops = self.part_tops(fmap, selection or alignment.SelectionConfig())
+        # coarser windows follow the part windows the image actually uses
+        centers = part_tops + WINDOW_HEIGHT / 2.0
+        gran_tops = {
+            g: np.array([[w.top for w in alignment.infer_granularity_layout(c, g)]
+                         for c in centers], dtype=np.int64)
+            for g in self.granularity_branches
+        }
+        pieces = self._branch_features(fmap, part_tops, gran_tops)
+        if self.holistic is not None:
             emb, _ = self.holistic.forward(fmap)
             pieces.append(emb)
         return np.concatenate(pieces, axis=1)

@@ -73,11 +73,6 @@ class AlignmentReport:
     uniform_mean_iou: float
 
 
-def uniform_part_interval(part: int, parts: int) -> tuple[float, float]:
-    layout = alignment.uniform_layout(MAP_HEIGHT, parts)
-    return layout.interval(part)
-
-
 def alignment_report(
     net: CdpmNetwork,
     index: data.DatasetIndex,
@@ -87,12 +82,13 @@ def alignment_report(
 ) -> AlignmentReport:
     """Score selected windows against exact part intervals.
 
-    Images without aligned ground truth are skipped. When the network has
-    no detection heads, the selected window falls back to uniform division
-    (window = 0 marks that case) so the report still measures the pipeline
-    actually used for feature extraction.
+    Images without aligned ground truth are skipped. Each part's window is
+    the one `descriptor` gathers: the detected window, or, when the network
+    has no detection heads, the uniform-division window (window = 0 marks
+    that case). `uniform_iou` scores the uniform part interval itself.
     """
     selection = selection or alignment.SelectionConfig()
+    uniform = alignment.uniform_layout(MAP_HEIGHT, net.cfg.parts)
     records = [r for split in splits for r in index.split(split)]
     rows: list[AlignmentRow] = []
     for chunk in _batched(records, EXTRACT_BATCH):
@@ -105,23 +101,14 @@ def alignment_report(
         if not usable:
             continue
         images = np.stack([data.load_image(r.path) for r, _ in usable])
-        fmap, _ = net.backbone_forward(images)
-        if net.cfg.with_alignment:
-            scores, offsets, _ = net.detection_forward(fmap)
-            picks = net.select_part_windows(scores, offsets, selection)
-        else:
-            picks = None
+        tops = net.part_tops(net.backbone_forward(images)[0], selection)
         for i, (record, mode) in enumerate(usable):
             layout = alignment.part_intervals(mode.upper, mode.lower, net.cfg.parts)
             for k in range(1, net.cfg.parts + 1):
                 truth = layout.interval(k)
-                uniform_iou = interval_iou(uniform_part_interval(k, net.cfg.parts), truth)
-                if picks is not None:
-                    top = float(picks[i, k - 1] - 1)
-                    window = int(picks[i, k - 1])
-                else:
-                    top = uniform_part_interval(k, net.cfg.parts)[0]
-                    window = 0
+                uniform_iou = interval_iou(uniform.interval(k), truth)
+                top = float(tops[i, k - 1])
+                window = int(tops[i, k - 1]) + 1 if net.heads is not None else 0
                 iou = interval_iou((top, top + WINDOW_HEIGHT), truth)
                 rows.append(
                     AlignmentRow(record.image_id, k, window, top, iou, uniform_iou)

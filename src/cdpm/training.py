@@ -120,17 +120,6 @@ class TrainItem:
     mask: np.ndarray | None  # (R, K)
 
 
-def _layout_tops(layout: alignment.PartLayout, window_height: int) -> np.ndarray:
-    grid = alignment.enumerate_windows(MAP_HEIGHT, window_height)
-    return np.array(
-        [
-            alignment.best_overlap_window(grid, layout.interval(k)) - 1
-            for k in range(1, layout.parts + 1)
-        ],
-        dtype=np.int64,
-    )
-
-
 def build_train_items(
     index: data.DatasetIndex,
     annotations: dict[str, BoundaryAnnotation],
@@ -147,9 +136,9 @@ def build_train_items(
     """
     grid = alignment.enumerate_windows(MAP_HEIGHT, WINDOW_HEIGHT)
     uniform = alignment.uniform_layout(MAP_HEIGHT, model_cfg.parts)
-    uniform_tops = _layout_tops(uniform, WINDOW_HEIGHT)
+    uniform_tops = alignment.layout_tops(uniform, WINDOW_HEIGHT)
     uniform_gran = {
-        g: _layout_tops(alignment.uniform_layout(MAP_HEIGHT, g), MAP_HEIGHT // g)
+        g: alignment.layout_tops(alignment.uniform_layout(MAP_HEIGHT, g), MAP_HEIGHT // g)
         for g in alignment.GRANULARITIES
     }
     items: list[TrainItem] = []
@@ -170,7 +159,7 @@ def build_train_items(
                 gran = None
                 if model_cfg.with_mgf:
                     gran = {
-                        g: _layout_tops(
+                        g: alignment.layout_tops(
                             alignment.part_intervals(mode.upper, mode.lower, g),
                             MAP_HEIGHT // g,
                         )
@@ -181,7 +170,7 @@ def build_train_items(
                         record=record,
                         shift=(dy, dx),
                         aligned=True,
-                        part_tops=_layout_tops(layout, WINDOW_HEIGHT),
+                        part_tops=alignment.layout_tops(layout, WINDOW_HEIGHT),
                         gran_tops=gran,
                         soft=alignment.soft_label_matrix(grid, layout),
                         offsets=target.offsets,
@@ -205,18 +194,19 @@ def build_train_items(
 
 
 class ImageStore:
-    """Lazy uint8 image cache keyed by path."""
+    """Lazy uint8 image cache keyed by path, holding at most LIMIT images."""
 
-    def __init__(self, cache: bool = True, limit: int = 8000):
+    LIMIT = 8000
+
+    def __init__(self, cache: bool = True):
         self.cache = cache
-        self.limit = limit
         self._store: dict[Path, np.ndarray] = {}
 
     def load(self, path: Path) -> np.ndarray:
         cached = self._store.get(path)
         if cached is None:
             cached = data.read_ppm(path)
-            if self.cache and len(self._store) < self.limit:
+            if self.cache and len(self._store) < self.LIMIT:
                 self._store[path] = cached
         return cached.astype(np.float64) / 255.0
 
@@ -369,24 +359,19 @@ def train_step(
     gfmap = np.zeros_like(fmap) if flags.backbone_grad else None
     terms: dict[str, float] = {}
 
-    def branch_losses(branches, tops, height) -> float:
-        total = 0.0
+    loss_f = 0.0  # summed per group, then across groups; the order fixes the bits
+    gran_tops = batch.gran_tops if flags.mgf else {}
+    for branches, tops, height in net.branch_groups(batch.part_tops, gran_tops):
+        group = 0.0
         for k, branch in enumerate(branches):
             window = gather_windows(fmap, tops[:, k], height)
             _, scores, ctx = branch.forward(window, flags.refinement)
             lk, gscores = losses.part_softmax_loss_with_grad(scores, batch.labels)
-            total += lk
+            group += lk
             gwin = branch.backward(ctx, gscores)
             if gfmap is not None:
                 scatter_window_grad(gfmap, tops[:, k], gwin)
-        return total
-
-    loss_f = branch_losses(net.part_branches, batch.part_tops, WINDOW_HEIGHT)
-    if flags.mgf and net.granularity_branches:
-        for g in alignment.GRANULARITIES:
-            loss_f += branch_losses(
-                net.granularity_branches[g], batch.gran_tops[g], MAP_HEIGHT // g
-            )
+        loss_f += group
     terms["loss_f"] = loss_f
 
     loss_c, loss_r = 0.0, 0.0
@@ -444,7 +429,6 @@ class TrainSettings:
     triplet: TripletConfig = TripletConfig()
     augmentation: AugmentationConfig = AugmentationConfig()
     cache_images: bool = True
-    cache_stage2_features: bool = True
 
 
 @dataclass
@@ -539,11 +523,7 @@ def run_training(
         # With the backbone frozen and no online augmentation, stage-2 features
         # are a fixed function of each item; precompute them once.
         feature_cache = None
-        if (
-            settings.cache_stage2_features
-            and not flags.backbone_grad
-            and len(items) <= FEATURE_CACHE_LIMIT
-        ):
+        if not flags.backbone_grad and len(items) <= FEATURE_CACHE_LIMIT:
             log.info("%s: caching frozen-backbone features for %d items",
                      stage.name, len(items))
             feature_cache = _build_feature_cache(net, items, store, settings.batch_size)

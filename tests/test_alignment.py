@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdpm import alignment as al
+from cdpm.annotations import BoundaryAnnotation, supervision_mode
 
 
 def exact_overlap(a, b) -> float:
@@ -251,6 +252,34 @@ def test_best_overlap_window_tie_goes_to_smaller_index():
     grid = al.enumerate_windows(24, 4)
     # part [2, 5): windows with tops 1 and 2 both overlap by 3
     assert al.best_overlap_window(grid, (2.0, 5.0)) == 2
+
+
+def _part_tops(ann):
+    mode = supervision_mode(ann)
+    layout = al.part_intervals(mode.upper, mode.lower, al.NUM_PARTS)
+    return al.layout_tops(layout, al.WINDOW_HEIGHT)
+
+
+def test_layout_tops_match_soft_label_argmax(tiny_bench):
+    index, anns = tiny_bench
+    grid = al.enumerate_windows(24, 4)
+    for record in index.split("train"):
+        ann = anns[record.image_id]
+        mode = supervision_mode(ann)
+        layout = al.part_intervals(mode.upper, mode.lower, 6)
+        labels = al.soft_label_matrix(grid, layout)
+        tops = al.layout_tops(layout, 4)
+        for k in range(1, 7):
+            assert labels[tops[k - 1], k - 1] == labels[:, k - 1].max()
+
+
+def test_layout_tops_spec_cases():
+    full = BoundaryAnnotation("full", 0, 384, 9000, 9000, "manual")
+    assert _part_tops(full)[0] == 0  # window 1
+    off = BoundaryAnnotation("off", 32, 320, 9000, 9000, "manual")  # rows [2, 20)
+    assert _part_tops(off)[0] == 1  # window 2
+    missing = BoundaryAnnotation("m", 0, 384, 10, 9000, "manual")
+    assert supervision_mode(missing).is_aligned is False
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,15 @@ def test_unknown_key_and_bad_value_rejected():
         load_config(None, {"model.mgf": "maybe"})
 
 
+def test_mgf_needs_six_parts(tmp_path):
+    with pytest.raises(ConfigError, match="need 6 parts, got 5"):
+        load_config(None, {"model.mgf": "true", "model.parts": "5"})
+    assert load_config(None, {"model.mgf": "true", "model.parts": "6"}).mgf
+    rc = cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
+                   "--set", "model.mgf=true", "--set", "model.parts=5"])
+    assert rc == cli.EXIT_USAGE
+
+
 def test_save_config_roundtrip(tmp_path):
     cfg = config.Config(data_root="/x", seed=4, mgf=True, threshold=0.35,
                         epoch_scale=0.25)
@@ -203,6 +212,30 @@ def test_cli_train_extract_align_evaluate_pipeline(tmp_path, capsys):
     assert "mean IoU" in out
 
 
+def test_cli_train_and_align_with_eight_parts(tmp_path):
+    bench = tmp_path / "bench"
+    assert cli.main([
+        "synth-data", "--out", str(bench), "--identities", "6",
+        "--images-per-id", "4", "--test-identities", "3",
+        "--test-images-per-id", "3", "--seed", "3",
+    ]) == cli.EXIT_OK
+    run = tmp_path / "run"
+    assert cli.main([
+        "train", "--data", str(bench), "--out", str(run), "--seed", "3",
+        "--set", "model.parts=8",
+        "--set", "train.epoch_scale=0.02",
+        "--set", "train.batch_size=6",
+        "--set", "augment.translation_copies=1",
+        "--set", "model.feature_dim=16",
+    ]) == cli.EXIT_OK
+    align_csv = tmp_path / "align.csv"
+    assert cli.main([
+        "align", "--checkpoint", str(run / "final.cdpm"), "--data", str(bench),
+        "--out", str(align_csv),
+    ]) == cli.EXIT_OK
+    assert len(align_csv.read_text().strip().splitlines()) == 1 + 9 * 8
+
+
 def test_cli_train_requires_data(tmp_path):
     assert cli.main(["train", "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
 
@@ -269,6 +302,20 @@ def test_cli_extract_rejects_bad_checkpoint_meta(tmp_path, capsys, extract_input
     assert _extract(tmp_path, bench, tensors) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and message in err, err
+
+
+def test_checkpoint_with_mgf_and_five_parts_is_data_error(tmp_path, capsys,
+                                                          extract_inputs):
+    bench, tensors = extract_inputs
+    tensors = {k: v.copy() for k, v in tensors.items()}
+    _set_meta("parts", 5.0)(tensors)
+    _set_meta("with_mgf", 1.0)(tensors)
+    checkpoint = tmp_path / "mgf5.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    with pytest.raises(tensorio.FormatError, match="need 6 parts, got 5"):
+        CdpmNetwork.load(checkpoint)
+    assert _extract(tmp_path, bench, tensors) == cli.EXIT_DATA
+    assert "need 6 parts" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line,message", [

@@ -3,11 +3,10 @@ import numpy as np
 import pytest
 
 import conv_reference
-from cdpm import alignment, augment, data, ops, training
-from cdpm.annotations import BoundaryAnnotation, load_annotations, supervision_mode
+from cdpm import alignment, augment, data, losses, model, ops, pipeline, training
 from cdpm.augment import AugmentationConfig
 from cdpm.losses import LossWeights, TripletConfig
-from cdpm.model import CdpmNetwork, ModelConfig
+from cdpm.model import CdpmNetwork, ModelConfig, gather_windows
 from cdpm.training import (
     SGDMomentum,
     StepFlags,
@@ -156,45 +155,6 @@ def test_augmentation_config_validation():
 # items & batches
 
 
-@pytest.fixture(scope="module")
-def tiny_bench(tmp_path_factory):
-    root = tmp_path_factory.mktemp("tinybench")
-    index = data.generate_benchmark(
-        root, train_identities=6, images_per_identity=4,
-        test_identities=3, test_images_per_identity=3, seed=2,
-    )
-    anns = load_annotations(index.annotations_path)
-    return index, anns
-
-
-def _part_tops(ann):
-    mode = supervision_mode(ann)
-    layout = alignment.part_intervals(mode.upper, mode.lower, alignment.NUM_PARTS)
-    return training._layout_tops(layout, alignment.WINDOW_HEIGHT)
-
-
-def test_layout_tops_match_soft_label_argmax(tiny_bench):
-    index, anns = tiny_bench
-    grid = alignment.enumerate_windows(24, 4)
-    for record in index.split("train"):
-        ann = anns[record.image_id]
-        mode = supervision_mode(ann)
-        layout = alignment.part_intervals(mode.upper, mode.lower, 6)
-        labels = alignment.soft_label_matrix(grid, layout)
-        tops = training._layout_tops(layout, 4)
-        for k in range(1, 7):
-            assert labels[tops[k - 1], k - 1] == labels[:, k - 1].max()
-
-
-def test_layout_tops_spec_cases():
-    full = BoundaryAnnotation("full", 0, 384, 9000, 9000, "manual")
-    assert _part_tops(full)[0] == 0  # window 1
-    off = BoundaryAnnotation("off", 32, 320, 9000, 9000, "manual")  # rows [2, 20)
-    assert _part_tops(off)[0] == 1  # window 2
-    missing = BoundaryAnnotation("m", 0, 384, 10, 9000, "manual")
-    assert supervision_mode(missing).is_aligned is False
-
-
 def model_cfg(index, **kw):
     base = dict(classes=index.class_count, backbone_channels=(4, 8, 8, 8, 8),
                 feature_dim=16, holistic_dim=16, attention_reduction=4)
@@ -224,6 +184,59 @@ def test_build_items_uniform_when_alignment_disabled(tiny_bench):
         assert not item.aligned
         assert item.soft is None
         np.testing.assert_array_equal(item.part_tops, [0, 4, 8, 12, 16, 20])
+
+
+@pytest.mark.parametrize("parts", range(1, alignment.MAP_HEIGHT + 1))
+def test_every_part_count_reads_the_training_windows(tiny_bench, monkeypatch, parts):
+    """Training targets, calibration, descriptors and alignment scoring read
+    the same uniform windows, and every step runs, at each part count."""
+    index, anns = tiny_bench
+    images = np.stack([data.load_image(r.path) for r in index.split("query")])
+    gathered = []
+
+    def recording_gather(fmap, tops, height):
+        gathered.append((height, tops.copy()))
+        return gather_windows(fmap, tops, height)
+
+    monkeypatch.setattr(model, "gather_windows", recording_gather)
+    selection = alignment.SelectionConfig()
+    mgf = parts == alignment.NUM_PARTS
+    cfg = model_cfg(index, parts=parts, with_alignment=False, with_mgf=mgf)
+    net = CdpmNetwork(cfg, np.random.default_rng(parts))
+    part_tops, gran_tops = net.uniform_tops(len(images))
+    items = build_train_items(index, anns, cfg, AugmentationConfig(translation_copies=1),
+                              np.random.default_rng(0))
+    for item in items:
+        assert not item.aligned
+        np.testing.assert_array_equal(item.part_tops, part_tops[0])
+        for g, tops in (item.gran_tops or {}).items():
+            np.testing.assert_array_equal(tops, gran_tops[g][0])
+    assert set(gran_tops) == (set(alignment.GRANULARITIES) if mgf else set())
+
+    net.calibrate(images)
+    gathered.clear()
+    desc = net.descriptor(images, selection)
+    assert desc.shape == (len(images), cfg.descriptor_dim) and np.all(np.isfinite(desc))
+    expected = [(alignment.WINDOW_HEIGHT, part_tops[:, k]) for k in range(parts)]
+    for g in sorted(gran_tops):
+        expected += [(alignment.MAP_HEIGHT // g, gran_tops[g][:, j]) for j in range(g)]
+    assert len(gathered) == len(expected)
+    for (height, tops), (want_height, want_tops) in zip(gathered, expected):
+        assert height == want_height
+        np.testing.assert_array_equal(tops, want_tops)
+
+    report = pipeline.alignment_report(net, index, anns, selection=selection)
+    assert len(report.rows) == parts * 9  # query + gallery images
+    for row in report.rows:
+        assert row.window == 0 and row.top == part_tops[0, row.part - 1]
+
+    aligned = CdpmNetwork(model_cfg(index, parts=parts), np.random.default_rng(parts))
+    aligned.calibrate(images)
+    assert aligned.descriptor(images, selection).shape == (len(images), parts * 16)
+    report = pipeline.alignment_report(aligned, index, anns, selection=selection)
+    assert len(report.rows) == parts * 9
+    for row in report.rows:
+        assert row.window == row.top + 1 and 0 <= row.top <= 20
 
 
 def test_build_items_offline_copies_shift_annotations(tiny_bench):
@@ -303,6 +316,33 @@ def test_compose_batch_rejects_empty():
 
 # ---------------------------------------------------------------------------
 # train step and full runs
+
+
+def test_train_step_sums_loss_f_over_every_branch_group(tiny_bench):
+    """With multi-granularity features on, loss_f covers the 6+2+3+4 part
+    branches and each of them receives a gradient; off, only the 6 parts."""
+    index, anns = tiny_bench
+    cfg = model_cfg(index, with_mgf=True)
+    net = CdpmNetwork(cfg, np.random.default_rng(4))
+    aug = AugmentationConfig(translation_copies=1)
+    items = build_train_items(index, anns, cfg, aug, np.random.default_rng(0))
+    batch = compose_batch(items, training.ImageStore(), np.random.default_rng(5), aug, 4)
+    fmap, _ = net.backbone_forward(batch.images)
+    sums = {}
+    for mgf in (False, True):
+        net.zero_grad()
+        flags = StepFlags(refinement=True, detection=False, mgf=mgf, backbone_grad=False)
+        sums[mgf] = training.train_step(net, batch, flags, LossWeights(), TripletConfig(),
+                                        fmap=fmap)["loss_f"]
+    expected = 0.0
+    for branches, tops, height in net.branch_groups(batch.part_tops, batch.gran_tops):
+        group = 0.0
+        for k, branch in enumerate(branches):
+            _, scores, _ = branch.forward(gather_windows(fmap, tops[:, k], height), True)
+            group += losses.part_softmax_loss_with_grad(scores, batch.labels)[0]
+            assert all(np.any(p.grad != 0) for p in branch.reduce.parameters())
+        expected += group
+    assert sums[True] == expected > sums[False]
 
 
 def test_train_step_end_to_end_gradient_sample(tiny_bench):
