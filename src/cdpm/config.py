@@ -13,6 +13,7 @@ from . import alignment
 from .augment import AugmentationConfig
 from .losses import LossWeights, TripletConfig
 from .model import ModelConfig
+from .training import TrainSettings
 
 
 class ConfigError(ValueError):
@@ -77,6 +78,18 @@ class Config:
             identities_per_batch=self.identities_per_batch,
             images_per_identity=self.images_per_identity,
             margin=self.margin,
+        )
+
+    def train_settings(self) -> TrainSettings:
+        return TrainSettings(
+            seed=self.seed,
+            epoch_scale=self.epoch_scale,
+            batch_size=self.batch_size,
+            momentum=self.momentum,
+            weights=self.loss_weights(),
+            triplet=self.triplet_config(),
+            augmentation=self.augmentation_config(),
+            cache_images=self.cache_images,
         )
 
     def augmentation_config(self) -> AugmentationConfig:
@@ -168,7 +181,9 @@ def load_config(
 
     A value the run would refuse (a negative loss weight, a probability or
     threshold outside [0, 1], more parts than map rows, multi-granularity
-    features with other than 6 parts) is a ConfigError.
+    features with other than 6 parts, a feature width, attention reduction
+    or batch size below 1, an epoch scale not positive and finite) is a
+    ConfigError.
     """
     cfg = Config()
     if path is not None:
@@ -182,8 +197,7 @@ def load_config(
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     try:
-        cfg.loss_weights()
-        cfg.augmentation_config()
+        cfg.train_settings()
         alignment.SelectionConfig(cfg.selection_threshold)
         alignment.uniform_layout(alignment.MAP_HEIGHT, cfg.parts)
         cfg.model_config(classes=1)

@@ -40,6 +40,9 @@ class ModelConfig:
     with_mgf: bool = False  # granularity branches + holistic embedding
 
     def __post_init__(self):
+        for name in ("feature_dim", "holistic_dim", "attention_reduction"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.with_mgf and self.parts != alignment.NUM_PARTS:
             raise ValueError(
                 f"multi-granularity features need {alignment.NUM_PARTS} parts, "
@@ -80,18 +83,23 @@ class ToyBackbone(Block):
             for i, s in enumerate(self.STRIDES)
         ]
 
-    def forward(self, images: np.ndarray):
+    def _stack(self, images: np.ndarray, keep: bool) -> list[np.ndarray]:
         if images.ndim != 4 or images.shape[1:] != (IMAGE_HEIGHT, IMAGE_WIDTH, 3):
             raise ops.ShapeError(
                 f"backbone expects (B,{IMAGE_HEIGHT},{IMAGE_WIDTH},3), got {images.shape}"
             )
-        x = images - self.INPUT_MEAN
-        x /= self.INPUT_STD
-        ctxs = []
-        for conv in self.convs:
-            x, ctx = conv.forward(x)
-            ctxs.append(ctx)
-        return x, ctxs
+        kernels = [(c.w.value, c.b.value, c.stride, c.padding) for c in self.convs]
+        return ops.conv_relu_stack(images, kernels, self.INPUT_MEAN, self.INPUT_STD, keep)
+
+    def features(self, images: np.ndarray) -> np.ndarray:
+        """The feature map alone; no other whole-batch activation is made."""
+        return self._stack(images, keep=False)[0]
+
+    def forward(self, images: np.ndarray):
+        """The feature map and each conv's context for `backward`, in the
+        form `Conv.forward` gives it: (input, relu output, no norm context)."""
+        acts = self._stack(images, keep=True)
+        return acts[-1], [(x, out, None) for x, out in zip(acts, acts[1:])]
 
     def backward(self, ctxs, grad_out: np.ndarray) -> None:
         g = grad_out
@@ -392,7 +400,13 @@ class CdpmNetwork:
     # -- forward pieces ------------------------------------------------------
 
     def backbone_forward(self, images: np.ndarray):
+        """Feature map and backbone contexts, for a pass that runs the
+        backbone's backward."""
         return self.backbone.forward(ops.as_f64(images))
+
+    def features(self, images: np.ndarray) -> np.ndarray:
+        """The backbone's feature map alone, for a pass with no backbone backward."""
+        return self.backbone.features(ops.as_f64(images))
 
     def calibrate(self, images: np.ndarray) -> None:
         """Fit every normalization layer's statistics with one batch pass.
@@ -406,7 +420,7 @@ class CdpmNetwork:
         for n in norms:
             n.calibrating = True
         try:
-            fmap = self.backbone_forward(images)[0]
+            fmap = self.features(images)
             self._branch_features(fmap, *self.uniform_tops(fmap.shape[0]))
             if self.heads is not None:
                 self.detection_forward(fmap)
@@ -498,8 +512,7 @@ class CdpmNetwork:
         """Concatenated image representation, shape (B, descriptor_dim)."""
         if not self.initialized:
             raise NotInitializedError("parameters are neither initialized nor loaded")
-        # drop the backbone's per-layer contexts at once: only a backward reads them
-        fmap = self.backbone_forward(images)[0]
+        fmap = self.features(images)
         part_tops = self.part_tops(fmap, selection or alignment.SelectionConfig())
         # coarser windows follow the part windows the image actually uses
         centers = part_tops + WINDOW_HEIGHT / 2.0

@@ -331,17 +331,28 @@ def bilinear_resize_backward(
 # over the same depth, so a block's rows equal the whole batch's bit for bit
 # whenever the BLAS runs both through the same kernel (it does at the
 # backbone's sizes; tiny GEMMs may take a small-matrix kernel, which is why
-# the tiny attention convs always run as a single block). Forward passes
-# gather into a block-sized patch buffer; only the kernel gradient needs the
+# the tiny attention convs always run as a single block).
+#
+# The forward is depth first (`_conv_stack`; the fused-layer schedule of
+# Alwani et al., MICRO 2016): a worker carries one image block through the
+# input standardisation and every layer before it takes the next block, so a
+# block's activations stay in its worker's reused pad, patch and activation
+# buffers. The block size comes from the largest layer's per-image patch
+# buffer; at the backbone's sizes a block is one image. A forward-only pass
+# makes no whole-batch array but the last output; a pass that will run the
+# backward keeps every layer's input and output over the whole batch. The
+# backward stays layer by layer: only the kernel gradient needs the
 # whole-batch patch matrix, so only the backward builds it (`_im2col`).
 #
 # The image blocks run on one worker per core (`WORKERS`, `_run_blocks`):
-# each worker pulls the next block start and reuses its own pad, patch and
-# gradient buffers, and every block writes only its own slice of the result,
-# so the bits do not depend on the core count. The backward runs the
-# whole-batch kernel-gradient GEMM and the bias sum, each unsplit, beside the
-# per-block input-gradient work. A multi-threaded BLAS
-# (OPENBLAS_NUM_THREADS > 1) adds its threads on top of these workers.
+# each worker pulls the next block start and reuses its own buffers, and
+# every block writes only its own slice of the result, so the bits do not
+# depend on the core count. Workers call only numpy and this module's
+# private helpers, never a public function: a tracer that wraps those may
+# keep state that is not thread-safe. The backward runs the whole-batch
+# kernel-gradient GEMM and the bias sum, each unsplit, beside the per-block
+# input-gradient work. A multi-threaded BLAS (OPENBLAS_NUM_THREADS > 1) adds
+# its threads on top of these workers.
 
 
 def _strided_cols(xp, kh, kw, stride, ho, wo):
@@ -363,40 +374,101 @@ def _col2im(gcols, gxp, stride):
             ] += gcols[:, :, :, ki, kj, :]
 
 
-def _pad_buffer(x: np.ndarray, p: int, step: int) -> np.ndarray:
-    h, wd, c = x.shape[1:]
+def _out_hw(h: int, wd: int, kh: int, kw: int, stride: int, p: int) -> tuple[int, int]:
+    return (h + 2 * p - kh) // stride + 1, (wd + 2 * p - kw) // stride + 1
+
+
+def _pad_buffer(step: int, h: int, wd: int, c: int, p: int) -> np.ndarray:
+    """A worker's reused buffer of `step` padded images; only the interior
+    is ever written, so the zero border stays."""
     return np.zeros((step, h + 2 * p, wd + 2 * p, c))
 
 
-def _padded_blocks(x: np.ndarray, p: int, starts, xp: np.ndarray):
-    """Yield (first image, padded block) for each block start in `starts`,
-    each block copied into the reused buffer `xp` (from `_pad_buffer`),
-    whose zero border is never written."""
-    bsz, h, wd = x.shape[:3]
-    for i in starts:
-        n = min(len(xp), bsz - i)
-        xp[:n, p : p + h, p : p + wd] = x[i : i + n]
-        yield i, xp[:n]
-
-
-def _out_hw(x: np.ndarray, kh: int, kw: int, stride: int, p: int) -> tuple[int, int]:
-    h, wd = x.shape[1:3]
-    return (h + 2 * p - kh) // stride + 1, (wd + 2 * p - kw) // stride + 1
+def _interior(xp: np.ndarray, p: int) -> np.ndarray:
+    """The part of padded images `xp` inside their zero border of width p."""
+    return xp[:, p : xp.shape[1] - p, p : xp.shape[2] - p]
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Whole-batch patch matrix (B*ho*wo, kh*kw*C) of `x`, gathered per image block."""
-    bsz, c = len(x), x.shape[3]
-    ho, wo = _out_hw(x, kh, kw, stride, padding)
+    bsz, h, wd, c = x.shape
+    ho, wo = _out_hw(h, wd, kh, kw, stride, padding)
     cols = np.empty((bsz, ho, wo, kh, kw, c))
     step = _block_images(bsz, 8 * cols[0].size)
 
     def gather(starts, pad):
-        for i, xp in _padded_blocks(x, padding, starts, pad):
+        for i in starts:
+            xp = pad[: min(step, bsz - i)]
+            _interior(xp, padding)[...] = x[i : i + len(xp)]
             cols[i : i + len(xp)] = _strided_cols(xp, kh, kw, stride, ho, wo)
 
-    _run_blocks(gather, bsz, step, scratch=lambda: (_pad_buffer(x, padding, step),))
+    _run_blocks(gather, bsz, step, scratch=lambda: (_pad_buffer(step, h, wd, c, padding),))
     return cols.reshape(bsz * ho * wo, kh * kw * c)
+
+
+def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
+    """Run `x` (B, H, W, C) through the convolutions `kernels`, each
+    (w, b, stride, padding) and followed by relu if `relu`, one image block
+    at a time: a worker carries its block through every layer before it
+    takes the next block.
+
+    `standardize` = (mean, std) maps each block to (x - mean) / std first,
+    written straight into the first layer's padded input. Returns every
+    layer's whole-batch input and the last output with `keep`, else only
+    the last output, as a one-item list.
+    """
+    _require(x.ndim == 4, f"conv2d expects (B,H,W,C), got {x.shape}")
+    shapes = [x.shape[1:]]  # each layer's input (H, W, C), then the last output's
+    for w, _, stride, p in kernels:
+        _require(w.ndim == 4, f"conv2d kernel must be rank 4, got {w.shape}")
+        h, wd, c = shapes[-1]
+        _require(
+            c == w.shape[2], f"conv2d channel mismatch: input {c} vs kernel {w.shape[2]}"
+        )
+        shapes.append((*_out_hw(h, wd, *w.shape[:2], stride, p), w.shape[3]))
+    bsz, last = len(x), len(kernels)
+    patch_sizes = [ho * wo * w[..., 0].size
+                   for (ho, wo, _), (w, *_) in zip(shapes[1:], kernels)]
+    step = _block_images(bsz, 8 * max(patch_sizes))
+    acts = [None] * (last + 1)
+    for k in range(last + 1) if keep else (last,):
+        acts[k] = np.empty((bsz, *shapes[k]))
+    # one reused buffer for the outputs no kept array takes, sized for the largest
+    act_size = max([np.prod(shapes[k + 1]) for k in range(last) if acts[k + 1] is None] or [0])
+
+    def forward(starts, pads, cols, act):
+        for i in starts:
+            n = min(step, bsz - i)
+            inner = _interior(pads[0][:n], kernels[0][3])
+            if standardize is None:
+                inner[...] = x[i : i + n]
+            else:
+                np.subtract(x[i : i + n], standardize[0], out=inner)
+                inner /= standardize[1]
+            if acts[0] is not None:
+                acts[0][i : i + n] = inner
+            for k, (w, b, stride, _) in enumerate(kernels):
+                kh, kw, c, d = w.shape
+                ho, wo = shapes[k + 1][:2]
+                rows, depth = ho * wo, kh * kw * c
+                patches = cols[: n * rows * depth].reshape(n, ho, wo, kh, kw, c)
+                patches[...] = _strided_cols(pads[k][:n], kh, kw, stride, ho, wo)
+                y = acts[k + 1]
+                y = act[: n * rows * d].reshape(n, ho, wo, d) if y is None else y[i : i + n]
+                flat = y.reshape(n * rows, d)
+                np.matmul(patches.reshape(n * rows, depth), w.reshape(depth, d), out=flat)
+                flat += b
+                if relu:
+                    np.maximum(y, 0.0, out=y)
+                if k + 1 < last:
+                    _interior(pads[k + 1][:n], kernels[k + 1][3])[...] = y
+
+    _run_blocks(forward, bsz, step, scratch=lambda: (
+        [_pad_buffer(step, *shape, p) for shape, (*_, p) in zip(shapes, kernels)],
+        np.empty(step * max(patch_sizes)),
+        np.empty(step * act_size),
+    ))
+    return [a for a in acts if a is not None]
 
 
 def conv2d(
@@ -408,36 +480,26 @@ def conv2d(
 ) -> np.ndarray:
     """2-D convolution on (B, H, W, C) with kernel (kh, kw, C, D) and zero padding.
 
-    Each worker gathers its image blocks' patches into one reused block-sized
-    buffer; the whole-batch patch matrix is never built here.
+    The one-layer case of `_conv_stack`: each worker gathers its image
+    blocks' patches into one reused block-sized buffer; the whole-batch
+    patch matrix is never built here.
     """
-    _require(x.ndim == 4, f"conv2d expects (B,H,W,C), got {x.shape}")
-    _require(w.ndim == 4, f"conv2d kernel must be rank 4, got {w.shape}")
-    _require(
-        x.shape[-1] == w.shape[2],
-        f"conv2d channel mismatch: input {x.shape[-1]} vs kernel {w.shape[2]}",
-    )
-    kh, kw, c, d = w.shape
-    bsz = len(x)
-    ho, wo = _out_hw(x, kh, kw, stride, padding)
-    rows, depth = ho * wo, kh * kw * c
-    wmat = w.reshape(depth, d)
-    step = _block_images(bsz, 8 * rows * depth)
-    out = np.empty((bsz, ho, wo, d))
+    return _conv_stack(x, [(w, b, stride, padding)], relu=False)[0]
 
-    def forward(starts, pad, cols):
-        for i, xp in _padded_blocks(x, padding, starts, pad):
-            n = len(xp)
-            patches = cols[:n]
-            patches[...] = _strided_cols(xp, kh, kw, stride, ho, wo)
-            block_out = out[i : i + n].reshape(n * rows, d)
-            np.matmul(patches.reshape(n * rows, depth), wmat, out=block_out)
-            block_out += b
 
-    _run_blocks(forward, bsz, step, scratch=lambda: (
-        _pad_buffer(x, padding, step), np.empty((step, ho, wo, kh, kw, c))
-    ))
-    return out
+def conv_relu_stack(
+    x: np.ndarray, kernels, mean: float, std: float, keep: bool = False
+) -> list[np.ndarray]:
+    """Standardise (B, H, W, C) images as (x - mean) / std, then apply each
+    (w, b, stride, padding) of `kernels` as conv2d followed by relu, depth
+    first (see `_conv_stack`).
+
+    With `keep`, returns the standardised input and every layer's relu
+    output, each over the whole batch, as a backward needs them; else only
+    the last output, as a one-item list, and no other whole-batch array is
+    made.
+    """
+    return _conv_stack(x, kernels, relu=True, standardize=(mean, std), keep=keep)
 
 
 def conv2d_backward(

@@ -15,7 +15,7 @@ from . import alignment, data, evaluate
 from .annotations import BoundaryAnnotation, load_annotations, supervision_mode
 from .config import Config
 from .model import MAP_HEIGHT, WINDOW_HEIGHT, CdpmNetwork
-from .training import TrainSettings, run_training
+from .training import run_training
 
 log = logging.getLogger(__name__)
 
@@ -101,7 +101,7 @@ def alignment_report(
         if not usable:
             continue
         images = np.stack([data.load_image(r.path) for r, _ in usable])
-        tops = net.part_tops(net.backbone_forward(images)[0], selection)
+        tops = net.part_tops(net.features(images), selection)
         for i, (record, mode) in enumerate(usable):
             layout = alignment.part_intervals(mode.upper, mode.lower, net.cfg.parts)
             for k in range(1, net.cfg.parts + 1):
@@ -138,18 +138,8 @@ def write_alignment_csv(path: str | Path, report: AlignmentReport) -> None:
 
 def train_from_config(cfg: Config, out_dir: str | Path):
     index = data.load_dataset(cfg.data_root)
-    settings = TrainSettings(
-        seed=cfg.seed,
-        epoch_scale=cfg.epoch_scale,
-        batch_size=cfg.batch_size,
-        momentum=cfg.momentum,
-        weights=cfg.loss_weights(),
-        triplet=cfg.triplet_config(),
-        augmentation=cfg.augmentation_config(),
-        cache_images=cfg.cache_images,
-    )
     model_cfg = cfg.model_config(classes=index.class_count)
-    return index, run_training(index, model_cfg, settings, out_dir)
+    return index, run_training(index, model_cfg, cfg.train_settings(), out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -348,14 +348,12 @@ def train_step(
     precomputed feature-map batch may be supplied when the backbone is
     frozen for the stage.
     """
-    if fmap is None:
+    if fmap is not None and flags.backbone_grad:
+        raise ValueError("cached features require a frozen backbone")
+    if flags.backbone_grad:
         fmap, bb_ctx = net.backbone_forward(batch.images)
-    else:
-        if flags.backbone_grad:
-            raise ValueError("cached features require a frozen backbone")
-        bb_ctx = None
-    if not flags.backbone_grad:
-        bb_ctx = None  # free cached activations early; backbone stays frozen
+    elif fmap is None:
+        fmap = net.features(batch.images)
     gfmap = np.zeros_like(fmap) if flags.backbone_grad else None
     terms: dict[str, float] = {}
 
@@ -430,6 +428,14 @@ class TrainSettings:
     augmentation: AugmentationConfig = AugmentationConfig()
     cache_images: bool = True
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.epoch_scale < float("inf"):
+            raise ValueError(
+                f"epoch_scale must be positive and finite, got {self.epoch_scale}"
+            )
+
 
 @dataclass
 class TrainResult:
@@ -467,8 +473,7 @@ def _build_feature_cache(
     for start in range(0, len(items), batch_size):
         chunk = items[start : start + batch_size]
         images = np.stack([load_item_image(item, store) for item in chunk])
-        fmap, _ = net.backbone_forward(images)
-        maps.append(fmap)
+        maps.append(net.features(images))
     return np.concatenate(maps, axis=0)
 
 

@@ -3,7 +3,8 @@
 These are the im2col + single-GEMM `conv2d`, `conv2d_backward` and
 `_col2im` (with the helpers they call) exactly as `cdpm.ops` defined them
 before the convolution was computed in image blocks. The blocked code must
-reproduce their outputs and gradients bit for bit.
+reproduce their outputs and gradients bit for bit. `conv_relu_stack` is the
+backbone's layer-by-layer forward as it was before it ran depth first.
 """
 from __future__ import annotations
 
@@ -112,3 +113,17 @@ def conv2d_backward(
     if p:
         return gxp[:, p:-p, p:-p, :], gw, gb
     return gxp, gw, gb
+
+
+def conv_relu_stack(x, kernels, mean, std, keep=False):
+    """Whole-batch, layer-by-layer counterpart of `cdpm.ops.conv_relu_stack`:
+    standardise, then conv2d and relu per layer, as the backbone's forward
+    did before it ran depth first."""
+    a = x - mean
+    a /= std
+    acts = [a]
+    for w, b, stride, padding in kernels:
+        a = conv2d(a, w, b, stride, padding)
+        np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts if keep else acts[-1:]

@@ -371,6 +371,9 @@ def test_cli_internal_error_is_one_line_exit_4(monkeypatch, capsys):
 @pytest.mark.parametrize("assignment", [
     "select.threshold=2", "augment.flip_probability=-0.5", "loss.lambda1=-1",
     "augment.translation_copies=0", "model.parts=25", "model.parts=0",
+    "model.feature_dim=0", "model.holistic_dim=0", "model.attention_reduction=0",
+    "train.batch_size=0", "train.epoch_scale=0", "train.epoch_scale=-1",
+    "train.epoch_scale=inf", "train.epoch_scale=nan",
 ])
 def test_cli_out_of_range_config_value_is_usage_error(tmp_path, capsys, assignment):
     rc = cli.main(["evaluate", "--query", "q.bin", "--gallery", "g.bin",

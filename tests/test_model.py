@@ -282,3 +282,22 @@ def test_forward_only_passes_never_build_whole_batch_patches():
         finally:
             tracemalloc.stop()
         assert peak < limit, f"{forward.__name__} peaked at {peak / 1e6:.1f} MB"
+
+
+def test_descriptor_peak_memory_does_not_grow_with_batch(monkeypatch):
+    """Beyond the feature map and the heads' small per-image arrays, the
+    descriptor's traced peak is its workers' reused block buffers: from 8 to
+    16 images it grows by under 2 MB (whole-batch activations would add
+    ~32 MB)."""
+    monkeypatch.setattr(ops, "WORKERS", 2)
+    net = CdpmNetwork(ModelConfig(classes=12, with_mgf=True), np.random.default_rng(3))
+    peaks = []
+    for batch in (8, 16):
+        imgs = RNG.random((batch, 384, 128, 3))
+        tracemalloc.start()
+        try:
+            net.descriptor(imgs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2e6, f"peaks {peaks[0] / 1e6:.1f} -> {peaks[1] / 1e6:.1f} MB"

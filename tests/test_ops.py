@@ -255,6 +255,33 @@ def test_blocked_conv2d_bit_identical_to_reference(monkeypatch, stride, channels
                     assert (gv is None and wv is None) or np.array_equal(gv, wv)
 
 
+def test_conv_relu_stack_bit_identical_to_reference(monkeypatch):
+    """The depth-first stack at the backbone's geometry gives the
+    layer-by-layer forward's feature map and, when kept, every layer's input
+    and output bit for bit, at every worker count and block size."""
+    widths = (3, 16, 32, 64, 64, 64)
+    strides = (2, 2, 2, 2, 1)
+    x = RNG.random((5, 384, 128, 3))
+    kernels = [
+        (RNG.standard_normal((3, 3, c, d)) * np.sqrt(2.0 / (9 * c)),
+         RNG.standard_normal(d) * 0.1, s, 1)
+        for c, d, s in zip(widths, widths[1:], strides)
+    ]
+    want = ref.conv_relu_stack(x, kernels, 0.45, 0.225, keep=True)
+    assert 0.0 < np.mean(want[-1] > 0.0) < 1.0  # relu neither idle nor all-zero
+    biggest = 8 * 96 * 32 * 9 * 16  # conv2's patches per image, the largest layer's
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ops, "WORKERS", workers)
+        for images_per_block in (1, 3, 5):  # the last block short, one block
+            monkeypatch.setattr(ops, "BLOCK_BYTES", images_per_block * biggest)
+            for keep in (True, False):
+                got = ops.conv_relu_stack(x, kernels, 0.45, 0.225, keep)
+                expected = want if keep else want[-1:]
+                assert len(got) == len(expected)
+                for g, w in zip(got, expected):
+                    assert np.array_equal(g, w)
+
+
 def test_attention_conv_maps_fit_one_block():
     # spatial attention convs: one channel on at most 12x8 maps, 48-image batches
     assert ops._block_images(48, 8 * 12 * 8 * 9) == 48

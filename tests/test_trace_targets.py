@@ -1,0 +1,111 @@
+"""The benchmark's span tracer (perfbench/spans.py) against this source tree.
+
+The tracer is read, never changed: every target it names must resolve,
+installing and restoring it must give back every binding it replaced, and
+no call it wraps may run on a convolution block worker, because its span
+stack is shared and not thread-safe.
+"""
+import importlib
+import inspect
+import sys
+import threading
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import cdpm
+from cdpm import ops
+from cdpm.model import CdpmNetwork, ModelConfig
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    """perfbench/spans.py, loaded without writing a bytecode file beside it."""
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS)
+    sys.modules[module.__name__] = module  # dataclasses look up their module
+    try:
+        exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+        for target in module.TRACE_TARGETS:
+            importlib.import_module(f"cdpm.{target.where.partition(':')[0]}")
+        yield module
+    finally:
+        del sys.modules[module.__name__]
+
+
+def _resolve(where: str):
+    module_name, _, attr = where.partition(":")
+    owner = importlib.import_module(f"cdpm.{module_name}")
+    *classes, name = attr.split(".")
+    for cls in classes:
+        owner = getattr(owner, cls)
+    return owner, name
+
+
+def _bindings() -> dict:
+    """Every name bound in a cdpm module or in a class one defines."""
+    out = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "cdpm" or mod_name.startswith("cdpm.")):
+            continue
+        for name, value in list(vars(mod).items()):
+            out[mod_name, name] = value
+            if inspect.isclass(value) and value.__module__ == mod_name:
+                for attr, member in vars(value).items():
+                    out[mod_name, name, attr] = member
+    return out
+
+
+def test_every_trace_target_resolves_and_is_wrapped(spans):
+    for target in spans.TRACE_TARGETS:
+        owner, name = _resolve(target.where)
+        assert callable(vars(owner)[name]), target.where
+    with spans.Tracer(cdpm, spans.TRACE_TARGETS):
+        for target in spans.TRACE_TARGETS:
+            owner, name = _resolve(target.where)
+            assert hasattr(vars(owner)[name], "__wrapped__"), target.where
+
+
+def test_install_then_restore_gives_back_every_binding(spans):
+    before = _bindings()
+    tracer = spans.Tracer(cdpm, spans.TRACE_TARGETS).install()
+    try:
+        during = _bindings()
+    finally:
+        tracer.restore()
+    after = _bindings()
+    assert sum(during[k] is not before[k] for k in before) >= len(spans.TRACE_TARGETS)
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch):
+    """A two-worker backbone forward (kept and forward-only) and backward
+    over several image blocks call every traced function on this thread."""
+    threads = []
+
+    class ThreadRecordingTracer(spans.Tracer):
+        def _wrap(self, fn, target):
+            wrapped = super()._wrap(fn, target)
+
+            def wrapper(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return wrapped(*args, **kwargs)
+
+            return wrapper
+
+    monkeypatch.setattr(ops, "WORKERS", 2)
+    net = CdpmNetwork(ModelConfig(classes=4), np.random.default_rng(0))
+    images = np.random.default_rng(1).random((3, 384, 128, 3))
+    with ThreadRecordingTracer(cdpm, spans.TRACE_TARGETS) as tracer:
+        net.features(images)
+        fmap, ctxs = net.backbone_forward(images)
+        net.backbone.backward(ctxs, np.ones_like(fmap))
+    names = {span[0] for span in tracer.spans}
+    assert {"layers.backbone.conv1.bwd", "ops.conv2d_backward"} <= names
+    assert len(threads) == len(tracer.spans)
+    assert set(threads) == {threading.get_ident()}

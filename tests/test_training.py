@@ -399,8 +399,8 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
     tiny_bench, monkeypatch, flags
 ):
     """The full model's descriptors and every parameter gradient equal those
-    of the unblocked convolution kept in tests/conv_reference.py, with one
-    block worker and with two."""
+    of the unblocked convolution and the layer-by-layer backbone forward kept
+    in tests/conv_reference.py, with one block worker and with two."""
     index, anns = tiny_bench
     cfg = ModelConfig(classes=index.class_count, with_mgf=True)
     aug = AugmentationConfig(translation_copies=1)
@@ -422,6 +422,13 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
         ops, "conv2d",
         lambda x, w, b, stride=1, padding=1: conv_reference.conv2d(x, w, b, stride, padding),
     )
+    stacks = []
+
+    def reference_stack(*args):
+        stacks.append(args[-1])
+        return conv_reference.conv_relu_stack(*args)
+
+    monkeypatch.setattr(ops, "conv_relu_stack", reference_stack)
     monkeypatch.setattr(
         ops, "conv2d_backward",
         lambda x, w, grad_out, stride=1, padding=1, need_input_grad=True: (
@@ -430,6 +437,7 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
         ),
     )
     want_desc, want_grads = run()
+    assert stacks == [True, False]  # the train step's backbone pass, then the descriptor's
     for got_desc, got_grads in got.values():
         assert np.array_equal(got_desc, want_desc)
         assert len(got_grads) == len(want_grads)
