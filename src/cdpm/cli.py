@@ -130,7 +130,7 @@ def cmd_synth_data(args) -> int:
         offset_range=(0.0, args.offset_max),
         scale_range=(args.scale_min, args.scale_max),
         noise_level=args.noise,
-        seed=cfg.seed,
+        seed=cfg.train.seed,
     )
     counts = {s: len(index.split(s)) for s in data.SPLITS}
     print(f"wrote {args.out}: {counts}, {index.class_count} train classes")

@@ -2,55 +2,34 @@
 
 The file holds one `section.key = value` assignment per line; `#` starts a
 comment. Command-line `--set section.key=value` assignments win over file
-values, and `--seed` wins over both.
+values, and `--seed` wins over both. Each key names one field of the run's
+own dataclasses (`ModelConfig`, `TrainSettings` and the settings nested in
+it), whose `__post_init__` checks its range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import alignment
-from .augment import AugmentationConfig
-from .losses import LossWeights, TripletConfig
 from .model import ModelConfig
 from .training import TrainSettings
 
 
 class ConfigError(ValueError):
-    """Raised for unknown keys or unparsable values."""
+    """Raised for unknown keys, unparsable values or values out of range."""
 
 
 @dataclass(frozen=True)
 class Config:
-    # data
     data_root: str = ""
     profile: str = "market"  # sets the selection-threshold default
-    # model structure
-    parts: int = 6
-    feature_dim: int = 512
-    holistic_dim: int = 512
-    attention_reduction: int = 16
-    refinement: bool = True
-    alignment: bool = True
-    mgf: bool = False
-    # objectives
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    margin: float = 0.4
-    identities_per_batch: int = 6
-    images_per_identity: int = 8
-    # selection
     threshold: float = -1.0  # negative = use the profile default
-    # training
-    seed: int = 0
-    epoch_scale: float = 1.0
-    batch_size: int = 48
-    momentum: float = 0.9
-    cache_images: bool = True
-    # augmentation
-    translation_copies: int = 5
-    flip_probability: float = 0.5
-    erase_probability: float = 0.5
+    model: ModelConfig = ModelConfig(classes=1)  # classes come from the dataset
+    train: TrainSettings = TrainSettings()
+
+    def __post_init__(self):
+        alignment.SelectionConfig(self.selection_threshold)
 
     @property
     def selection_threshold(self) -> float:
@@ -59,80 +38,47 @@ class Config:
         return 0.60 if self.profile == "market" else 0.35
 
     def model_config(self, classes: int) -> ModelConfig:
-        return ModelConfig(
-            classes=classes,
-            parts=self.parts,
-            feature_dim=self.feature_dim,
-            holistic_dim=self.holistic_dim,
-            attention_reduction=self.attention_reduction,
-            with_refinement=self.refinement,
-            with_alignment=self.alignment,
-            with_mgf=self.mgf,
-        )
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2)
-
-    def triplet_config(self) -> TripletConfig:
-        return TripletConfig(
-            identities_per_batch=self.identities_per_batch,
-            images_per_identity=self.images_per_identity,
-            margin=self.margin,
-        )
-
-    def train_settings(self) -> TrainSettings:
-        return TrainSettings(
-            seed=self.seed,
-            epoch_scale=self.epoch_scale,
-            batch_size=self.batch_size,
-            momentum=self.momentum,
-            weights=self.loss_weights(),
-            triplet=self.triplet_config(),
-            augmentation=self.augmentation_config(),
-            cache_images=self.cache_images,
-        )
-
-    def augmentation_config(self) -> AugmentationConfig:
-        return AugmentationConfig(
-            translation_copies=self.translation_copies,
-            flip_probability=self.flip_probability,
-            erase_probability=self.erase_probability,
-        )
+        return replace(self.model, classes=classes)
 
 
-#: file/CLI key -> Config field
+#: file/CLI key -> attribute path from Config
 KEY_MAP = {
     "data.root": "data_root",
     "data.profile": "profile",
-    "model.parts": "parts",
-    "model.feature_dim": "feature_dim",
-    "model.holistic_dim": "holistic_dim",
-    "model.attention_reduction": "attention_reduction",
-    "model.refinement": "refinement",
-    "model.alignment": "alignment",
-    "model.mgf": "mgf",
-    "loss.lambda1": "lambda1",
-    "loss.lambda2": "lambda2",
-    "loss.margin": "margin",
-    "triplet.identities_per_batch": "identities_per_batch",
-    "triplet.images_per_identity": "images_per_identity",
+    "model.parts": "model.parts",
+    "model.feature_dim": "model.feature_dim",
+    "model.holistic_dim": "model.holistic_dim",
+    "model.attention_reduction": "model.attention_reduction",
+    "model.refinement": "model.with_refinement",
+    "model.alignment": "model.with_alignment",
+    "model.mgf": "model.with_mgf",
+    "loss.lambda1": "train.weights.lambda1",
+    "loss.lambda2": "train.weights.lambda2",
+    "loss.margin": "train.triplet.margin",
+    "triplet.identities_per_batch": "train.triplet.identities_per_batch",
+    "triplet.images_per_identity": "train.triplet.images_per_identity",
     "select.threshold": "threshold",
-    "train.seed": "seed",
-    "train.epoch_scale": "epoch_scale",
-    "train.batch_size": "batch_size",
-    "train.momentum": "momentum",
-    "train.cache_images": "cache_images",
-    "augment.translation_copies": "translation_copies",
-    "augment.flip_probability": "flip_probability",
-    "augment.erase_probability": "erase_probability",
+    "train.seed": "train.seed",
+    "train.epoch_scale": "train.epoch_scale",
+    "train.batch_size": "train.batch_size",
+    "train.momentum": "train.momentum",
+    "train.cache_images": "train.cache_images",
+    "augment.translation_copies": "train.augmentation.translation_copies",
+    "augment.flip_probability": "train.augmentation.flip_probability",
+    "augment.erase_probability": "train.augmentation.erase_probability",
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(Config)}
+
+def _lookup(cfg: Config, path: str):
+    obj = cfg
+    for name in path.split(".") if path else ():
+        obj = getattr(obj, name)
+    return obj
 
 
-def _convert(key: str, field_name: str, raw: str):
+def _convert(key: str, owner, field_name: str, raw: str):
     raw = raw.strip()
-    kind = _FIELD_TYPES[field_name]
+    kind = next(f.type for f in fields(owner) if f.name == field_name)
     try:
         if kind == "bool":
             if raw.lower() in ("true", "1", "yes", "on"):
@@ -149,14 +95,31 @@ def _convert(key: str, field_name: str, raw: str):
         raise ConfigError(f"cannot parse {key} = {raw!r} as {kind}") from e
 
 
+def _rebuild(obj, path: str, updates: dict[str, dict]):
+    """`obj` with its nested dataclasses rebuilt first, then its own updates,
+    each dataclass built once with all of its new values."""
+    changes = dict(updates.get(path, {}))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            changes[f.name] = _rebuild(value, f"{path}.{f.name}".lstrip("."), updates)
+    return replace(obj, **changes)
+
+
 def apply_assignments(cfg: Config, assignments: dict[str, str]) -> Config:
-    updates = {}
+    updates: dict[str, dict] = {}  # owner path -> field -> value
     for key, raw in assignments.items():
-        field_name = KEY_MAP.get(key)
-        if field_name is None:
+        path = KEY_MAP.get(key)
+        if path is None:
             raise ConfigError(f"unknown config key {key!r}")
-        updates[field_name] = _convert(key, field_name, raw)
-    return replace(cfg, **updates)
+        owner, _, name = path.rpartition(".")
+        updates.setdefault(owner, {})[name] = _convert(
+            key, _lookup(cfg, owner), name, raw
+        )
+    try:
+        return _rebuild(cfg, "", updates)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -177,40 +140,26 @@ def load_config(
     overrides: dict[str, str] | None = None,
     seed: int | None = None,
 ) -> Config:
-    """Defaults, then file values, then --set overrides, then --seed.
-
-    A value the run would refuse (a negative loss weight, a probability or
-    threshold outside [0, 1], more parts than map rows, multi-granularity
-    features with other than 6 parts, a feature width, attention reduction
-    or batch size below 1, an epoch scale not positive and finite) is a
-    ConfigError.
-    """
-    cfg = Config()
+    """Defaults, then file values, then --set overrides, then --seed, applied
+    together; a value the run's dataclasses refuse is a ConfigError."""
+    assignments: dict[str, str] = {}
     if path is not None:
         try:
             text = Path(path).read_text("utf-8")
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: not UTF-8: {e}") from e
-        cfg = apply_assignments(cfg, parse_config_text(text))
-    if overrides:
-        cfg = apply_assignments(cfg, overrides)
+        assignments.update(parse_config_text(text))
+    assignments.update(overrides or {})
     if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    try:
-        cfg.train_settings()
-        alignment.SelectionConfig(cfg.selection_threshold)
-        alignment.uniform_layout(alignment.MAP_HEIGHT, cfg.parts)
-        cfg.model_config(classes=1)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    return cfg
+        assignments["train.seed"] = str(seed)
+    return apply_assignments(Config(), assignments)
 
 
 def save_config(path: str | Path, cfg: Config) -> None:
     """Write every key explicitly, in KEY_MAP order."""
     lines = []
-    for key, field_name in KEY_MAP.items():
-        value = getattr(cfg, field_name)
+    for key, attr in KEY_MAP.items():
+        value = _lookup(cfg, attr)
         if isinstance(value, bool):
             value = "true" if value else "false"
         lines.append(f"{key} = {value}")

@@ -123,7 +123,7 @@ class Dense(Block):
         normalize: bool = False,
     ):
         super().__init__()
-        if activation not in ("none", "relu", "sigmoid", "tanh"):
+        if activation not in ("none", "relu"):
             raise ValueError(f"unknown activation {activation!r}")
         self.activation = activation
         self.w = self._param(f"{name}.w", he_normal(rng, (in_dim, out_dim), in_dim))
@@ -135,20 +135,13 @@ class Dense(Block):
         norm_ctx = None
         if self.norm is not None:
             pre, norm_ctx = self.norm.forward(pre)
-        if self.activation == "none":
-            return pre, (x, pre, norm_ctx)
-        out = getattr(ops, self.activation)(pre)
-        cache = pre if self.activation == "relu" else out
-        return out, (x, cache, norm_ctx)
+        out = ops.relu(pre) if self.activation == "relu" else pre
+        return out, (x, pre, norm_ctx)
 
     def backward(self, ctx, grad_out: np.ndarray) -> np.ndarray:
-        x, cache, norm_ctx = ctx
+        x, pre, norm_ctx = ctx
         if self.activation == "relu":
-            grad_out = ops.relu_backward(cache, grad_out)
-        elif self.activation == "sigmoid":
-            grad_out = ops.sigmoid_backward(cache, grad_out)
-        elif self.activation == "tanh":
-            grad_out = ops.tanh_backward(cache, grad_out)
+            grad_out = ops.relu_backward(pre, grad_out)
         if self.norm is not None:
             grad_out = self.norm.backward(norm_ctx, grad_out)
         gx, gw, gb = ops.fully_connected_backward(x, self.w.value, grad_out)

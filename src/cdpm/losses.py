@@ -35,6 +35,13 @@ class TripletConfig:
     images_per_identity: int = 8
     margin: float = 0.4
 
+    def __post_init__(self):
+        for name in ("identities_per_batch", "images_per_identity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.margin < float("inf"):
+            raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
+
     @property
     def batch_size(self) -> int:
         return self.identities_per_batch * self.images_per_identity

@@ -40,6 +40,8 @@ class ModelConfig:
     with_mgf: bool = False  # granularity branches + holistic embedding
 
     def __post_init__(self):
+        if not 1 <= self.parts <= MAP_HEIGHT:
+            raise ValueError(f"parts must be in [1, {MAP_HEIGHT}], got {self.parts}")
         for name in ("feature_dim", "holistic_dim", "attention_reduction"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -253,54 +255,37 @@ def scatter_window_grad(gfmap: np.ndarray, tops: np.ndarray, gwin: np.ndarray) -
         gfmap[i, t : t + h] += gwin[i]
 
 
-class CdpmNetwork:
+class CdpmNetwork(Block):
     """Backbone plus all heads; owns the parameter registry and checkpoints."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
+        super().__init__()
         self.cfg = cfg
         self.initialized = rng is not None
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.backbone = ToyBackbone(rng, cfg.backbone_channels)
+        self.backbone = self._child(ToyBackbone(rng, cfg.backbone_channels))
         c = self.backbone.out_channels
         self.grid = alignment.enumerate_windows(MAP_HEIGHT, WINDOW_HEIGHT)
         self.part_branches = [
-            PartBranch(f"part{k}", rng, cfg, c) for k in range(1, cfg.parts + 1)
+            self._child(PartBranch(f"part{k}", rng, cfg, c))
+            for k in range(1, cfg.parts + 1)
         ]
-        self.heads = DetectionHeads(rng, cfg, c) if cfg.with_alignment else None
-        self.holistic = HolisticBranch(rng, cfg, c) if cfg.with_mgf else None
+        self.heads = (
+            self._child(DetectionHeads(rng, cfg, c)) if cfg.with_alignment else None
+        )
+        self.holistic = self._child(HolisticBranch(rng, cfg, c)) if cfg.with_mgf else None
         self.granularity_branches: dict[int, list[PartBranch]] = {}
         if cfg.with_mgf:
             for g in alignment.GRANULARITIES:
                 self.granularity_branches[g] = [
-                    PartBranch(f"g{g}.part{j}", rng, cfg, c) for j in range(1, g + 1)
+                    self._child(PartBranch(f"g{g}.part{j}", rng, cfg, c))
+                    for j in range(1, g + 1)
                 ]
         names = [p.name for p in self.parameters()]
         if len(names) != len(set(names)):
             raise ValueError("parameter names must be unique")
 
     # -- parameter registry ------------------------------------------------
-
-    def blocks(self) -> list[Block]:
-        out: list[Block] = [self.backbone, *self.part_branches]
-        if self.heads is not None:
-            out.append(self.heads)
-        if self.holistic is not None:
-            out.append(self.holistic)
-        for g in sorted(self.granularity_branches):
-            out.extend(self.granularity_branches[g])
-        return out
-
-    def parameters(self):
-        out = []
-        for b in self.blocks():
-            out.extend(b.parameters())
-        return out
-
-    def buffers(self):
-        out = []
-        for b in self.blocks():
-            out.extend(b.buffers())
-        return out
 
     def named_parameters(self) -> dict[str, np.ndarray]:
         return {p.name: p.value for p in self.parameters()}
@@ -414,9 +399,7 @@ class CdpmNetwork:
         Runs all heads, and all branches on uniform-division windows, while
         the layers record their input statistics; called at stage boundaries.
         """
-        norms = []
-        for block in self.blocks():
-            norms.extend(block.norm_layers())
+        norms = self.norm_layers()
         for n in norms:
             n.calibrating = True
         try:

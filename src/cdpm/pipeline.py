@@ -139,17 +139,17 @@ def write_alignment_csv(path: str | Path, report: AlignmentReport) -> None:
 def train_from_config(cfg: Config, out_dir: str | Path):
     index = data.load_dataset(cfg.data_root)
     model_cfg = cfg.model_config(classes=index.class_count)
-    return index, run_training(index, model_cfg, cfg.train_settings(), out_dir)
+    return index, run_training(index, model_cfg, cfg.train, out_dir)
 
 
 # ---------------------------------------------------------------------------
 # ablation grid
 
 ABLATION_CONFIGS = (
-    ("baseline", dict(refinement=False, alignment=False)),
-    ("baseline_v", dict(refinement=False, alignment=True)),
-    ("baseline_h", dict(refinement=True, alignment=False)),
-    ("cdpm", dict(refinement=True, alignment=True)),
+    ("baseline", dict(with_refinement=False, with_alignment=False)),
+    ("baseline_v", dict(with_refinement=False, with_alignment=True)),
+    ("baseline_h", dict(with_refinement=True, with_alignment=False)),
+    ("cdpm", dict(with_refinement=True, with_alignment=True)),
 )
 
 
@@ -166,7 +166,7 @@ def run_ablation(base_cfg: Config, out_dir: str | Path) -> list[AblationRow]:
     out_dir = Path(out_dir)
     rows = []
     for name, flags in ABLATION_CONFIGS:
-        cfg = replace(base_cfg, mgf=False, **flags)
+        cfg = replace(base_cfg, model=replace(base_cfg.model, with_mgf=False, **flags))
         run_dir = out_dir / name
         log.info("ablation %s: training into %s", name, run_dir)
         index, result = train_from_config(cfg, run_dir)
@@ -177,7 +177,7 @@ def run_ablation(base_cfg: Config, out_dir: str | Path) -> list[AblationRow]:
         report = evaluate.evaluate_retrieval(queries, gallery, "single")
         annotations = load_annotations(index.annotations_path)
         align_rep = alignment_report(net, index, annotations, selection=selection)
-        mean_iou = align_rep.mean_iou if cfg.alignment else align_rep.uniform_mean_iou
+        mean_iou = align_rep.mean_iou if cfg.model.with_alignment else align_rep.uniform_mean_iou
         rows.append(AblationRow(name, report.rank1, report.mean_ap, mean_iou))
         log.info(
             "ablation %s: rank1 %.4f mAP %.4f meanIoU %.4f",

@@ -90,7 +90,7 @@ def learning_rate(stage: Stage, epoch: int) -> float:
 class SGDMomentum:
     """v <- momentum * v + grad; p <- p - lr * v."""
 
-    def __init__(self, momentum: float = 0.9):
+    def __init__(self, momentum: float):
         self.momentum = momentum
         self.velocity: dict[str, np.ndarray] = {}
 
@@ -285,7 +285,7 @@ def compose_batch(
     store: ImageStore,
     rng: np.random.Generator,
     aug: AugmentationConfig,
-    batch_size: int = 48,
+    batch_size: int,
     triplet: TripletConfig | None = None,
     load_images: bool = True,
 ) -> Batch:
@@ -413,7 +413,8 @@ def train_step(
 # the full run
 
 
-#: largest item count for which frozen-backbone features are precomputed
+#: largest item count for which frozen-backbone features are precomputed;
+#: above it each frozen-backbone batch computes the same features itself
 FEATURE_CACHE_LIMIT = 6000
 
 
@@ -431,6 +432,8 @@ class TrainSettings:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.epoch_scale < float("inf"):
             raise ValueError(
                 f"epoch_scale must be positive and finite, got {self.epoch_scale}"
@@ -466,7 +469,7 @@ def _trainable(net: CdpmNetwork, stage: Stage):
 
 
 def _build_feature_cache(
-    net: CdpmNetwork, items: list[TrainItem], store: ImageStore, batch_size: int = 48
+    net: CdpmNetwork, items: list[TrainItem], store: ImageStore, batch_size: int
 ) -> np.ndarray:
     """Frozen-backbone feature maps for every item, without online augmentation."""
     maps = []
@@ -525,10 +528,13 @@ def run_training(
             settings.batch_size, use_triplet,
         )
         net.calibrate(calib.images)
-        # With the backbone frozen and no online augmentation, stage-2 features
-        # are a fixed function of each item; precompute them once.
+        # A frozen-backbone stage trains without online augmentation, so its
+        # features are a fixed function of each item: precomputed once when
+        # the items fit under the limit, else computed per batch. The limit
+        # only decides memory; the features are the same bits either way.
+        frozen = not flags.backbone_grad
         feature_cache = None
-        if not flags.backbone_grad and len(items) <= FEATURE_CACHE_LIMIT:
+        if frozen and len(items) <= FEATURE_CACHE_LIMIT:
             log.info("%s: caching frozen-backbone features for %d items",
                      stage.name, len(items))
             feature_cache = _build_feature_cache(net, items, store, settings.batch_size)
@@ -538,14 +544,14 @@ def run_training(
             for b in range(batches):
                 batch = compose_batch(
                     items, store, batch_rng, settings.augmentation,
-                    settings.batch_size, use_triplet,
-                    load_images=feature_cache is None,
+                    settings.batch_size, use_triplet, load_images=not frozen,
                 )
-                fmap = (
-                    feature_cache[batch.item_indices]
-                    if feature_cache is not None
-                    else None
-                )
+                fmap = None
+                if feature_cache is not None:
+                    fmap = feature_cache[batch.item_indices]
+                elif frozen:
+                    chosen = [items[i] for i in batch.item_indices]
+                    fmap = _build_feature_cache(net, chosen, store, len(chosen))
                 terms = train_step(net, batch, flags, settings.weights,
                                    settings.triplet, fmap=fmap)
                 if not np.isfinite(terms["total"]):

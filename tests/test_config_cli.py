@@ -1,21 +1,26 @@
 """Config file parsing, overrides, and the command-line surface."""
+import functools
 import shutil
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from cdpm import cli, config, data, ops, tensorio
 from cdpm.config import ConfigError, apply_assignments, load_config, save_config
+from cdpm.losses import LossWeights
 from cdpm.model import CdpmNetwork, ModelConfig
+from cdpm.training import TrainSettings
 
 
 def test_defaults():
     cfg = config.Config()
-    assert cfg.parts == 6 and cfg.batch_size == 48
-    assert cfg.lambda1 == 1.0 and cfg.lambda2 == 1.0
-    assert cfg.margin == 0.4
-    assert cfg.identities_per_batch == 6 and cfg.images_per_identity == 8
-    assert cfg.translation_copies == 5
+    assert cfg.model.parts == 6 and cfg.train.batch_size == 48
+    assert cfg.train.weights.lambda1 == 1.0 and cfg.train.weights.lambda2 == 1.0
+    assert cfg.train.triplet.margin == 0.4
+    assert cfg.train.triplet.identities_per_batch == 6
+    assert cfg.train.triplet.images_per_identity == 8
+    assert cfg.train.augmentation.translation_copies == 5
     assert cfg.selection_threshold == 0.60  # market profile default
 
 
@@ -38,9 +43,9 @@ select.threshold = 0.35
     path.write_text(text)
     cfg = load_config(path)
     assert cfg.data_root == "/data/bench"
-    assert cfg.seed == 9
-    assert cfg.mgf is True
-    assert cfg.lambda2 == 0.5
+    assert cfg.train.seed == 9
+    assert cfg.model.with_mgf is True
+    assert cfg.train.weights.lambda2 == 0.5
     assert cfg.selection_threshold == 0.35
 
 
@@ -48,8 +53,8 @@ def test_overrides_win_over_file_and_seed_wins_over_all(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("train.seed = 1\nloss.margin = 0.3\n")
     cfg = load_config(path, {"loss.margin": "0.7", "train.seed": "2"}, seed=5)
-    assert cfg.margin == 0.7
-    assert cfg.seed == 5
+    assert cfg.train.triplet.margin == 0.7
+    assert cfg.train.seed == 5
 
 
 def test_unknown_key_and_bad_value_rejected():
@@ -64,15 +69,25 @@ def test_unknown_key_and_bad_value_rejected():
 def test_mgf_needs_six_parts(tmp_path):
     with pytest.raises(ConfigError, match="need 6 parts, got 5"):
         load_config(None, {"model.mgf": "true", "model.parts": "5"})
-    assert load_config(None, {"model.mgf": "true", "model.parts": "6"}).mgf
+    assert load_config(None, {"model.mgf": "true", "model.parts": "6"}).model.with_mgf
     rc = cli.main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
                    "--set", "model.mgf=true", "--set", "model.parts=5"])
     assert rc == cli.EXIT_USAGE
 
 
+def test_assignments_apply_together(tmp_path):
+    """A file's model.parts = 8 and --set model.mgf=true model.parts=6 make a
+    valid run, though mgf with 8 parts would fail on the way."""
+    path = tmp_path / "run.conf"
+    path.write_text("model.parts = 8\n")
+    cfg = load_config(path, {"model.mgf": "true", "model.parts": "6"})
+    assert cfg.model.with_mgf and cfg.model.parts == 6
+
+
 def test_save_config_roundtrip(tmp_path):
-    cfg = config.Config(data_root="/x", seed=4, mgf=True, threshold=0.35,
-                        epoch_scale=0.25)
+    cfg = config.Config(data_root="/x", threshold=0.35,
+                        model=ModelConfig(classes=1, with_mgf=True),
+                        train=TrainSettings(seed=4, epoch_scale=0.25))
     path = tmp_path / "out.conf"
     save_config(path, cfg)
     again = load_config(path)
@@ -80,12 +95,69 @@ def test_save_config_roundtrip(tmp_path):
 
 
 def test_config_factories():
-    cfg = config.Config(mgf=True, lambda1=0.5)
+    cfg = config.Config(model=replace(config.Config().model, with_mgf=True),
+                        train=TrainSettings(weights=LossWeights(lambda1=0.5)))
     mc = cfg.model_config(classes=7)
-    assert mc.classes == 7 and mc.with_mgf
-    assert cfg.loss_weights().lambda1 == 0.5
-    assert cfg.triplet_config().batch_size == 48
-    assert cfg.augmentation_config().translation_copies == 5
+    assert mc == replace(cfg.model, classes=7) and mc.with_mgf
+    assert cfg.train.weights.lambda1 == 0.5
+    assert cfg.train.triplet.batch_size == 48
+    assert cfg.train.augmentation.translation_copies == 5
+
+
+def _leaf_paths(obj, prefix: str) -> list[str]:
+    out = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        path = f"{prefix}.{f.name}"
+        out += _leaf_paths(value, path) if is_dataclass(value) else [path]
+    return out
+
+
+def test_key_map_reaches_every_run_setting_once():
+    cfg = config.Config()
+    assert [f.name for f in fields(cfg)] == [
+        "data_root", "profile", "threshold", "model", "train"
+    ]
+    targets = list(config.KEY_MAP.values())
+    assert len(targets) == len(set(targets))
+    model = set(_leaf_paths(cfg.model, "model")) - {
+        "model.classes", "model.backbone_channels"
+    }
+    train = set(_leaf_paths(cfg.train, "train"))
+    assert set(targets) == {"data_root", "profile", "threshold"} | model | train
+
+
+#: a non-default value for every key but model.mgf, which needs the default
+#: 6 parts and is set on its own
+NON_DEFAULT = {
+    "data.root": "/d", "data.profile": "other", "model.parts": "8",
+    "model.feature_dim": "32", "model.holistic_dim": "24",
+    "model.attention_reduction": "4", "model.refinement": "false",
+    "model.alignment": "false", "loss.lambda1": "0.5", "loss.lambda2": "0.25",
+    "loss.margin": "0.3", "triplet.identities_per_batch": "3",
+    "triplet.images_per_identity": "2", "select.threshold": "0.45",
+    "train.seed": "3", "train.epoch_scale": "0.2", "train.batch_size": "16",
+    "train.momentum": "0.8", "train.cache_images": "false",
+    "augment.translation_copies": "2", "augment.flip_probability": "0.4",
+    "augment.erase_probability": "0.25",
+}
+
+
+@pytest.mark.parametrize("assignments", [NON_DEFAULT, {"model.mgf": "true"}],
+                         ids=["all_but_mgf", "mgf"])
+def test_every_key_round_trips(tmp_path, assignments):
+    assert set(NON_DEFAULT) | {"model.mgf"} == set(config.KEY_MAP)
+    cfg = load_config(None, assignments)
+    default = config.Config()
+
+    def value(c, key):
+        return functools.reduce(getattr, config.KEY_MAP[key].split("."), c)
+
+    for key in assignments:
+        assert value(cfg, key) != value(default, key), key
+    path = tmp_path / "out.conf"
+    save_config(path, cfg)
+    assert load_config(path) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +446,9 @@ def test_cli_internal_error_is_one_line_exit_4(monkeypatch, capsys):
     "model.feature_dim=0", "model.holistic_dim=0", "model.attention_reduction=0",
     "train.batch_size=0", "train.epoch_scale=0", "train.epoch_scale=-1",
     "train.epoch_scale=inf", "train.epoch_scale=nan",
+    "triplet.identities_per_batch=0", "triplet.images_per_identity=0",
+    "loss.margin=-1", "loss.margin=inf", "loss.margin=nan",
+    "train.momentum=-3", "train.momentum=1.5", "train.momentum=1",
 ])
 def test_cli_out_of_range_config_value_is_usage_error(tmp_path, capsys, assignment):
     rc = cli.main(["evaluate", "--query", "q.bin", "--gallery", "g.bin",

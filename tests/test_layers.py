@@ -37,7 +37,7 @@ def check_block(block, x, forward, backward, tol=1e-6):
 
 
 def test_dense_gradients():
-    for act in ("none", "relu", "sigmoid", "tanh"):
+    for act in ("none", "relu"):
         d = Dense(f"d_{act}", RNG, 5, 4, act)
         x = RNG.standard_normal((3, 5)) + 0.3
         check_block(d, x, d.forward, d.backward)

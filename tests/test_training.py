@@ -311,7 +311,7 @@ def test_compose_batch_deterministic(tiny_bench):
 def test_compose_batch_rejects_empty():
     with pytest.raises(data.DataError):
         compose_batch([], training.ImageStore(), np.random.default_rng(0),
-                      AugmentationConfig())
+                      AugmentationConfig(), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +521,25 @@ def test_baseline_config_skips_stage2(tiny_bench, tmp_path):
     stages = {r["stage"] for r in result.log_rows}
     assert "stage2_new_modules" not in stages
     assert not (tmp_path / "base" / "stage2_new_modules.cdpm").exists()
+
+
+def test_stage2_without_feature_cache_gives_the_same_run(tiny_bench, tmp_path,
+                                                         monkeypatch):
+    """Above FEATURE_CACHE_LIMIT stage 2 computes each batch's features itself
+    and still draws no online augmentation, so the run keeps its bits."""
+    index, _ = tiny_bench
+    cfg = model_cfg(index, with_mgf=True)
+    settings = TrainSettings(
+        seed=5, epoch_scale=0.04, batch_size=6,
+        triplet=TripletConfig(identities_per_batch=3, images_per_identity=2),
+        augmentation=AugmentationConfig(translation_copies=1),
+    )
+    run_training(index, cfg, settings, tmp_path / "cached")
+    monkeypatch.setattr(training, "FEATURE_CACHE_LIMIT", 0)
+    run_training(index, cfg, settings, tmp_path / "per_batch")
+    for name in ("stage2_new_modules.cdpm", "final.cdpm", "train_log.csv"):
+        cached = (tmp_path / "cached" / name).read_bytes()
+        assert (tmp_path / "per_batch" / name).read_bytes() == cached, name
 
 
 def test_run_training_bit_identical_for_same_seed(tiny_bench, tmp_path):
