@@ -345,15 +345,13 @@ def train_step(
     """Forward all active paths, backpropagate, and accumulate gradients.
 
     Returns the loss terms; the caller applies the optimizer step. A
-    precomputed feature-map batch may be supplied when the backbone is
-    frozen for the stage.
+    frozen-backbone step takes its feature maps precomputed in `fmap`; a
+    step that trains the backbone computes them from `batch.images`.
     """
-    if fmap is not None and flags.backbone_grad:
-        raise ValueError("cached features require a frozen backbone")
+    if (fmap is not None) == flags.backbone_grad:
+        raise ValueError("fmap must be given exactly when the backbone is frozen")
     if flags.backbone_grad:
         fmap, bb_ctx = net.backbone_forward(batch.images)
-    elif fmap is None:
-        fmap = net.features(batch.images)
     gfmap = np.zeros_like(fmap) if flags.backbone_grad else None
     terms: dict[str, float] = {}
 

@@ -345,6 +345,23 @@ def test_train_step_sums_loss_f_over_every_branch_group(tiny_bench):
     assert sums[True] == expected > sums[False]
 
 
+def test_train_step_takes_fmap_exactly_when_backbone_is_frozen(tiny_bench):
+    """A frozen step needs precomputed features; a backbone step refuses them."""
+    index, anns = tiny_bench
+    cfg = model_cfg(index)
+    net = CdpmNetwork(cfg, np.random.default_rng(4))
+    aug = AugmentationConfig(translation_copies=1)
+    items = build_train_items(index, anns, cfg, aug, np.random.default_rng(0))
+    batch = compose_batch(items, training.ImageStore(), np.random.default_rng(5), aug, 4)
+    fmap, _ = net.backbone_forward(batch.images)
+    for backbone_grad, given in ((False, None), (True, fmap)):
+        flags = StepFlags(refinement=False, detection=False, mgf=False,
+                          backbone_grad=backbone_grad)
+        with pytest.raises(ValueError, match="fmap"):
+            training.train_step(net, batch, flags, LossWeights(), TripletConfig(),
+                                fmap=given)
+
+
 def test_train_step_end_to_end_gradient_sample(tiny_bench):
     """Analytic gradients of the total objective match finite differences."""
     index, anns = tiny_bench
