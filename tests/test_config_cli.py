@@ -215,6 +215,20 @@ def test_cli_evaluate_data_error_exit_code(tmp_path):
     assert rc == cli.EXIT_DATA
 
 
+def test_cli_evaluate_non_finite_descriptor_exit_code(tmp_path, capsys):
+    gallery = {f"{i:04d}_c2_0000": np.full(4, float(i)) for i in (1, 2)}
+    queries = {"0001_c1_0000": np.array([1.0, np.nan, 0.0, 0.0])}
+    qpath, gpath = tmp_path / "q.bin", tmp_path / "g.bin"
+    tensorio.write_descriptors(qpath, queries)
+    tensorio.write_descriptors(gpath, gallery)
+    rc = cli.main(["evaluate", "--query", str(qpath), "--gallery", str(gpath),
+                   "--out", str(tmp_path / "r.csv")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'0001_c1_0000' is not finite" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_cli_evaluate_truncated_dump_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(1)
     gallery = {f"{i:04d}_c2_0000": rng.standard_normal(4) for i in (1, 2)}

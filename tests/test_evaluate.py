@@ -1,4 +1,7 @@
 """Ranking, average precision, CMC, and protocol handling."""
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -287,3 +290,124 @@ def test_evaluate_retrieval_matches_per_query_oracle(monkeypatch, protocol, bloc
         assert abs(got.mean_ap - want.mean_ap) < 1e-12, seed
         compared += 1
     assert compared >= 50
+
+
+def stable_positions(row):
+    """Position of every column in the stable descending order of `row`."""
+    positions = np.empty(len(row), dtype=np.int64)
+    positions[np.argsort(-row, kind="stable")] = np.arange(len(row))
+    return positions
+
+
+def test_relevant_ranks_equal_stable_sort_positions():
+    # few distinct values, so most columns tie; -0.0 ties with 0.0, and
+    # -inf marks excluded columns, which are never relevant
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        g = int(rng.integers(1, 60))
+        row = rng.integers(-2, 3, g).astype(np.float64)
+        row[rng.random(g) < 0.3] *= -1.0
+        row[rng.random(g) < 0.1] = -np.inf
+        finite = np.flatnonzero(np.isfinite(row))
+        for share in (0.1, 0.5, 1.0):
+            relevant = finite[rng.random(finite.size) < share]
+            if relevant.size:
+                want = stable_positions(row)[relevant]
+                np.testing.assert_array_equal(evaluate._relevant_ranks(row, relevant), want)
+
+
+def tied_retrieval_case(seed, kind):
+    """Small-integer cases built for rank counting's hard inputs.
+
+    "full": one identity fills the gallery on cameras the queries do not use,
+    so nearly every entry is relevant.
+    "ties": a few distinct vectors, so many relevant and non-relevant entries
+    share one similarity and only the id breaks the tie.
+    "zeros": zero-norm vectors (similarity 0), vectors orthogonal to the query
+    (0.0) and vectors whose tiny negative cosine underflows to -0.0 tie with
+    relevant entries.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 3
+    if kind == "full":
+        pool = [rng.integers(-2, 3, dim).astype(np.float64) for _ in range(6)]
+    elif kind == "ties":
+        pool = [np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]), np.array([2.0, 2.0, 0.0])]
+    else:
+        tiny = np.nextafter(0.0, 1.0)  # cosine tiny / 2 rounds to a signed zero
+        pool = [np.zeros(dim), np.array([0.0, -1.0, 0.0]), np.array([0.0, 0.0, 2.0]),
+                np.array([-tiny, 2.0, 0.0]), np.array([tiny, 2.0, 0.0]),
+                np.array([1.0, 0.0, 0.0])]
+    gallery = {}
+    for j in range(int(rng.integers(20, 60))):
+        ident = 1 if kind == "full" and rng.random() < 0.95 else int(rng.integers(1, 4))
+        cam = int(rng.integers(2, 4))
+        gallery[f"{ident:04d}_c{cam}_{j:04d}"] = pool[int(rng.integers(len(pool)))].copy()
+    queries = {}
+    for j in range(int(rng.integers(1, 8))):
+        ident = 1 if kind == "full" else int(rng.integers(1, 4))
+        vec = np.array([-1.0, 0.0, 0.0]) if kind == "zeros" and j % 2 else pool[-1].copy()
+        cam = 1 if kind == "full" else int(rng.integers(1, 4))
+        queries[f"{ident:04d}_c{cam}_{j:04d}"] = vec
+    return queries, gallery
+
+
+@pytest.mark.parametrize("kind", ["full", "ties", "zeros"])
+@pytest.mark.parametrize("protocol", ["single", "multi"])
+def test_evaluate_retrieval_matches_oracle_on_tied_cases(protocol, kind):
+    compared = 0
+    for seed in range(30):
+        queries, gallery = tied_retrieval_case(seed, kind)
+        want = evaluate_oracle(queries, gallery, protocol)
+        if want is None:
+            continue
+        got = evaluate.evaluate_retrieval(queries, gallery, protocol)
+        assert (got.rank1, got.rank5, got.rank10, got.query_count) == (
+            want.rank1, want.rank5, want.rank10, want.query_count
+        ), seed
+        assert abs(got.mean_ap - want.mean_ap) < 1e-12, seed
+        compared += 1
+    assert compared >= 20
+
+
+@pytest.mark.parametrize("protocol", ["single", "multi"])
+@pytest.mark.parametrize("side", ["query", "gallery"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_retrieval_rejects_non_finite_descriptor(protocol, side, bad):
+    queries, gallery = toy_setup()
+    descs = queries if side == "query" else gallery
+    image_id = sorted(descs)[1]
+    descs[image_id][3] = bad
+    with pytest.raises(evaluate.EvalError, match=f"{image_id!r} is not finite"):
+        evaluate.evaluate_retrieval(queries, gallery, protocol)
+
+
+def test_evaluate_retrieval_rejects_overflowing_similarity():
+    # 1e200 squared overflows float64: the norms become inf and an exact
+    # duplicate of the query used to rank below an unrelated vector
+    queries = {"0001_c1_0000": np.full(4, 1e200)}
+    gallery = {"0001_c2_0000": np.full(4, 1e200), "0002_c2_0000": np.array([1.0, 0, 0, 0])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(evaluate.EvalError, match="overflows"):
+            evaluate.evaluate_retrieval(queries, gallery, "single")
+        # a query alone out of range would give every similarity 0, not an error
+        gallery["0001_c2_0000"] = np.ones(4)
+        with pytest.raises(evaluate.EvalError, match="overflows.*'0001_c1_0000'"):
+            evaluate.evaluate_retrieval(queries, gallery, "single")
+
+
+def test_evaluate_retrieval_memory_stays_near_the_gallery(monkeypatch):
+    rng = np.random.default_rng(9)
+    n_gallery, dim, n_query = 4000, 512, 64
+    gallery = {f"{1 + j % 50:04d}_c{1 + j % 3}_{j:05d}": rng.standard_normal(dim)
+               for j in range(n_gallery)}
+    queries = {f"{1 + j % 50:04d}_c1_{j:05d}": rng.standard_normal(dim) for j in range(n_query)}
+    monkeypatch.setattr(evaluate, "BLOCK_CELLS", 16 * n_gallery)  # 4 query blocks
+    tracemalloc.start()
+    try:
+        evaluate.evaluate_retrieval(queries, gallery, "single")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n_gallery * dim * 8, peak
