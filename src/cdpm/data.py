@@ -63,9 +63,20 @@ def read_ppm(path: str | Path) -> np.ndarray:
     return pixels.reshape(h, w, 3).copy()
 
 
+def read_person_image(path: str | Path) -> np.ndarray:
+    """Read a PPM that must be IMAGE_HEIGHT x IMAGE_WIDTH, as (H, W, 3) uint8."""
+    pixels = read_ppm(path)
+    if pixels.shape[:2] != (IMAGE_HEIGHT, IMAGE_WIDTH):
+        raise DataError(
+            f"{path}: image is {pixels.shape[1]}x{pixels.shape[0]} pixels, "
+            f"expected {IMAGE_WIDTH}x{IMAGE_HEIGHT}"
+        )
+    return pixels
+
+
 def load_image(path: str | Path) -> np.ndarray:
-    """Read a PPM and normalize to [0, 1] float64."""
-    return read_ppm(path).astype(np.float64) / 255.0
+    """Read a person image (`read_person_image`) and normalize to [0, 1] float64."""
+    return read_person_image(path).astype(np.float64) / 255.0
 
 
 # ---------------------------------------------------------------------------

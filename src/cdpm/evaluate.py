@@ -151,7 +151,7 @@ def _identity_camera(image_id: str) -> tuple[int, int]:
 
 
 def _check_lengths(*descriptor_sets: dict[str, np.ndarray]) -> None:
-    """Every descriptor must be a vector of one common length to be stacked."""
+    """Every descriptor must be a non-empty vector of one common length to be stacked."""
     first_id = first_shape = None
     for descs in descriptor_sets:
         for image_id, vec in descs.items():
@@ -163,6 +163,8 @@ def _check_lengths(*descriptor_sets: dict[str, np.ndarray]) -> None:
                     f"descriptors must be vectors of one length: {image_id!r} has "
                     f"shape {shape}, {first_id!r} has shape {first_shape}"
                 )
+            if shape == (0,):
+                raise EvalError(f"descriptor of {image_id!r} is empty")
 
 
 def _row_norms(mat: np.ndarray, ids: list[str]) -> np.ndarray:

@@ -186,16 +186,13 @@ class Conv(Block):
             np.maximum(out, 0.0, out=out)
         return out, (x, out, norm_ctx)
 
-    def backward(self, ctx, grad_out: np.ndarray, need_input_grad: bool = True):
+    def backward(self, ctx, grad_out: np.ndarray) -> np.ndarray:
         x, out, norm_ctx = ctx
         if self.activation == "relu":
             grad_out = ops.relu_backward(out, grad_out)
         if self.norm is not None:
             grad_out = self.norm.backward(norm_ctx, grad_out)
-        gx, gw, gb = ops.conv2d_backward(
-            x, self.w.value, grad_out, self.stride, self.padding,
-            need_input_grad=need_input_grad,
-        )
+        gx, gw, gb = ops.conv2d_backward(x, self.w.value, grad_out, self.stride, self.padding)
         self.w.grad += gw
         self.b.grad += gb
         return gx

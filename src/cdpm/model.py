@@ -85,28 +85,32 @@ class ToyBackbone(Block):
             for i, s in enumerate(self.STRIDES)
         ]
 
+    def _kernels(self) -> list[tuple]:
+        return [(c.w.value, c.b.value, c.stride, c.padding) for c in self.convs]
+
     def _stack(self, images: np.ndarray, keep: bool) -> list[np.ndarray]:
         if images.ndim != 4 or images.shape[1:] != (IMAGE_HEIGHT, IMAGE_WIDTH, 3):
             raise ops.ShapeError(
                 f"backbone expects (B,{IMAGE_HEIGHT},{IMAGE_WIDTH},3), got {images.shape}"
             )
-        kernels = [(c.w.value, c.b.value, c.stride, c.padding) for c in self.convs]
-        return ops.conv_relu_stack(images, kernels, self.INPUT_MEAN, self.INPUT_STD, keep)
+        return ops.conv_relu_stack(images, self._kernels(), self.INPUT_MEAN, self.INPUT_STD,
+                                   keep)
 
     def features(self, images: np.ndarray) -> np.ndarray:
         """The feature map alone; no other whole-batch activation is made."""
         return self._stack(images, keep=False)[0]
 
     def forward(self, images: np.ndarray):
-        """The feature map and each conv's context for `backward`, in the
-        form `Conv.forward` gives it: (input, relu output, no norm context)."""
+        """The feature map and the activations `backward` takes: the
+        standardised input and every conv's relu output."""
         acts = self._stack(images, keep=True)
-        return acts[-1], [(x, out, None) for x, out in zip(acts, acts[1:])]
+        return acts[-1], acts
 
-    def backward(self, ctxs, grad_out: np.ndarray) -> None:
-        g = grad_out
-        for i in range(len(self.convs) - 1, -1, -1):
-            g = self.convs[i].backward(ctxs[i], g, need_input_grad=i > 0)
+    def backward(self, acts, grad_out: np.ndarray) -> None:
+        grads = ops.conv_relu_stack_backward(acts, self._kernels(), grad_out)
+        for conv, (gw, gb) in zip(self.convs, grads):
+            conv.w.grad += gw
+            conv.b.grad += gb
 
 
 class PartBranch(Block):
@@ -385,8 +389,8 @@ class CdpmNetwork(Block):
     # -- forward pieces ------------------------------------------------------
 
     def backbone_forward(self, images: np.ndarray):
-        """Feature map and backbone contexts, for a pass that runs the
-        backbone's backward."""
+        """Feature map and the backbone activations its backward takes, for
+        a pass that runs the backbone's backward."""
         return self.backbone.forward(ops.as_f64(images))
 
     def features(self, images: np.ndarray) -> np.ndarray:

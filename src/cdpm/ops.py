@@ -71,27 +71,24 @@ class _Starts:
             yield i
 
 
-def _run_blocks(work, batch: int, step: int, *extra, scratch=tuple) -> None:
-    """Run `work(starts, *scratch())` (unless `work` is None) on
-    min(WORKERS, blocks) workers that share out the block starts of `batch`
-    images in blocks of `step`, alongside the zero-argument tasks `extra`.
+def _run_blocks(work, batch: int, step: int, scratch=tuple) -> None:
+    """Run `work(starts, *scratch())` on min(WORKERS, blocks) workers that
+    share out the block starts of `batch` images in blocks of `step`.
 
     `scratch` makes one worker's reused buffers. It is called here, on the
     calling thread, so the buffers come from that thread's allocator arena;
     made on the workers, they would each keep a heap of their own alive.
 
-    With one worker or at most one block every task runs inline, in order.
-    Else the tasks run on the pool, and every task has ended before the
-    first exception (in task order) is re-raised, so no worker still writes
+    With one worker or at most one block the work runs inline. Else the
+    workers run on the pool, and every worker has ended before the first
+    exception (in worker order) is re-raised, so no worker still writes
     into a buffer the caller returns or drops.
     """
     global _pool
     blocks = -(-batch // step)
-    tasks = list(extra)
-    if work is not None:
-        starts = _Starts(batch, step)
-        tasks += [partial(work, starts, *scratch()) for _ in range(min(WORKERS, blocks))]
-    if WORKERS == 1 or blocks <= 1:
+    starts = _Starts(batch, step)
+    tasks = [partial(work, starts, *scratch()) for _ in range(min(WORKERS, blocks))]
+    if len(tasks) <= 1:
         for task in tasks:
             task()
         return
@@ -333,26 +330,35 @@ def bilinear_resize_backward(
 # backbone's sizes; tiny GEMMs may take a small-matrix kernel, which is why
 # the tiny attention convs always run as a single block).
 #
-# The forward is depth first (`_conv_stack`; the fused-layer schedule of
-# Alwani et al., MICRO 2016): a worker carries one image block through the
-# input standardisation and every layer before it takes the next block, so a
-# block's activations stay in its worker's reused pad, patch and activation
-# buffers. The block size comes from the largest layer's per-image patch
-# buffer; at the backbone's sizes a block is one image. A forward-only pass
-# makes no whole-batch array but the last output; a pass that will run the
-# backward keeps every layer's input and output over the whole batch. The
-# backward stays layer by layer: only the kernel gradient needs the
-# whole-batch patch matrix, so only the backward builds it (`_im2col`).
+# Both passes are depth first (the fused-layer schedule of Alwani et al.,
+# MICRO 2016): a worker carries one image block through every layer before
+# it takes the next block, so the block's activations and gradients stay in
+# its worker's reused buffers. The block size comes from the largest layer's
+# per-image patch buffer; at the backbone's sizes a block is one image.
+# - `_conv_stack` runs the input standardisation and every layer. A
+#   forward-only pass makes no whole-batch array but the last output; a pass
+#   that will run the backward keeps every layer's input and output over the
+#   whole batch.
+# - `_conv_stack_backward` carries a block's gradient from the last layer
+#   down to the first. Per layer it applies the relu mask, gathers the
+#   block's patches from the kept input, writes the block's kernel- and
+#   bias-gradient partials into the block's own slot of a per-layer array,
+#   and adds the input gradient tap by tap into a gradient pad of its own
+#   (the activation pads' zero border must stay). The slots are
+#   summed in block order once every block is done. No whole-batch patch
+#   matrix or gradient is made between layers. With several blocks, rows of
+#   different blocks add in another order than in one whole-batch GEMM, so
+#   kernel and bias gradients differ from it in the last bits; a single
+#   block (the attention convs) computes exactly that GEMM and sum.
 #
 # The image blocks run on one worker per core (`WORKERS`, `_run_blocks`):
 # each worker pulls the next block start and reuses its own buffers, and
-# every block writes only its own slice of the result, so the bits do not
-# depend on the core count. Workers call only numpy and this module's
-# private helpers, never a public function: a tracer that wraps those may
-# keep state that is not thread-safe. The backward runs the whole-batch
-# kernel-gradient GEMM and the bias sum, each unsplit, beside the per-block
-# input-gradient work. A multi-threaded BLAS (OPENBLAS_NUM_THREADS > 1) adds
-# its threads on top of these workers.
+# every block writes only its own slice or slot of the result, and blocks
+# are sized by BLOCK_BYTES alone, so the bits do not depend on the core
+# count. Workers call only numpy and this module's private helpers, never a
+# public function: a tracer that wraps those may keep state that is not
+# thread-safe. A multi-threaded BLAS (OPENBLAS_NUM_THREADS > 1) adds its
+# threads on top of these workers.
 
 
 def _strided_cols(xp, kh, kw, stride, ho, wo):
@@ -363,15 +369,6 @@ def _strided_cols(xp, kh, kw, stride, ho, wo):
         strides=(sb, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
-
-
-def _col2im(gcols, gxp, stride):
-    b, ho, wo, kh, kw, c = gcols.shape
-    for ki in range(kh):
-        for kj in range(kw):
-            gxp[
-                :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride, :
-            ] += gcols[:, :, :, ki, kj, :]
 
 
 def _out_hw(h: int, wd: int, kh: int, kw: int, stride: int, p: int) -> tuple[int, int]:
@@ -389,21 +386,20 @@ def _interior(xp: np.ndarray, p: int) -> np.ndarray:
     return xp[:, p : xp.shape[1] - p, p : xp.shape[2] - p]
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Whole-batch patch matrix (B*ho*wo, kh*kw*C) of `x`, gathered per image block."""
-    bsz, h, wd, c = x.shape
-    ho, wo = _out_hw(h, wd, kh, kw, stride, padding)
-    cols = np.empty((bsz, ho, wo, kh, kw, c))
-    step = _block_images(bsz, 8 * cols[0].size)
+def _gather(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int,
+            cols: np.ndarray) -> np.ndarray:
+    """Copy the patches of padded images `xp` into the front of the flat
+    buffer `cols`; returns them as a (images * ho * wo, kh * kw * C) matrix."""
+    n, c = len(xp), xp.shape[3]
+    patches = cols[: n * ho * wo * kh * kw * c].reshape(n, ho, wo, kh, kw, c)
+    patches[...] = _strided_cols(xp, kh, kw, stride, ho, wo)
+    return patches.reshape(n * ho * wo, kh * kw * c)
 
-    def gather(starts, pad):
-        for i in starts:
-            xp = pad[: min(step, bsz - i)]
-            _interior(xp, padding)[...] = x[i : i + len(xp)]
-            cols[i : i + len(xp)] = _strided_cols(xp, kh, kw, stride, ho, wo)
 
-    _run_blocks(gather, bsz, step, scratch=lambda: (_pad_buffer(step, h, wd, c, padding),))
-    return cols.reshape(bsz * ho * wo, kh * kw * c)
+def _patch_sizes(shapes, kernels) -> list[int]:
+    """Each layer's patch-matrix cells per image, given every layer's input
+    (H, W, C) and the last output's in `shapes`."""
+    return [ho * wo * w[..., 0].size for (ho, wo, _), (w, *_) in zip(shapes[1:], kernels)]
 
 
 def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
@@ -427,8 +423,7 @@ def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
         )
         shapes.append((*_out_hw(h, wd, *w.shape[:2], stride, p), w.shape[3]))
     bsz, last = len(x), len(kernels)
-    patch_sizes = [ho * wo * w[..., 0].size
-                   for (ho, wo, _), (w, *_) in zip(shapes[1:], kernels)]
+    patch_sizes = _patch_sizes(shapes, kernels)
     step = _block_images(bsz, 8 * max(patch_sizes))
     acts = [None] * (last + 1)
     for k in range(last + 1) if keep else (last,):
@@ -450,13 +445,11 @@ def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
             for k, (w, b, stride, _) in enumerate(kernels):
                 kh, kw, c, d = w.shape
                 ho, wo = shapes[k + 1][:2]
-                rows, depth = ho * wo, kh * kw * c
-                patches = cols[: n * rows * depth].reshape(n, ho, wo, kh, kw, c)
-                patches[...] = _strided_cols(pads[k][:n], kh, kw, stride, ho, wo)
+                patches = _gather(pads[k][:n], kh, kw, stride, ho, wo, cols)
                 y = acts[k + 1]
-                y = act[: n * rows * d].reshape(n, ho, wo, d) if y is None else y[i : i + n]
-                flat = y.reshape(n * rows, d)
-                np.matmul(patches.reshape(n * rows, depth), w.reshape(depth, d), out=flat)
+                y = act[: n * ho * wo * d].reshape(n, ho, wo, d) if y is None else y[i : i + n]
+                flat = y.reshape(n * ho * wo, d)
+                np.matmul(patches, w.reshape(kh * kw * c, d), out=flat)
                 flat += b
                 if relu:
                     np.maximum(y, 0.0, out=y)
@@ -469,6 +462,78 @@ def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
         np.empty(step * act_size),
     ))
     return [a for a in acts if a is not None]
+
+
+def _conv_stack_backward(acts, kernels, grad_out, relu: bool, need_input_grad: bool):
+    """Gradients of `_conv_stack` over `kernels`, given the arrays it keeps
+    (`acts`: every layer's whole-batch input, then the last output, which
+    only a relu stack needs) and the last output's gradient `grad_out`, one
+    image block at a time: a worker carries its block's gradient from the
+    last layer down to the first before it takes the next block.
+
+    Returns the first layer's input gradient (None unless `need_input_grad`)
+    and every layer's (kernel gradient, bias gradient).
+    """
+    bsz, last = len(grad_out), len(kernels)
+    shapes = [a.shape[1:] for a in acts[:last]] + [grad_out.shape[1:]]
+    patch_sizes = _patch_sizes(shapes, kernels)
+    step = _block_images(bsz, 8 * max(patch_sizes))
+    blocks = -(-bsz // step)
+    # block j writes slot j of its layer's partials
+    gws = [np.empty((blocks, w[..., 0].size, w.shape[3])) for w, *_ in kernels]
+    gbs = [np.empty((blocks, w.shape[3])) for w, *_ in kernels]
+    gx = np.empty(acts[0].shape) if need_input_grad else None
+    lowest = 0 if need_input_grad else 1  # the lowest layer whose input gradient is needed
+    padded = [(h + 2 * p) * (wd + 2 * p) * c for (h, wd, c), (*_, p) in zip(shapes, kernels)]
+
+    def backward(starts, pads, cols, grad, gpad):
+        for i in starts:
+            n = min(step, bsz - i)
+            g = grad_out[i : i + n]
+            for k in range(last - 1, -1, -1):
+                w, _, stride, p = kernels[k]
+                kh, kw, c, d = w.shape
+                h, wd = shapes[k][:2]
+                ho, wo = shapes[k + 1][:2]
+                rows = n * ho * wo
+                gy = grad[: rows * d].reshape(n, ho, wo, d)
+                if relu:
+                    np.multiply(g, acts[k + 1][i : i + n] > 0.0, out=gy)
+                else:
+                    gy[...] = g
+                flat = gy.reshape(rows, d)
+                xp = pads[k][:n]
+                _interior(xp, p)[...] = acts[k][i : i + n]
+                patches = _gather(xp, kh, kw, stride, ho, wo, cols)
+                np.matmul(patches.T, flat, out=gws[k][i // step])
+                flat.sum(axis=0, out=gbs[k][i // step])
+                if k < lowest:
+                    break
+                gxp = gpad[: n * padded[k]].reshape(n, h + 2 * p, wd + 2 * p, c)
+                gxp[...] = 0.0
+                # one GEMM per kernel row, into the spent patch buffer: kw * C
+                # columns keep it off a BLAS's one-column (matrix-vector)
+                # path, so its entries equal the whole (kh * kw * C)-column
+                # GEMM's bit for bit
+                taps = cols[: rows * kw * c].reshape(n, ho, wo, kw, c)
+                for ki in range(kh):
+                    np.matmul(flat, w[ki].reshape(kw * c, d).T, out=taps.reshape(rows, kw * c))
+                    for kj in range(kw):
+                        gxp[
+                            :, ki : ki + stride * ho : stride, kj : kj + stride * wo : stride
+                        ] += taps[:, :, :, kj]
+                g = _interior(gxp, p)
+            if need_input_grad:
+                gx[i : i + n] = g
+
+    _run_blocks(backward, bsz, step, scratch=lambda: (
+        [_pad_buffer(step, *shape, p) for shape, (*_, p) in zip(shapes, kernels)],
+        np.empty(step * max(patch_sizes)),
+        np.empty(step * max(np.prod(shape) for shape in shapes[1:])),
+        np.empty(step * max(padded[lowest:], default=0)),
+    ))
+    return gx, [(gw.sum(axis=0).reshape(w.shape), gb.sum(axis=0))
+                for gw, gb, (w, *_) in zip(gws, gbs, kernels)]
 
 
 def conv2d(
@@ -495,9 +560,9 @@ def conv_relu_stack(
     first (see `_conv_stack`).
 
     With `keep`, returns the standardised input and every layer's relu
-    output, each over the whole batch, as a backward needs them; else only
-    the last output, as a one-item list, and no other whole-batch array is
-    made.
+    output, each over the whole batch, as `conv_relu_stack_backward` takes
+    them; else only the last output, as a one-item list, and no other
+    whole-batch array is made.
     """
     return _conv_stack(x, kernels, relu=True, standardize=(mean, std), keep=keep)
 
@@ -510,44 +575,26 @@ def conv2d_backward(
     padding: int = 1,
     need_input_grad: bool = True,
 ):
-    """Gradients of conv2d w.r.t. input, kernel, and bias.
+    """Gradients of conv2d w.r.t. input, kernel, and bias; the input
+    gradient is skipped (None) when the caller does not need it.
 
-    The kernel gradient is one GEMM over the whole-batch patch matrix, built
-    here by `_im2col` and dropped as soon as the GEMM returns; the bias
-    gradient is one sum. Both run beside the input gradient, which is
-    skipped (None) when the caller does not need it, else built per image
-    block, scattering the block's patch gradients into a block-sized padded
-    buffer.
+    The one-layer case of `_conv_stack_backward`: each worker gathers its
+    image blocks' patches into one reused block-sized buffer; the
+    whole-batch patch matrix is never built here.
     """
-    kh, kw, c, d = w.shape
-    p = padding
-    bsz, ho, wo = grad_out.shape[:3]
-    h, wd = x.shape[1:3]
-    rows, depth = ho * wo, kh * kw * c
-    flat_g = grad_out.reshape(bsz * rows, d)
-    step = _block_images(bsz, 8 * rows * depth)
-    # held only by this list, so the GEMM's task frees the matrix when it returns
-    patches = [_im2col(x, kh, kw, stride, p)]
-    wt = w.reshape(depth, d).T
-    gx = np.empty(x.shape) if need_input_grad else None
-    grads = {}
+    gx, [(gw, gb)] = _conv_stack_backward(
+        [x], [(w, None, stride, padding)], grad_out, relu=False,
+        need_input_grad=need_input_grad,
+    )
+    return gx, gw, gb
 
-    def kernel_grad():
-        grads["w"] = (patches.pop().T @ flat_g).reshape(kh, kw, c, d)
 
-    def bias_grad():
-        grads["b"] = flat_g.sum(axis=0)
-
-    def input_grad(starts, gxp, gcols):
-        for i in starts:
-            n = min(step, bsz - i)
-            acc, block = gxp[:n], gcols[: n * rows]
-            np.matmul(flat_g[i * rows : (i + n) * rows], wt, out=block)
-            acc[...] = 0.0
-            _col2im(block.reshape(n, ho, wo, kh, kw, c), acc, stride)
-            gx[i : i + n] = acc[:, p : p + h, p : p + wd]
-
-    _run_blocks(input_grad if need_input_grad else None, bsz, step, kernel_grad, bias_grad,
-                scratch=lambda: (np.empty((step, h + 2 * p, wd + 2 * p, c)),
-                                 np.empty((step * rows, depth))))
-    return gx, grads["w"], grads["b"]
+def conv_relu_stack_backward(
+    acts: list[np.ndarray], kernels, grad_out: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (kernel gradient, bias gradient) of `conv_relu_stack`
+    over `kernels`, given the arrays it keeps (`acts`) and the gradient of
+    its last output, depth first (see `_conv_stack_backward`). The
+    standardised input's gradient is not computed.
+    """
+    return _conv_stack_backward(acts, kernels, grad_out, relu=True, need_input_grad=False)[1]

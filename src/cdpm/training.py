@@ -205,7 +205,7 @@ class ImageStore:
     def load(self, path: Path) -> np.ndarray:
         cached = self._store.get(path)
         if cached is None:
-            cached = data.read_ppm(path)
+            cached = data.read_person_image(path)
             if self.cache and len(self._store) < self.LIMIT:
                 self._store[path] = cached
         return cached.astype(np.float64) / 255.0
@@ -351,7 +351,7 @@ def train_step(
     if (fmap is not None) == flags.backbone_grad:
         raise ValueError("fmap must be given exactly when the backbone is frozen")
     if flags.backbone_grad:
-        fmap, bb_ctx = net.backbone_forward(batch.images)
+        fmap, bb_acts = net.backbone_forward(batch.images)
     gfmap = np.zeros_like(fmap) if flags.backbone_grad else None
     terms: dict[str, float] = {}
 
@@ -402,7 +402,7 @@ def train_step(
     terms["loss_g"] = loss_g
 
     if gfmap is not None:
-        net.backbone.backward(bb_ctx, gfmap)
+        net.backbone.backward(bb_acts, gfmap)
     terms["total"] = losses.total_loss(loss_f, loss_c, loss_r, weights, loss_g)
     return terms
 

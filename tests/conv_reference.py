@@ -3,8 +3,11 @@
 These are the im2col + single-GEMM `conv2d`, `conv2d_backward` and
 `_col2im` (with the helpers they call) exactly as `cdpm.ops` defined them
 before the convolution was computed in image blocks. The blocked code must
-reproduce their outputs and gradients bit for bit. `conv_relu_stack` is the
-backbone's layer-by-layer forward as it was before it ran depth first.
+reproduce their outputs and input gradients bit for bit (its kernel and bias
+gradients sum per-block partials, so only a single block reproduces those
+bit for bit). `conv_relu_stack` and `conv_relu_stack_backward` are the
+backbone's layer-by-layer forward and backward as they were before they ran
+depth first.
 """
 from __future__ import annotations
 
@@ -127,3 +130,18 @@ def conv_relu_stack(x, kernels, mean, std, keep=False):
         np.maximum(a, 0.0, out=a)
         acts.append(a)
     return acts if keep else acts[-1:]
+
+
+def conv_relu_stack_backward(acts, kernels, grad_out):
+    """Whole-batch, layer-by-layer counterpart of
+    `cdpm.ops.conv_relu_stack_backward`: from the last layer down, the relu
+    mask, then conv2d_backward, as the backbone's backward did before it ran
+    depth first. Returns each layer's (kernel gradient, bias gradient)."""
+    grads = []
+    g = grad_out
+    for k in range(len(kernels) - 1, -1, -1):
+        w, _, stride, padding = kernels[k]
+        g, gw, gb = conv2d_backward(acts[k], w, g * (acts[k + 1] > 0.0), stride, padding,
+                                    need_input_grad=k > 0)
+        grads.append((gw, gb))
+    return grads[::-1]

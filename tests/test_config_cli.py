@@ -338,6 +338,20 @@ def _set_channel(i, value):
     return edit
 
 
+def test_cli_evaluate_zero_length_descriptors_exit_code(tmp_path, capsys):
+    gallery = {f"{i:04d}_c2_0000": np.zeros(0) for i in (1, 2)}
+    queries = {"0001_c1_0000": np.zeros(0)}
+    qpath, gpath = tmp_path / "q.bin", tmp_path / "g.bin"
+    tensorio.write_descriptors(qpath, queries)
+    tensorio.write_descriptors(gpath, gallery)
+    rc = cli.main(["evaluate", "--query", str(qpath), "--gallery", str(gpath),
+                   "--out", str(tmp_path / "r.csv")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error:") and "is empty" in err, err
+    assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def extract_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("meta")
@@ -402,6 +416,24 @@ def test_checkpoint_with_mgf_and_five_parts_is_data_error(tmp_path, capsys,
         CdpmNetwork.load(checkpoint)
     assert _extract(tmp_path, bench, tensors) == cli.EXIT_DATA
     assert "need 6 parts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "align"])
+def test_cli_wrong_size_image_is_data_error(tmp_path, capsys, extract_inputs, command):
+    bench, tensors = extract_inputs
+    copy = tmp_path / "bench"
+    shutil.copytree(bench, copy)
+    resized = data.load_dataset(copy).split("query")[0].path
+    data.write_ppm(resized, data.read_ppm(resized)[:200])
+    checkpoint = tmp_path / "net.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    args = ["--split", "query"] if command == "extract" else []
+    rc = cli.main([command, "--checkpoint", str(checkpoint), "--data", str(copy),
+                   "--out", str(tmp_path / "out"), *args])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error:"), err
+    assert f"{resized}: image is 128x200 pixels, expected 128x384" in err, err
 
 
 @pytest.mark.parametrize("line,message", [

@@ -301,3 +301,23 @@ def test_descriptor_peak_memory_does_not_grow_with_batch(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2e6, f"peaks {peaks[0] / 1e6:.1f} -> {peaks[1] / 1e6:.1f} MB"
+
+
+def test_backbone_backward_peak_memory_does_not_grow_with_batch(monkeypatch):
+    """Beyond the per-block kernel- and bias-gradient partials (~0.8 MB per
+    image), the backbone backward's traced peak is its workers' reused block
+    buffers: from 8 to 16 images it grows by under 10 MB (whole-batch patch
+    matrices and gradients between layers added ~54 MB)."""
+    monkeypatch.setattr(ops, "WORKERS", 2)
+    net = CdpmNetwork(ModelConfig(classes=12), np.random.default_rng(3))
+    peaks = []
+    for batch in (8, 16):
+        fmap, acts = net.backbone_forward(RNG.random((batch, 384, 128, 3)))
+        grad = RNG.standard_normal(fmap.shape)
+        tracemalloc.start()
+        try:
+            net.backbone.backward(acts, grad)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 10e6, f"peaks {peaks[0] / 1e6:.1f} -> {peaks[1] / 1e6:.1f} MB"

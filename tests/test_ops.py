@@ -223,12 +223,34 @@ ORACLE_MAPS = {1: (48, 40), 3: (24, 32), 16: (12, 12)}
 DEFAULT_BLOCK_BYTES = ops.BLOCK_BYTES
 
 
+def _within_1e12(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _recording_gather(monkeypatch):
+    """Make every block's patch gather append a copy of its patches to the
+    returned list."""
+    gathered, gather = [], ops._gather
+
+    def recording(*args):
+        patches = gather(*args)
+        gathered.append(patches.copy())
+        return patches
+
+    monkeypatch.setattr(ops, "_gather", recording)
+    return gathered
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("channels", [1, 3, 16])
 @pytest.mark.parametrize("batch", [1, 5, 16, 25])
 def test_blocked_conv2d_bit_identical_to_reference(monkeypatch, stride, channels, batch):
-    """Every block size and worker count gives the pre-blocking outputs and
-    gradients bit for bit; three workers take uneven shares of the blocks."""
+    """Every block size and worker count gives the pre-blocking outputs,
+    patches and input gradients bit for bit. Kernel and bias gradients sum
+    per-block partials: they equal the reference's bit for bit in one block,
+    are within 1e-12 relative of them in several, and are bit-identical
+    across worker counts at each block size; three workers take uneven
+    shares of the blocks."""
     ho, wo = ORACLE_MAPS[channels]
     x = RNG.standard_normal((batch, stride * ho, stride * wo, channels))
     w = RNG.standard_normal((3, 3, channels, 64))
@@ -239,47 +261,89 @@ def test_blocked_conv2d_bit_identical_to_reference(monkeypatch, stride, channels
         need: ref.conv2d_backward(x, w, g, stride, 1, want_cols, need)
         for need in (True, False)
     }
+    gathered = _recording_gather(monkeypatch)
     patch_bytes = 8 * want.shape[1] * want.shape[2] * 9 * channels
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(ops, "WORKERS", workers)
-        for images_per_block in (1, 3, None):
-            block_bytes = DEFAULT_BLOCK_BYTES
-            if images_per_block is not None:
-                block_bytes = images_per_block * patch_bytes
-            monkeypatch.setattr(ops, "BLOCK_BYTES", block_bytes)
+    for images_per_block in (1, 3, None):
+        block_bytes = DEFAULT_BLOCK_BYTES
+        if images_per_block is not None:
+            block_bytes = images_per_block * patch_bytes
+        monkeypatch.setattr(ops, "BLOCK_BYTES", block_bytes)
+        one_block = ops._block_images(batch, patch_bytes) == batch
+        first = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ops, "WORKERS", workers)
+            gathered.clear()
             assert np.array_equal(ops.conv2d(x, w, b, stride, 1), want)
-            assert np.array_equal(ops._im2col(x, 3, 3, stride, 1), want_cols)
             for need in (True, False):
                 got = ops.conv2d_backward(x, w, g, stride, 1, need_input_grad=need)
-                for gv, wv in zip(got, want_grads[need]):
-                    assert (gv is None and wv is None) or np.array_equal(gv, wv)
+                (gx, gw, gb), (want_gx, want_gw, want_gb) = got, want_grads[need]
+                assert (gx is None) == (want_gx is None)
+                assert gx is None or np.array_equal(gx, want_gx)
+                for gv, wv in ((gw, want_gw), (gb, want_gb)):
+                    assert np.array_equal(gv, wv) if one_block else _within_1e12(gv, wv)
+                for gv, fv in zip(got, first.setdefault(need, got)):
+                    assert (gv is None and fv is None) or np.array_equal(gv, fv)
+            if workers == 1:  # blocks in order: the forward's gathers, then each backward's
+                for patches in np.split(np.concatenate(gathered), 3):
+                    assert np.array_equal(patches, want_cols)
+
+
+def _backbone_kernels(rng):
+    widths = (3, 16, 32, 64, 64, 64)
+    strides = (2, 2, 2, 2, 1)
+    return [
+        (rng.standard_normal((3, 3, c, d)) * np.sqrt(2.0 / (9 * c)),
+         rng.standard_normal(d) * 0.1, s, 1)
+        for c, d, s in zip(widths, widths[1:], strides)
+    ]
+
+
+#: conv2's patches per image, the backbone's largest layer's
+BACKBONE_PATCH_BYTES = 8 * 96 * 32 * 9 * 16
 
 
 def test_conv_relu_stack_bit_identical_to_reference(monkeypatch):
     """The depth-first stack at the backbone's geometry gives the
     layer-by-layer forward's feature map and, when kept, every layer's input
     and output bit for bit, at every worker count and block size."""
-    widths = (3, 16, 32, 64, 64, 64)
-    strides = (2, 2, 2, 2, 1)
     x = RNG.random((5, 384, 128, 3))
-    kernels = [
-        (RNG.standard_normal((3, 3, c, d)) * np.sqrt(2.0 / (9 * c)),
-         RNG.standard_normal(d) * 0.1, s, 1)
-        for c, d, s in zip(widths, widths[1:], strides)
-    ]
+    kernels = _backbone_kernels(RNG)
     want = ref.conv_relu_stack(x, kernels, 0.45, 0.225, keep=True)
     assert 0.0 < np.mean(want[-1] > 0.0) < 1.0  # relu neither idle nor all-zero
-    biggest = 8 * 96 * 32 * 9 * 16  # conv2's patches per image, the largest layer's
     for workers in (1, 2, 3):
         monkeypatch.setattr(ops, "WORKERS", workers)
         for images_per_block in (1, 3, 5):  # the last block short, one block
-            monkeypatch.setattr(ops, "BLOCK_BYTES", images_per_block * biggest)
+            monkeypatch.setattr(ops, "BLOCK_BYTES", images_per_block * BACKBONE_PATCH_BYTES)
             for keep in (True, False):
                 got = ops.conv_relu_stack(x, kernels, 0.45, 0.225, keep)
                 expected = want if keep else want[-1:]
                 assert len(got) == len(expected)
                 for g, w in zip(got, expected):
                     assert np.array_equal(g, w)
+
+
+def test_conv_relu_stack_backward_matches_reference(monkeypatch):
+    """The depth-first backward at the backbone's geometry gives the
+    layer-by-layer backward's kernel and bias gradients bit for bit in one
+    block and within 1e-12 relative in several, bit-identical across worker
+    counts at each block size."""
+    x = RNG.random((5, 384, 128, 3))
+    kernels = _backbone_kernels(RNG)
+    acts = ref.conv_relu_stack(x, kernels, 0.45, 0.225, keep=True)
+    g = RNG.standard_normal(acts[-1].shape)
+    want = ref.conv_relu_stack_backward(acts, kernels, g)
+    for images_per_block in (1, 3, 5):  # the last block short, one block
+        monkeypatch.setattr(ops, "BLOCK_BYTES", images_per_block * BACKBONE_PATCH_BYTES)
+        first = None
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ops, "WORKERS", workers)
+            got = ops.conv_relu_stack_backward(acts, kernels, g)
+            first = first or got
+            assert len(got) == len(want) == len(first)
+            for pair, want_pair, first_pair in zip(got, want, first):
+                for gv, wv, fv in zip(pair, want_pair, first_pair):
+                    assert np.array_equal(gv, fv)
+                    assert np.array_equal(gv, wv) if images_per_block == 5 else _within_1e12(gv, wv)
 
 
 def test_attention_conv_maps_fit_one_block():
@@ -310,11 +374,10 @@ def test_relu_backward_over_many_blocks_equals_one_block(monkeypatch, workers):
 
 
 def test_blocks_reraise_only_after_every_task_has_ended(monkeypatch):
+    """The worker that takes block 3 fails at once; the other still takes
+    every block left before the exception reaches the caller."""
     monkeypatch.setattr(ops, "WORKERS", 2)
     done = []
-
-    def fail_now():
-        raise ops.ShapeError("first task")
 
     def work(starts):
         for i in starts:
@@ -323,23 +386,26 @@ def test_blocks_reraise_only_after_every_task_has_ended(monkeypatch):
             time.sleep(0.02)
             done.append(i)
 
-    with pytest.raises(ops.ShapeError, match="first task"):
-        ops._run_blocks(work, 6, 1, fail_now)
+    with pytest.raises(ops.ShapeError, match="block 3"):
+        ops._run_blocks(work, 6, 1)
     assert sorted(done) == [0, 1, 2, 4, 5]
 
 
 def test_blocks_reraise_the_first_exception_in_task_order(monkeypatch):
+    """Both workers fail; the first worker's exception is raised although
+    the second's comes sooner."""
     monkeypatch.setattr(ops, "WORKERS", 2)
+    indices = iter(range(2))
 
-    def late():
-        time.sleep(0.05)
-        raise KeyError("first task")
-
-    def early():
-        raise ValueError("second task")
+    def work(starts, index):
+        for _ in starts:
+            if index == 0:
+                time.sleep(0.05)
+                raise KeyError("first task")
+            raise ValueError("second task")
 
     with pytest.raises(KeyError, match="first task"):
-        ops._run_blocks(None, 2, 1, late, early)
+        ops._run_blocks(work, 2, 1, scratch=lambda: (next(indices),))
 
 
 def test_no_thread_until_a_convolution_needs_one():

@@ -17,7 +17,7 @@ import pytest
 
 import cdpm
 from cdpm import ops
-from cdpm.model import CdpmNetwork, ModelConfig
+from cdpm.model import WINDOW_HEIGHT, CdpmNetwork, ModelConfig, gather_windows
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -85,7 +85,8 @@ def test_install_then_restore_gives_back_every_binding(spans):
 
 def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch):
     """A two-worker backbone forward (kept and forward-only) and backward
-    over several image blocks call every traced function on this thread."""
+    over several image blocks, and a refined part branch's forward and
+    backward, call every traced function on this thread."""
     threads = []
 
     class ThreadRecordingTracer(spans.Tracer):
@@ -103,9 +104,12 @@ def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch):
     images = np.random.default_rng(1).random((3, 384, 128, 3))
     with ThreadRecordingTracer(cdpm, spans.TRACE_TARGETS) as tracer:
         net.features(images)
-        fmap, ctxs = net.backbone_forward(images)
-        net.backbone.backward(ctxs, np.ones_like(fmap))
+        fmap, acts = net.backbone_forward(images)
+        net.backbone.backward(acts, np.ones_like(fmap))
+        branch = net.part_branches[0]
+        _, scores, ctx = branch.forward(gather_windows(fmap, np.zeros(3, int), WINDOW_HEIGHT), True)
+        branch.backward(ctx, np.ones_like(scores))
     names = {span[0] for span in tracer.spans}
-    assert {"layers.backbone.conv1.bwd", "ops.conv2d_backward"} <= names
+    assert {"layers.Conv.bwd", "ops.conv2d_backward", "model.PartBranch.bwd"} <= names
     assert len(threads) == len(tracer.spans)
     assert set(threads) == {threading.get_ident()}

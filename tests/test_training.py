@@ -415,9 +415,12 @@ def test_train_step_end_to_end_gradient_sample(tiny_bench):
 def test_train_step_and_descriptor_bit_identical_with_reference_convs(
     tiny_bench, monkeypatch, flags
 ):
-    """The full model's descriptors and every parameter gradient equal those
-    of the unblocked convolution and the layer-by-layer backbone forward kept
-    in tests/conv_reference.py, with one block worker and with two."""
+    """Against the unblocked convolution and the layer-by-layer backbone
+    forward and backward kept in tests/conv_reference.py, the full model's
+    descriptors and every gradient outside the backbone are bit-identical,
+    and the backbone's kernel and bias gradients, which sum per-block
+    partials, are within 1e-12 relative; one block worker and two give the
+    same bits."""
     index, anns = tiny_bench
     cfg = ModelConfig(classes=index.class_count, with_mgf=True)
     aug = AugmentationConfig(translation_copies=1)
@@ -429,7 +432,8 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
     def run():
         net = CdpmNetwork(cfg, np.random.default_rng(4))
         training.train_step(net, batch, flags, LossWeights(), tri)
-        return net.descriptor(batch.images[:2]), [p.grad for p in net.parameters()]
+        grads = {p.name: p.grad for p in net.parameters()}
+        return net.descriptor(batch.images[:2]), grads
 
     got = {}
     for workers in (1, 2):
@@ -446,6 +450,7 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
         return conv_reference.conv_relu_stack(*args)
 
     monkeypatch.setattr(ops, "conv_relu_stack", reference_stack)
+    monkeypatch.setattr(ops, "conv_relu_stack_backward", conv_reference.conv_relu_stack_backward)
     monkeypatch.setattr(
         ops, "conv2d_backward",
         lambda x, w, grad_out, stride=1, padding=1, need_input_grad=True: (
@@ -455,11 +460,20 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
     )
     want_desc, want_grads = run()
     assert stacks == [True, False]  # the train step's backbone pass, then the descriptor's
-    for got_desc, got_grads in got.values():
-        assert np.array_equal(got_desc, want_desc)
-        assert len(got_grads) == len(want_grads)
-        for got_grad, want_grad in zip(got_grads, want_grads):
-            assert np.array_equal(got_grad, want_grad)
+    one_desc, one_grads = got[1]
+    two_desc, two_grads = got[2]
+    assert np.array_equal(one_desc, want_desc) and np.array_equal(two_desc, want_desc)
+    assert one_grads.keys() == two_grads.keys() == want_grads.keys()
+    backbone = 0
+    for name, want_grad in want_grads.items():
+        assert np.array_equal(one_grads[name], two_grads[name]), name
+        if name.startswith("backbone."):
+            backbone += 1
+            err = np.max(np.abs(one_grads[name] - want_grad))
+            assert err <= 1e-12 * np.max(np.abs(want_grad)), name
+        else:
+            assert np.array_equal(one_grads[name], want_grad), name
+    assert backbone == 10  # five convs' kernels and biases
 
 
 def test_run_aborts_with_dump_when_loss_diverges(tiny_bench, tmp_path, monkeypatch):
