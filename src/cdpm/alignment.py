@@ -18,6 +18,11 @@ NUM_PARTS = 6
 GRANULARITIES = (2, 3, 4)
 
 
+def granularity_height(granularity: int) -> int:
+    """Row height of every window of one granularity: the map split evenly."""
+    return MAP_HEIGHT // granularity
+
+
 @dataclass(frozen=True)
 class SlidingWindow:
     """One fixed-height window over the feature map."""
@@ -150,10 +155,6 @@ class OffsetTarget:
     offsets: np.ndarray  # (R, K)
     mask: np.ndarray  # (R, K), {0.0, 1.0}
 
-    def masked_count(self, k: int) -> int:
-        """Number of mask-1 windows for part k (1-based)."""
-        return int(self.mask[:, k - 1].sum())
-
 
 def offset_targets(grid: WindowGrid, layout: PartLayout) -> OffsetTarget:
     """Normalized center offsets and the |offset| < 1 inclusion mask."""
@@ -247,7 +248,7 @@ def infer_granularity_layout(
         raise ValueError(f"expected {NUM_PARTS} centers, got shape {centers.shape}")
     if np.any(centers < 0) or np.any(centers >= map_height):
         raise ValueError("centers must lie in [0, map_height)")
-    height = WINDOW_HEIGHT * NUM_PARTS // granularity
+    height = granularity_height(granularity)
     span = NUM_PARTS / granularity
     out = []
     for j in range(granularity):

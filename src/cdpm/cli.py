@@ -168,10 +168,13 @@ def cmd_extract(args) -> int:
 
 def cmd_align(args) -> int:
     cfg = _config_from(args)
+    splits = tuple(s.strip() for s in args.splits.split(",") if s.strip())
+    if not splits or not set(splits) <= set(data.SPLITS):
+        raise UsageError(f"--splits expects a comma-separated subset of "
+                         f"{','.join(data.SPLITS)}, got {args.splits!r}")
     net = CdpmNetwork.load(args.checkpoint)
     index = data.load_dataset(args.data)
     annotations = load_annotations(index.annotations_path)
-    splits = tuple(s.strip() for s in args.splits.split(",") if s.strip())
     report = pipeline.alignment_report(
         net, index, annotations, splits, SelectionConfig(cfg.selection_threshold)
     )
@@ -231,7 +234,7 @@ def main(argv=None) -> int:
     )
     try:
         return COMMANDS[args.command](args)
-    except (UsageError, ConfigError) as e:
+    except (UsageError, ConfigError, data.SpecError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingDiverged as e:

@@ -34,6 +34,10 @@ class DataError(ValueError):
     """Raised for malformed datasets or generator specs."""
 
 
+class SpecError(DataError):
+    """A synthetic generator parameter is out of range (a usage error)."""
+
+
 # ---------------------------------------------------------------------------
 # PPM image IO
 
@@ -198,18 +202,18 @@ class SyntheticSpec:
         lo, hi = self.offset_range
         slo, shi = self.scale_range
         if self.identities < 1 or self.images_per_identity < 1:
-            raise DataError("need at least one identity and one image per identity")
+            raise SpecError("need at least one identity and one image per identity")
         if not 0.0 <= lo <= hi:
-            raise DataError(f"bad offset range ({lo}, {hi})")
+            raise SpecError(f"bad offset range ({lo}, {hi})")
         if not 0.0 < slo <= shi <= 1.0:
-            raise DataError(f"bad scale range ({slo}, {shi})")
+            raise SpecError(f"bad scale range ({slo}, {shi})")
         if lo + shi > 1.0 + 1e-12:
-            raise DataError(
+            raise SpecError(
                 f"offset {lo} plus scale {shi} exceeds the frame; pedestrian "
                 "cannot be placed inside the image"
             )
         if not 0.0 <= self.noise_level <= 1.0:
-            raise DataError(f"noise level {self.noise_level} outside [0, 1]")
+            raise SpecError(f"noise level {self.noise_level} outside [0, 1]")
 
 
 def place_pedestrian(offset_frac: float, scale: float) -> tuple[int, int]:

@@ -13,7 +13,6 @@ import numpy as np
 
 from .data import JUNK_IDENTITIES, parse_image_name
 
-CMC_RANKS = (1, 5, 10)
 #: Cells in each per-block (query rows x gallery) matrix; 2**21 float64 cells
 #: is 16 MB, so a block holds BLOCK_CELLS // G queries (at least one).
 BLOCK_CELLS = 1 << 21
@@ -95,13 +94,6 @@ def average_precision(relevance: np.ndarray) -> float | np.ndarray:
     hits *= relevance
     ap = hits.sum(axis=-1) / n_rel
     return float(ap) if ap.ndim == 0 else ap
-
-
-def cmc_curve(relevance: np.ndarray, ranks=CMC_RANKS) -> dict[int, float]:
-    """Fraction of relevance lists (along the last axis) with a hit in the top k."""
-    rel = np.asarray(relevance) != 0
-    first = np.where(rel.any(axis=-1), rel.argmax(axis=-1), rel.shape[-1])
-    return {k: float(np.mean(first < k)) for k in ranks}
 
 
 def multi_query_descriptor(descriptors: list[np.ndarray]) -> np.ndarray:

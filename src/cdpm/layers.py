@@ -4,8 +4,13 @@ Each block's `forward` returns `(output, ctx)` and `backward(ctx, grad_out)`
 returns the gradient w.r.t. the block input while accumulating parameter
 gradients in place. The network is a fixed DAG, so gradients are chained by
 hand; there is no general autodiff tape.
+
+Blocks create every parameter at a constant (weights and biases 0, a
+normalization's scale 1); `init_weights` is the one initialization policy.
 """
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
@@ -13,14 +18,16 @@ from . import ops
 
 
 class Parameter:
-    """A named trainable tensor with an accumulated gradient."""
+    """A named trainable tensor with an accumulated gradient. A weight records
+    its fan-in (`init_weights` draws it); every other tensor has fan-in 0."""
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value", "grad", "fan_in")
 
-    def __init__(self, name: str, value: np.ndarray):
+    def __init__(self, name: str, value: np.ndarray, fan_in: int = 0):
         self.name = name
         self.value = ops.as_f64(value)
         self.grad = np.zeros_like(self.value)
+        self.fan_in = fan_in
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -29,9 +36,19 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    """Zero-mean normal weights with std sqrt(2 / fan_in)."""
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
+def init_weights(block: "Block", key: int) -> None:
+    """Draw every weight of `block` He-normal (zero mean, std sqrt(2 / fan_in))
+    from its own stream, `SeedSequence([key, crc32(name)])`.
+
+    A weight's value depends only on the key and its name, so adding or
+    removing a module moves no other weight. Biases and normalization
+    parameters keep the constants they were created with.
+    """
+    for p in block.parameters():
+        if p.fan_in:
+            seq = np.random.SeedSequence([key, zlib.crc32(p.name.encode())])
+            rng = np.random.default_rng(seq)
+            p.value[...] = rng.normal(0.0, np.sqrt(2.0 / p.fan_in), p.value.shape)
 
 
 class Block:
@@ -42,8 +59,8 @@ class Block:
         self._buffers: list[Parameter] = []  # saved but never optimized
         self._children: list[Block] = []
 
-    def _param(self, name: str, value: np.ndarray) -> Parameter:
-        p = Parameter(name, value)
+    def _param(self, name: str, value: np.ndarray, fan_in: int = 0) -> Parameter:
+        p = Parameter(name, value, fan_in)
         self._params.append(p)
         return p
 
@@ -116,7 +133,6 @@ class Dense(Block):
     def __init__(
         self,
         name: str,
-        rng,
         in_dim: int,
         out_dim: int,
         activation: str = "none",
@@ -126,7 +142,7 @@ class Dense(Block):
         if activation not in ("none", "relu"):
             raise ValueError(f"unknown activation {activation!r}")
         self.activation = activation
-        self.w = self._param(f"{name}.w", he_normal(rng, (in_dim, out_dim), in_dim))
+        self.w = self._param(f"{name}.w", np.zeros((in_dim, out_dim)), in_dim)
         self.b = self._param(f"{name}.b", np.zeros(out_dim))
         self.norm = self._child(BatchNorm(f"{name}.bn", out_dim)) if normalize else None
 
@@ -156,7 +172,6 @@ class Conv(Block):
     def __init__(
         self,
         name: str,
-        rng,
         kernel: int,
         in_ch: int,
         out_ch: int,
@@ -169,10 +184,8 @@ class Conv(Block):
         self.stride = stride
         self.padding = padding
         self.activation = activation
-        fan_in = kernel * kernel * in_ch
-        self.w = self._param(
-            f"{name}.w", he_normal(rng, (kernel, kernel, in_ch, out_ch), fan_in)
-        )
+        self.w = self._param(f"{name}.w", np.zeros((kernel, kernel, in_ch, out_ch)),
+                             kernel * kernel * in_ch)
         self.b = self._param(f"{name}.b", np.zeros(out_ch))
         self.norm = self._child(BatchNorm(f"{name}.bn", out_ch)) if normalize else None
 
@@ -205,13 +218,11 @@ class ChannelAttention(Block):
     scaled elementwise by the gate. Works on any (..., C) input.
     """
 
-    def __init__(self, name: str, rng, channels: int, reduction: int = 16):
+    def __init__(self, name: str, channels: int, reduction: int = 16):
         super().__init__()
         hidden = max(channels // reduction, 1)
-        self.fc1 = self._child(
-            Dense(f"{name}.fc1", rng, channels, hidden, "relu", normalize=True)
-        )
-        self.fc2 = self._child(Dense(f"{name}.fc2", rng, hidden, channels))
+        self.fc1 = self._child(Dense(f"{name}.fc1", channels, hidden, "relu", normalize=True))
+        self.fc2 = self._child(Dense(f"{name}.fc2", hidden, channels))
 
     def forward(self, x: np.ndarray):
         mid, ctx1 = self.fc1.forward(x)
@@ -238,22 +249,20 @@ class SpatialChannelAttention(Block):
     input is scaled by the resulting single-channel mask.
     """
 
-    def __init__(self, name: str, rng, channels: int, reduction: int = 16):
+    def __init__(self, name: str, channels: int, reduction: int = 16):
         super().__init__()
         hidden = max(channels // reduction, 1)
         self.spatial1 = self._child(
-            Conv(f"{name}.spatial1", rng, 3, 1, 1, 2, 1, "relu", normalize=True)
+            Conv(f"{name}.spatial1", 3, 1, 1, 2, 1, "relu", normalize=True)
         )
-        self.spatial2 = self._child(
-            Conv(f"{name}.spatial2", rng, 3, 1, 1, 1, 1, normalize=True)
-        )
+        self.spatial2 = self._child(Conv(f"{name}.spatial2", 3, 1, 1, 1, 1, normalize=True))
         self.channel1 = self._child(
-            Dense(f"{name}.channel1", rng, channels, hidden, "relu", normalize=True)
+            Dense(f"{name}.channel1", channels, hidden, "relu", normalize=True)
         )
         self.channel2 = self._child(
-            Dense(f"{name}.channel2", rng, hidden, channels, normalize=True)
+            Dense(f"{name}.channel2", hidden, channels, normalize=True)
         )
-        self.fuse = self._child(Dense(f"{name}.fuse", rng, channels, 1, normalize=True))
+        self.fuse = self._child(Dense(f"{name}.fuse", channels, 1, normalize=True))
 
     def forward(self, x: np.ndarray):
         b, h, w, c = x.shape

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alignment, ops, tensorio
-from .alignment import MAP_HEIGHT, WINDOW_HEIGHT
+from .alignment import MAP_HEIGHT, WINDOW_HEIGHT, granularity_height
 from .annotations import IMAGE_HEIGHT
 from .data import IMAGE_WIDTH
-from .layers import Block, ChannelAttention, Conv, Dense, SpatialChannelAttention
+from .layers import (Block, ChannelAttention, Conv, Dense, SpatialChannelAttention,
+                     init_weights)
 
 
 class NotInitializedError(RuntimeError):
@@ -71,7 +72,7 @@ class ToyBackbone(Block):
     INPUT_MEAN = 0.45
     INPUT_STD = 0.225
 
-    def __init__(self, rng, channels: tuple[int, ...]):
+    def __init__(self, channels: tuple[int, ...]):
         super().__init__()
         if len(channels) != len(self.STRIDES):
             raise ValueError(f"need {len(self.STRIDES)} channel widths, got {channels}")
@@ -79,7 +80,7 @@ class ToyBackbone(Block):
         widths = (3,) + tuple(channels)
         self.convs = [
             self._child(
-                Conv(f"backbone.conv{i + 1}", rng, 3, widths[i], widths[i + 1],
+                Conv(f"backbone.conv{i + 1}", 3, widths[i], widths[i + 1],
                      stride=s, padding=1, activation="relu")
             )
             for i, s in enumerate(self.STRIDES)
@@ -116,21 +117,18 @@ class ToyBackbone(Block):
 class PartBranch(Block):
     """Optional attention mask, window pooling, feature reduction, classifier."""
 
-    def __init__(self, name: str, rng, cfg: ModelConfig, in_channels: int):
+    def __init__(self, name: str, cfg: ModelConfig, in_channels: int):
         super().__init__()
         self.refine = (
             self._child(
-                SpatialChannelAttention(f"{name}.sca", rng, in_channels,
-                                        cfg.attention_reduction)
+                SpatialChannelAttention(f"{name}.sca", in_channels, cfg.attention_reduction)
             )
             if cfg.with_refinement
             else None
         )
-        self.reduce = self._child(
-            Dense(f"{name}.reduce", rng, in_channels, cfg.feature_dim, "relu")
-        )
+        self.reduce = self._child(Dense(f"{name}.reduce", in_channels, cfg.feature_dim, "relu"))
         self.classifier = self._child(
-            Dense(f"{name}.classifier", rng, cfg.feature_dim, cfg.classes)
+            Dense(f"{name}.classifier", cfg.feature_dim, cfg.classes)
         )
 
     def forward(self, window: np.ndarray, refine_active: bool):
@@ -167,31 +165,26 @@ class DetectionHeads(Block):
     with each other.
     """
 
-    def __init__(self, rng, cfg: ModelConfig, in_channels: int):
+    def __init__(self, cfg: ModelConfig, in_channels: int):
         super().__init__()
         self.parts = cfg.parts
         self.cls_reduce = self._child(
-            Dense("valign.cls.conv", rng, in_channels, in_channels, "relu",
-                  normalize=True)
+            Dense("valign.cls.conv", in_channels, in_channels, "relu", normalize=True)
         )
-        self.cls_out = self._child(
-            Dense("valign.cls.fc", rng, in_channels, cfg.parts + 1)
-        )
+        self.cls_out = self._child(Dense("valign.cls.fc", in_channels, cfg.parts + 1))
         self.reg_attn = []
         self.reg_reduce = []
         self.reg_out = []
         for k in range(1, cfg.parts + 1):
             self.reg_attn.append(
-                self._child(ChannelAttention(f"valign.reg{k}.attn", rng, in_channels,
+                self._child(ChannelAttention(f"valign.reg{k}.attn", in_channels,
                                              cfg.attention_reduction))
             )
             self.reg_reduce.append(
-                self._child(Dense(f"valign.reg{k}.conv", rng, in_channels, in_channels,
+                self._child(Dense(f"valign.reg{k}.conv", in_channels, in_channels,
                                   "relu", normalize=True))
             )
-            self.reg_out.append(
-                self._child(Dense(f"valign.reg{k}.fc", rng, in_channels, 1))
-            )
+            self.reg_out.append(self._child(Dense(f"valign.reg{k}.fc", in_channels, 1)))
 
     def forward(self, window_vecs: np.ndarray):
         """window_vecs: (B, R, C) -> scores (B, R, K+1), offsets (B, R, K)."""
@@ -228,9 +221,9 @@ class DetectionHeads(Block):
 class HolisticBranch(Block):
     """Whole-map pooling into a unit-norm embedding."""
 
-    def __init__(self, rng, cfg: ModelConfig, in_channels: int):
+    def __init__(self, cfg: ModelConfig, in_channels: int):
         super().__init__()
-        self.fc = self._child(Dense("holistic.fc", rng, in_channels, cfg.holistic_dim))
+        self.fc = self._child(Dense("holistic.fc", in_channels, cfg.holistic_dim))
 
     def forward(self, fmap: np.ndarray):
         pooled = ops.global_avg_pool(fmap)
@@ -260,39 +253,39 @@ def scatter_window_grad(gfmap: np.ndarray, tops: np.ndarray, gwin: np.ndarray) -
 
 
 class CdpmNetwork(Block):
-    """Backbone plus all heads; owns the parameter registry and checkpoints."""
+    """Backbone plus all heads; owns the parameter registry and checkpoints.
+
+    With `rng`, its one draw keys every weight's `init_weights` stream; without
+    it the parameters keep their constants until a checkpoint is loaded.
+    """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
         super().__init__()
         self.cfg = cfg
         self.initialized = rng is not None
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.backbone = self._child(ToyBackbone(rng, cfg.backbone_channels))
+        self.backbone = self._child(ToyBackbone(cfg.backbone_channels))
         c = self.backbone.out_channels
         self.grid = alignment.enumerate_windows(MAP_HEIGHT, WINDOW_HEIGHT)
         self.part_branches = [
-            self._child(PartBranch(f"part{k}", rng, cfg, c))
+            self._child(PartBranch(f"part{k}", cfg, c))
             for k in range(1, cfg.parts + 1)
         ]
-        self.heads = (
-            self._child(DetectionHeads(rng, cfg, c)) if cfg.with_alignment else None
-        )
-        self.holistic = self._child(HolisticBranch(rng, cfg, c)) if cfg.with_mgf else None
+        self.heads = self._child(DetectionHeads(cfg, c)) if cfg.with_alignment else None
+        self.holistic = self._child(HolisticBranch(cfg, c)) if cfg.with_mgf else None
         self.granularity_branches: dict[int, list[PartBranch]] = {}
         if cfg.with_mgf:
             for g in alignment.GRANULARITIES:
                 self.granularity_branches[g] = [
-                    self._child(PartBranch(f"g{g}.part{j}", rng, cfg, c))
+                    self._child(PartBranch(f"g{g}.part{j}", cfg, c))
                     for j in range(1, g + 1)
                 ]
         names = [p.name for p in self.parameters()]
         if len(names) != len(set(names)):
             raise ValueError("parameter names must be unique")
+        if rng is not None:
+            init_weights(self, int(rng.integers(2**63)))
 
     # -- parameter registry ------------------------------------------------
-
-    def named_parameters(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value for p in self.parameters()}
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -463,7 +456,7 @@ class CdpmNetwork(Block):
             layout = alignment.uniform_layout(MAP_HEIGHT, parts)
             return np.tile(alignment.layout_tops(layout, height), (batch, 1))
 
-        gran = {g: tiled(g, MAP_HEIGHT // g) for g in self.granularity_branches}
+        gran = {g: tiled(g, granularity_height(g)) for g in self.granularity_branches}
         return tiled(self.cfg.parts, WINDOW_HEIGHT), gran
 
     def part_tops(
@@ -481,7 +474,8 @@ class CdpmNetwork(Block):
         parts, then each granularity in `gran_tops` ascending."""
         groups = [(self.part_branches, part_tops, WINDOW_HEIGHT)]
         for g in sorted(gran_tops):
-            groups.append((self.granularity_branches[g], gran_tops[g], MAP_HEIGHT // g))
+            height = granularity_height(g)
+            groups.append((self.granularity_branches[g], gran_tops[g], height))
         return groups
 
     def _branch_features(self, fmap, part_tops, gran_tops) -> list[np.ndarray]:

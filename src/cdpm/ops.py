@@ -207,19 +207,6 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return gx
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, with max subtraction for stability."""
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient given the forward output y = softmax(x)."""
-    dot = (grad_out * y).sum(axis=-1, keepdims=True)
-    return y * (grad_out - dot)
-
-
 def l2_normalize(x: np.ndarray) -> np.ndarray:
     """Scale the last axis to unit Euclidean norm."""
     norm = np.linalg.norm(x, axis=-1, keepdims=True)

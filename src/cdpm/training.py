@@ -138,7 +138,8 @@ def build_train_items(
     uniform = alignment.uniform_layout(MAP_HEIGHT, model_cfg.parts)
     uniform_tops = alignment.layout_tops(uniform, WINDOW_HEIGHT)
     uniform_gran = {
-        g: alignment.layout_tops(alignment.uniform_layout(MAP_HEIGHT, g), MAP_HEIGHT // g)
+        g: alignment.layout_tops(alignment.uniform_layout(MAP_HEIGHT, g),
+                                 alignment.granularity_height(g))
         for g in alignment.GRANULARITIES
     }
     items: list[TrainItem] = []
@@ -161,7 +162,7 @@ def build_train_items(
                     gran = {
                         g: alignment.layout_tops(
                             alignment.part_intervals(mode.upper, mode.lower, g),
-                            MAP_HEIGHT // g,
+                            alignment.granularity_height(g),
                         )
                         for g in alignment.GRANULARITIES
                     }

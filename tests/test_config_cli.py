@@ -1,4 +1,5 @@
 """Config file parsing, overrides, and the command-line surface."""
+import csv
 import functools
 import shutil
 from dataclasses import fields, is_dataclass, replace
@@ -6,7 +7,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from cdpm import cli, config, data, ops, tensorio
+from cdpm import cli, config, data, ops, pipeline, tensorio
 from cdpm.config import ConfigError, apply_assignments, load_config, save_config
 from cdpm.losses import LossWeights
 from cdpm.model import CdpmNetwork, ModelConfig
@@ -322,6 +323,33 @@ def test_cli_train_and_align_with_eight_parts(tmp_path):
     assert len(align_csv.read_text().strip().splitlines()) == 1 + 9 * 8
 
 
+def test_cli_ablate_grid_rows_and_shared_stage1(tmp_path, capsys, tiny_bench):
+    """Each weight is drawn from the seed and its own name, and stage 1 trains
+    with refinement off, so runs that differ only in refinement end stage 1
+    with the same baseline parameters, bit for bit."""
+    index, _ = tiny_bench
+    out, runs = tmp_path / "ablation.csv", tmp_path / "runs"
+    rc = cli.main([
+        "ablate", "--data", str(index.root), "--out", str(out), "--workdir", str(runs),
+        "--seed", "4", "--set", "train.epoch_scale=0.02", "--set", "train.batch_size=6",
+        "--set", "augment.translation_copies=1", "--set", "model.feature_dim=16",
+    ])
+    assert rc == cli.EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["config"] for r in rows] == [name for name, _ in pipeline.ABLATION_CONFIGS]
+    for row in rows:
+        for metric in ("rank1", "mAP", "meanIoU"):
+            assert 0.0 <= float(row[metric]) <= 1.0, row
+    assert "cdpm: rank1" in capsys.readouterr().out
+    for a, b in (("baseline", "baseline_h"), ("baseline_v", "cdpm")):
+        nets = [CdpmNetwork.load(runs / name / "stage1_baseline.cdpm") for name in (a, b)]
+        params = [n.baseline_parameters() for n in nets]
+        assert [p.name for p in params[0]] == [p.name for p in params[1]]
+        for p, q in zip(*params):
+            assert np.array_equal(p.value, q.value), (a, b, p.name)
+
+
 def test_cli_train_requires_data(tmp_path):
     assert cli.main(["train", "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
 
@@ -472,6 +500,34 @@ def test_cli_non_utf8_annotation_file_exit_code(tmp_path, capsys, extract_inputs
                    "--out", str(tmp_path / "align.csv")])
     assert rc == cli.EXIT_DATA
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("splits", ["bogus", ",", "query,bogus"])
+def test_cli_align_bad_splits_is_usage_error(tmp_path, capsys, extract_inputs, splits):
+    bench, tensors = extract_inputs
+    checkpoint = tmp_path / "net.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    rc = cli.main(["align", "--checkpoint", str(checkpoint), "--data", str(bench),
+                   "--splits", splits, "--out", str(tmp_path / "align.csv")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error: --splits expects"), err
+    assert not (tmp_path / "align.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--identities", "0", "need at least one identity"),
+    ("--offset-max", "-0.5", "bad offset range (0.0, -0.5)"),
+    ("--noise", "nan", "noise level nan outside [0, 1]"),
+])
+def test_cli_synth_data_bad_argument_is_usage_error(tmp_path, capsys, flag, value,
+                                                    message):
+    out = tmp_path / "bench"
+    rc = cli.main(["synth-data", "--out", str(out), flag, value])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error:") and message in err, err
+    assert not out.exists()
 
 
 def test_cli_internal_error_is_one_line_exit_4(monkeypatch, capsys):

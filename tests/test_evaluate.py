@@ -45,12 +45,6 @@ def test_average_precision_needs_relevant():
         evaluate.average_precision([0, 0])
 
 
-def test_cmc_monotone():
-    lists = [(RNG.random(30) < 0.2).astype(float) for _ in range(50)]
-    cmc = evaluate.cmc_curve(lists)
-    assert cmc[1] <= cmc[5] <= cmc[10]
-
-
 def test_cosine_rank_identical_vector_first():
     gallery = {f"{i:04d}_c2_0000": RNG.standard_normal(8) for i in range(1, 6)}
     query = gallery["0003_c2_0000"].copy()

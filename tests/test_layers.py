@@ -2,10 +2,16 @@
 import numpy as np
 
 from cdpm import ops
-from cdpm.layers import ChannelAttention, Conv, Dense, SpatialChannelAttention
+from cdpm.layers import ChannelAttention, Conv, Dense, SpatialChannelAttention, init_weights
 from gradcheck import check_grad
 
 RNG = np.random.default_rng(41)
+
+
+def drawn(block):
+    """The block with its weights drawn by the network's init policy."""
+    init_weights(block, 41)
+    return block
 
 
 def block_scalar(block, x, forward):
@@ -38,13 +44,13 @@ def check_block(block, x, forward, backward, tol=1e-6):
 
 def test_dense_gradients():
     for act in ("none", "relu"):
-        d = Dense(f"d_{act}", RNG, 5, 4, act)
+        d = drawn(Dense(f"d_{act}", 5, 4, act))
         x = RNG.standard_normal((3, 5)) + 0.3
         check_block(d, x, d.forward, d.backward)
 
 
 def test_dense_grad_accumulates():
-    d = Dense("acc", RNG, 3, 2)
+    d = drawn(Dense("acc", 3, 2))
     x = RNG.standard_normal((4, 3))
     _, ctx = d.forward(x)
     d.backward(ctx, np.ones((4, 2)))
@@ -56,7 +62,7 @@ def test_dense_grad_accumulates():
 
 def test_conv_block_gradients():
     for stride in (1, 2):
-        c = Conv("c", RNG, 3, 2, 3, stride=stride, padding=1, activation="relu")
+        c = drawn(Conv("c", 3, 2, 3, stride=stride, padding=1, activation="relu"))
         x = RNG.standard_normal((2, 6, 4, 2)) + 0.2
         check_block(c, x, c.forward, c.backward)
 
@@ -65,13 +71,13 @@ def test_conv_block_gradients_across_image_blocks(monkeypatch):
     # two images per block, so a batch of 5 ends in a one-image remainder
     monkeypatch.setattr(ops, "BLOCK_BYTES", 2 * 8 * 3 * 2 * 9 * 2)
     for stride in (1, 2):
-        c = Conv("c", RNG, 3, 2, 3, stride=stride, padding=1, activation="relu")
+        c = drawn(Conv("c", 3, 2, 3, stride=stride, padding=1, activation="relu"))
         x = RNG.standard_normal((5, 6, 4, 2)) + 0.2
         check_block(c, x, c.forward, c.backward)
 
 
 def test_channel_attention_shapes_and_gradients():
-    attn = ChannelAttention("ca", RNG, 8, reduction=4)
+    attn = drawn(ChannelAttention("ca", 8, reduction=4))
     x = RNG.standard_normal((3, 5, 8))
     out, _ = attn.forward(x)
     assert out.shape == x.shape
@@ -79,7 +85,7 @@ def test_channel_attention_shapes_and_gradients():
 
 
 def test_channel_attention_gate_bounds():
-    attn = ChannelAttention("cb", RNG, 16, reduction=16)
+    attn = drawn(ChannelAttention("cb", 16, reduction=16))
     x = RNG.standard_normal((4, 16)) * 3
     out, (x_, _, _, gate) = attn.forward(x)
     assert np.all(gate > 0) and np.all(gate < 1)
@@ -87,7 +93,7 @@ def test_channel_attention_gate_bounds():
 
 
 def test_spatial_channel_attention_mask_and_gradients():
-    sca = SpatialChannelAttention("sca", RNG, 6, reduction=2)
+    sca = drawn(SpatialChannelAttention("sca", 6, reduction=2))
     x = RNG.standard_normal((2, 4, 8, 6))
     out, ctx = sca.forward(x)
     mask = ctx[-1]
@@ -98,7 +104,7 @@ def test_spatial_channel_attention_mask_and_gradients():
 
 
 def test_sca_zero_fusion_gives_half_mask():
-    sca = SpatialChannelAttention("z", RNG, 6, reduction=2)
+    sca = drawn(SpatialChannelAttention("z", 6, reduction=2))
     sca.fuse.w.value[...] = 0.0
     sca.fuse.b.value[...] = 0.0
     x = RNG.standard_normal((1, 4, 8, 6))
@@ -108,7 +114,7 @@ def test_sca_zero_fusion_gives_half_mask():
 
 
 def test_sca_mask_monotone_in_fusion_logit():
-    sca = SpatialChannelAttention("m", RNG, 6, reduction=2)
+    sca = drawn(SpatialChannelAttention("m", 6, reduction=2))
     x = np.abs(RNG.standard_normal((1, 4, 8, 6)))
     _, ctx = sca.forward(x)
     base = ctx[-1].copy()
@@ -118,6 +124,6 @@ def test_sca_mask_monotone_in_fusion_logit():
 
 
 def test_parameter_names_unique_within_blocks():
-    sca = SpatialChannelAttention("u", RNG, 8, reduction=4)
+    sca = SpatialChannelAttention("u", 8, reduction=4)
     names = [p.name for p in sca.parameters()]
     assert len(names) == len(set(names))

@@ -1,10 +1,12 @@
 """Network assembly: shapes, selection wiring, descriptors, checkpoints."""
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cdpm import alignment, ops
+from cdpm.layers import init_weights
 from cdpm.model import (
     CdpmNetwork,
     DetectionHeads,
@@ -25,6 +27,12 @@ def small_cfg(**kw):
                 holistic_dim=16, attention_reduction=4)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def drawn(block, key):
+    """The block with its weights drawn by the network's init policy."""
+    init_weights(block, key)
+    return block
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +86,7 @@ def test_detection_head_output_ranges(net):
 
 
 def test_detection_heads_zero_init_neutral():
-    heads = DetectionHeads(np.random.default_rng(0), small_cfg(), 8)
+    heads = DetectionHeads(small_cfg(), 8)
     for p in heads.parameters():
         p.value[...] = 0.0
     scores, offsets, _ = heads.forward(RNG.standard_normal((2, 21, 8)))
@@ -88,7 +96,7 @@ def test_detection_heads_zero_init_neutral():
 
 def test_detection_heads_structure():
     cfg = small_cfg()
-    heads = DetectionHeads(np.random.default_rng(0), cfg, 8)
+    heads = DetectionHeads(cfg, 8)
     assert heads.cls_out.w.value.shape[1] == cfg.parts + 1
     assert len(heads.reg_out) == cfg.parts
     names = [p.name for p in heads.parameters()]
@@ -102,7 +110,7 @@ def test_detection_heads_structure():
 
 
 def test_detection_heads_gradients():
-    heads = DetectionHeads(np.random.default_rng(3), small_cfg(), 8)
+    heads = drawn(DetectionHeads(small_cfg(), 8), 3)
     vecs = RNG.standard_normal((2, 5, 8))
     gs = RNG.standard_normal((2, 5, 7))
     go = RNG.standard_normal((2, 5, 6))
@@ -119,7 +127,7 @@ def test_detection_heads_gradients():
 
 
 def test_part_branch_gradcheck_through_sca():
-    branch = PartBranch("pb", np.random.default_rng(5), small_cfg(), 8)
+    branch = drawn(PartBranch("pb", small_cfg(), 8), 5)
     window = RNG.standard_normal((2, 4, 8, 8))
     glogits = RNG.standard_normal((2, 5))
 
@@ -147,7 +155,7 @@ def test_part_branch_gradcheck_through_sca():
 
 
 def test_part_branch_refinement_off_is_gap_permutation_invariant():
-    branch = PartBranch("pp", np.random.default_rng(6), small_cfg(), 8)
+    branch = drawn(PartBranch("pp", small_cfg(), 8), 6)
     window = RNG.standard_normal((1, 4, 8, 8))
     feat, scores, _ = branch.forward(window, False)
     perm = window[:, ::-1, ::-1, :].copy()  # spatial permutation
@@ -157,14 +165,9 @@ def test_part_branch_refinement_off_is_gap_permutation_invariant():
 
 
 def test_part_branch_refinement_disabled_matches_branch_without_sca():
-    rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
-    with_sca = PartBranch("a", rng_a, small_cfg(), 8)
-    without = PartBranch("b", rng_b, small_cfg(with_refinement=False), 8)
-    # align the shared parameters (sca params were drawn first in `with_sca`)
-    without.reduce.w.value[...] = with_sca.reduce.w.value
-    without.reduce.b.value[...] = with_sca.reduce.b.value
-    without.classifier.w.value[...] = with_sca.classifier.w.value
-    without.classifier.b.value[...] = with_sca.classifier.b.value
+    # one name and one key: the shared parameters start equal without copying
+    with_sca = drawn(PartBranch("p", small_cfg(), 8), 7)
+    without = drawn(PartBranch("p", small_cfg(with_refinement=False), 8), 7)
     window = RNG.standard_normal((2, 4, 8, 8))
     feat_a, scores_a, _ = with_sca.forward(window, False)
     feat_b, scores_b, _ = without.forward(window, False)
@@ -233,6 +236,46 @@ def test_checkpoint_roundtrip_preserves_descriptors(tmp_path, net):
     assert loaded.cfg == net.cfg
     got = loaded.descriptor(imgs)
     assert np.array_equal(want, got)
+
+
+def test_shared_parameters_start_equal_across_module_choices():
+    """Each weight is drawn from the run's key and its own name, so with equal
+    generators turning a module on or off moves no other parameter."""
+    values = []
+    for r, a, m in itertools.product((False, True), repeat=3):
+        cfg = small_cfg(with_refinement=r, with_alignment=a, with_mgf=m)
+        net = CdpmNetwork(cfg, np.random.default_rng(11))
+        values.append({p.name: p.value for p in net.parameters()})
+    for a, b in itertools.combinations(values, 2):
+        for name in a.keys() & b.keys():
+            assert np.array_equal(a[name], b[name]), name
+    assert np.any(values[0]["backbone.conv1.w"])
+
+
+def test_weights_are_he_normal_and_the_rest_constant():
+    net = CdpmNetwork(ModelConfig(classes=12), np.random.default_rng(0))
+    for p in net.parameters():
+        if p.fan_in:
+            std = np.sqrt(2.0 / p.fan_in)
+            if p.value.size >= 10000:
+                assert abs(p.value.std() / std - 1) < 0.05, p.name
+                assert abs(p.value.mean()) < 0.05 * std, p.name
+        else:
+            assert np.all(p.value == (1.0 if p.name.endswith(".scale") else 0.0)), p.name
+
+
+def test_load_draws_no_random_numbers(tmp_path, net, monkeypatch):
+    path = tmp_path / "net.cdpm"
+    net.save(path)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("CdpmNetwork.load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    monkeypatch.setattr(np.random, "SeedSequence", draw)
+    loaded = CdpmNetwork.load(path)
+    for p, q in zip(net.parameters(), loaded.parameters()):
+        assert p.name == q.name and np.array_equal(p.value, q.value)
 
 
 def test_checkpoint_mismatch_rejected(tmp_path, net):
