@@ -2,7 +2,8 @@
 
 Directory layout: root/{train,query,gallery}/*.ppm plus root/annotations.csv.
 Images are 8-bit binary PPM (P6), 384x128, named <identity>_c<camera>_<seq>.ppm.
-Loaders normalize pixels to [0, 1] floats.
+Readers return the stored uint8 pixels; a pixel p stands for the intensity
+p / PIXEL_MAX in [0, 1], which `to_unit_float` computes in float64.
 
 The synthetic generator draws, per identity, a six-band vertical color
 signature, and renders it at a sampled vertical offset and scale over
@@ -24,6 +25,9 @@ import numpy as np
 from .annotations import IMAGE_HEIGHT, BoundaryAnnotation, save_annotations
 
 IMAGE_WIDTH = 128
+#: The largest 8-bit pixel value, the PPM max value, and the divisor that
+#: maps stored pixels to [0, 1].
+PIXEL_MAX = 255
 SPLITS = ("train", "query", "gallery")
 JUNK_IDENTITIES = (0, -1)
 
@@ -48,7 +52,7 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
         raise DataError(f"write_ppm expects (H,W,3) uint8, got {image.shape} {image.dtype}")
     h, w = image.shape[:2]
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
+    header = f"P6\n{w} {h}\n{PIXEL_MAX}\n".encode("ascii")
     Path(path).write_bytes(header + image.tobytes())
 
 
@@ -59,7 +63,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
     if not m:
         raise DataError(f"{path}: not a binary PPM")
     w, h, maxval = (int(g) for g in m.groups())
-    if maxval != 255:
+    if maxval != PIXEL_MAX:
         raise DataError(f"{path}: unsupported max value {maxval}")
     if len(blob) - m.end() < h * w * 3:
         raise DataError(f"{path}: truncated pixel data")
@@ -78,9 +82,14 @@ def read_person_image(path: str | Path) -> np.ndarray:
     return pixels
 
 
+def to_unit_float(pixels: np.ndarray) -> np.ndarray:
+    """Stored uint8 pixels as float64 intensities in [0, 1]."""
+    return pixels.astype(np.float64) / PIXEL_MAX
+
+
 def load_image(path: str | Path) -> np.ndarray:
-    """Read a person image (`read_person_image`) and normalize to [0, 1] float64."""
-    return read_person_image(path).astype(np.float64) / 255.0
+    """Read a person image (`read_person_image`) as float64 in [0, 1]."""
+    return to_unit_float(read_person_image(path))
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +259,29 @@ def render_pedestrian(
     x0 = IMAGE_WIDTH // 8 + int(rng.integers(-8, 9))
     x1 = IMAGE_WIDTH - IMAGE_WIDTH // 8 + int(rng.integers(-8, 9))
     height = lower_px - upper_px
-    rows = np.arange(upper_px, lower_px)
-    t = (rows - upper_px + 0.5) / height  # position within pedestrian, (0,1)
+    t = (np.arange(height) + 0.5) / height  # position within pedestrian, (0,1)
     band = np.minimum((t * BANDS).astype(np.int64), BANDS - 1)
     within = t * BANDS - band
     pattern = 1.0 - PATTERN_DEPTH + PATTERN_DEPTH * np.cos(
         2.0 * np.pi * (band + 1) * within
     )
-    shade = pattern[:, None] * colors[band]  # (height, 3)
-    img[rows, x0:x1, :] = shade[:, None, :]
+    body = img[upper_px:lower_px, x0:x1]  # a view: writes land in img
+    body[...] = (pattern[:, None] * colors[band])[:, None, :]
     # gradient strips on both edges, so horizontal flips keep the cue in place
     tape = TAPE_LO + (TAPE_HI - TAPE_LO) * t
-    img[rows, x0 : x0 + TAPE_WIDTH, :] = tape[:, None, None]
-    img[rows, x1 - TAPE_WIDTH : x1, :] = tape[:, None, None]
-    img[rows, x0:x1, :] += rng.normal(0.0, 0.015, (height, x1 - x0, 3))
-    return np.clip(img, 0.0, 1.0)
+    body[:, :TAPE_WIDTH] = tape[:, None, None]
+    body[:, -TAPE_WIDTH:] = tape[:, None, None]
+    body += rng.normal(0.0, 0.015, body.shape)
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def to_uint8(img: np.ndarray) -> np.ndarray:
-    return np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    """Round float intensities to stored pixels, clipping to [0, 1] first.
+    `img` is used as scratch: it is left clipped, scaled and floored."""
+    np.clip(img, 0.0, 1.0, out=img)
+    img *= PIXEL_MAX
+    img += 0.5
+    return np.floor(img, out=img).astype(np.uint8)
 
 
 def parsing_pixel_counts(

@@ -17,7 +17,7 @@ import numpy as np
 from . import alignment, ops, tensorio
 from .alignment import MAP_HEIGHT, WINDOW_HEIGHT, granularity_height
 from .annotations import IMAGE_HEIGHT
-from .data import IMAGE_WIDTH
+from .data import IMAGE_WIDTH, PIXEL_MAX
 from .layers import (Block, ChannelAttention, Conv, Dense, SpatialChannelAttention,
                      init_weights)
 
@@ -64,8 +64,12 @@ class ModelConfig:
 class ToyBackbone(Block):
     """Five 3x3 conv stages (strides 2,2,2,2,1) mapping 384x128x3 to 24x8xC.
 
-    Inputs arrive in [0, 1] and are standardized with fixed constants so
-    activations start at a healthy scale when training from scratch.
+    Images arrive as stored uint8 pixels, or as float intensities in [0, 1]
+    (augmented training batches, calibration). Each image block is
+    standardized with fixed constants, so activations start at a healthy
+    scale when training from scratch, while it is written into the first
+    conv's padded input. uint8 pixels are divided by `data.PIXEL_MAX` first,
+    which gives the bits of standardizing `data.load_image`'s floats.
     """
 
     STRIDES = (2, 2, 2, 2, 1)
@@ -89,13 +93,19 @@ class ToyBackbone(Block):
     def _kernels(self) -> list[tuple]:
         return [(c.w.value, c.b.value, c.stride, c.padding) for c in self.convs]
 
-    def _stack(self, images: np.ndarray, keep: bool) -> list[np.ndarray]:
+    def _stack(self, images, keep: bool) -> list[np.ndarray]:
+        images = np.asarray(images)
         if images.ndim != 4 or images.shape[1:] != (IMAGE_HEIGHT, IMAGE_WIDTH, 3):
             raise ops.ShapeError(
                 f"backbone expects (B,{IMAGE_HEIGHT},{IMAGE_WIDTH},3), got {images.shape}"
             )
+        # the one place that tells stored pixels from float intensities
+        if images.dtype == np.uint8:
+            scale = PIXEL_MAX
+        else:
+            images, scale = ops.as_f64(images), None
         return ops.conv_relu_stack(images, self._kernels(), self.INPUT_MEAN, self.INPUT_STD,
-                                   keep)
+                                   keep, scale=scale)
 
     def features(self, images: np.ndarray) -> np.ndarray:
         """The feature map alone; no other whole-batch activation is made."""
@@ -383,12 +393,16 @@ class CdpmNetwork(Block):
 
     def backbone_forward(self, images: np.ndarray):
         """Feature map and the backbone activations its backward takes, for
-        a pass that runs the backbone's backward."""
-        return self.backbone.forward(ops.as_f64(images))
+        a pass that runs the backbone's backward. `images` are uint8 pixels
+        or float intensities in [0, 1] (see `ToyBackbone`)."""
+        return self.backbone.forward(images)
 
     def features(self, images: np.ndarray) -> np.ndarray:
-        """The backbone's feature map alone, for a pass with no backbone backward."""
-        return self.backbone.features(ops.as_f64(images))
+        """The backbone's feature map alone, for a pass with no backbone
+        backward. `images` (B, 384, 128, 3) are stored uint8 pixels or float
+        intensities in [0, 1]; the same image gives the same bits either
+        way, and no float copy of a uint8 batch is made."""
+        return self.backbone.features(images)
 
     def calibrate(self, images: np.ndarray) -> None:
         """Fit every normalization layer's statistics with one batch pass.
@@ -490,7 +504,8 @@ class CdpmNetwork(Block):
     def descriptor(
         self, images: np.ndarray, selection: alignment.SelectionConfig | None = None
     ) -> np.ndarray:
-        """Concatenated image representation, shape (B, descriptor_dim)."""
+        """Concatenated image representation, shape (B, descriptor_dim), of
+        uint8 pixels or [0, 1] float intensities (see `features`)."""
         if not self.initialized:
             raise NotInitializedError("parameters are neither initialized nor loaded")
         fmap = self.features(images)

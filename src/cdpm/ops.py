@@ -1,6 +1,7 @@
 """Differentiable array operators: forward passes and analytic backward passes.
 
-Every operator works on 64-bit float numpy arrays in row-major order. Spatial
+Every operator works on 64-bit float numpy arrays in row-major order
+(`conv_relu_stack` also reads integer pixels, given their scale). Spatial
 tensors are laid out (height, width, channels), optionally with one leading
 batch axis. Each `*_backward` function is the exact reverse-mode counterpart
 of its forward and is validated against central finite differences in the
@@ -395,8 +396,10 @@ def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
     at a time: a worker carries its block through every layer before it
     takes the next block.
 
-    `standardize` = (mean, std) maps each block to (x - mean) / std first,
-    written straight into the first layer's padded input. Returns every
+    `standardize` = (scale, mean, std) maps each block to
+    (x / scale - mean) / std first, or to (x - mean) / std when `scale` is
+    None, written straight into the first layer's padded input, so integer
+    `x` is converted block by block. Returns every
     layer's whole-batch input and the last output with `keep`, else only
     the last output, as a one-item list.
     """
@@ -425,8 +428,13 @@ def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
             if standardize is None:
                 inner[...] = x[i : i + n]
             else:
-                np.subtract(x[i : i + n], standardize[0], out=inner)
-                inner /= standardize[1]
+                scale, mean, std = standardize
+                if scale is None:
+                    np.subtract(x[i : i + n], mean, out=inner)
+                else:
+                    np.divide(x[i : i + n], scale, out=inner)
+                    inner -= mean
+                inner /= std
             if acts[0] is not None:
                 acts[0][i : i + n] = inner
             for k, (w, b, stride, _) in enumerate(kernels):
@@ -540,18 +548,19 @@ def conv2d(
 
 
 def conv_relu_stack(
-    x: np.ndarray, kernels, mean: float, std: float, keep: bool = False
+    x: np.ndarray, kernels, mean: float, std: float, keep: bool = False, *,
+    scale: float | None = None,
 ) -> list[np.ndarray]:
-    """Standardise (B, H, W, C) images as (x - mean) / std, then apply each
-    (w, b, stride, padding) of `kernels` as conv2d followed by relu, depth
-    first (see `_conv_stack`).
+    """Standardise (B, H, W, C) images as (x - mean) / std, after dividing
+    them by `scale` if one is given, then apply each (w, b, stride, padding)
+    of `kernels` as conv2d followed by relu, depth first (see `_conv_stack`).
 
     With `keep`, returns the standardised input and every layer's relu
     output, each over the whole batch, as `conv_relu_stack_backward` takes
     them; else only the last output, as a one-item list, and no other
     whole-batch array is made.
     """
-    return _conv_stack(x, kernels, relu=True, standardize=(mean, std), keep=keep)
+    return _conv_stack(x, kernels, relu=True, standardize=(scale, mean, std), keep=keep)
 
 
 def conv2d_backward(

@@ -33,13 +33,14 @@ def extract_descriptors(
     split: str,
     selection: alignment.SelectionConfig,
 ) -> dict[str, np.ndarray]:
-    """Descriptor per image of one split, in index order."""
+    """Descriptor per image of one split, in index order. The backbone reads
+    each chunk as stored uint8 pixels."""
     records = index.split(split)
     if not records:
         raise data.DataError(f"split {split!r} is empty")
     out: dict[str, np.ndarray] = {}
     for chunk in _batched(records, EXTRACT_BATCH):
-        images = np.stack([data.load_image(r.path) for r in chunk])
+        images = np.stack([data.read_person_image(r.path) for r in chunk])
         descs = net.descriptor(images, selection)
         for record, vec in zip(chunk, descs):
             out[record.image_id] = vec
@@ -100,7 +101,7 @@ def alignment_report(
                 usable.append((r, mode))
         if not usable:
             continue
-        images = np.stack([data.load_image(r.path) for r, _ in usable])
+        images = np.stack([data.read_person_image(r.path) for r, _ in usable])
         tops = net.part_tops(net.features(images), selection)
         for i, (record, mode) in enumerate(usable):
             layout = alignment.part_intervals(mode.upper, mode.lower, net.cfg.parts)

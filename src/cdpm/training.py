@@ -195,7 +195,11 @@ def build_train_items(
 
 
 class ImageStore:
-    """Lazy uint8 image cache keyed by path, holding at most LIMIT images."""
+    """Lazy uint8 image cache keyed by path, holding at most LIMIT images.
+
+    `load` hands out the stored pixels themselves, read-only; callers that
+    change an image work on a copy (`augment` always makes one).
+    """
 
     LIMIT = 8000
 
@@ -207,9 +211,10 @@ class ImageStore:
         cached = self._store.get(path)
         if cached is None:
             cached = data.read_person_image(path)
+            cached.flags.writeable = False
             if self.cache and len(self._store) < self.LIMIT:
                 self._store[path] = cached
-        return cached.astype(np.float64) / 255.0
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +236,7 @@ class Batch:
 
 
 def load_item_image(item: TrainItem, store: ImageStore) -> np.ndarray:
+    """The item's uint8 pixels, translated by its offline shift."""
     img = store.load(item.record.path)
     dy, dx = item.shift
     if (dy, dx) != (0, 0):
@@ -249,8 +255,9 @@ def _assemble(
 ) -> Batch:
     images = None
     if load_images:
+        # random erasing writes float noise, so augmented batches are float
         images = [
-            augment.apply_online(load_item_image(item, store), rng, aug)
+            augment.apply_online(data.to_unit_float(load_item_image(item, store)), rng, aug)
             for item in chosen
         ]
     labels = np.array([item.record.label for item in chosen], dtype=np.int64)
@@ -470,7 +477,8 @@ def _trainable(net: CdpmNetwork, stage: Stage):
 def _build_feature_cache(
     net: CdpmNetwork, items: list[TrainItem], store: ImageStore, batch_size: int
 ) -> np.ndarray:
-    """Frozen-backbone feature maps for every item, without online augmentation."""
+    """Frozen-backbone feature maps for every item, without online
+    augmentation, so the backbone reads each item's uint8 pixels."""
     maps = []
     for start in range(0, len(items), batch_size):
         chunk = items[start : start + batch_size]

@@ -446,13 +446,37 @@ def test_checkpoint_with_mgf_and_five_parts_is_data_error(tmp_path, capsys,
     assert "need 6 parts" in capsys.readouterr().err
 
 
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+#: bad image kind -> (how the first query image is spoiled, the cause named)
+BAD_IMAGES = {
+    "resized": (lambda path: data.write_ppm(path, data.read_ppm(path)[:200]),
+                "image is 128x200 pixels, expected 128x384"),
+    "truncated": (_truncate, "truncated pixel data"),
+    "not_ppm": (lambda path: path.write_bytes(b"GIF89a" + bytes(64)), "not a binary PPM"),
+    "empty": (lambda path: path.write_bytes(b""), "not a binary PPM"),
+    "maxval": (lambda path: path.write_bytes(b"P6\n128 384\n65535\n" + bytes(384 * 128 * 6)),
+               "unsupported max value 65535"),
+    "directory": (_directory, "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_IMAGES)
 @pytest.mark.parametrize("command", ["extract", "align"])
-def test_cli_wrong_size_image_is_data_error(tmp_path, capsys, extract_inputs, command):
+def test_cli_bad_image_is_data_error(tmp_path, capsys, extract_inputs, command, kind):
     bench, tensors = extract_inputs
     copy = tmp_path / "bench"
     shutil.copytree(bench, copy)
-    resized = data.load_dataset(copy).split("query")[0].path
-    data.write_ppm(resized, data.read_ppm(resized)[:200])
+    spoiled = data.load_dataset(copy).split("query")[0].path
+    spoil, cause = BAD_IMAGES[kind]
+    spoil(spoiled)
     checkpoint = tmp_path / "net.cdpm"
     tensorio.save_tensors(checkpoint, tensors)
     args = ["--split", "query"] if command == "extract" else []
@@ -461,7 +485,7 @@ def test_cli_wrong_size_image_is_data_error(tmp_path, capsys, extract_inputs, co
     assert rc == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error:"), err
-    assert f"{resized}: image is 128x200 pixels, expected 128x384" in err, err
+    assert str(spoiled) in err and cause in err, err
 
 
 @pytest.mark.parametrize("line,message", [

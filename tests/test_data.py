@@ -1,4 +1,6 @@
 """PPM IO, dataset indexing, and the synthetic generator's guarantees."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,13 @@ def test_ppm_roundtrip(tmp_path):
     floats = data.load_image(path)
     assert floats.dtype == np.float64
     assert floats.min() >= 0.0 and floats.max() <= 1.0
+
+
+def test_pixel_scale_roundtrip():
+    pixels = np.arange(data.PIXEL_MAX + 1, dtype=np.uint8)
+    floats = data.to_unit_float(pixels)
+    assert floats[0] == 0.0 and floats[-1] == 1.0
+    assert np.array_equal(data.to_uint8(floats), pixels)
 
 
 def test_ppm_rejects_bad_input(tmp_path):
@@ -172,3 +181,18 @@ def test_renderer_bands_identity_specific(bench):
     img1 = data.render_pedestrian(c1, 20, 360, np.random.default_rng(1), 0.3)
     img2 = data.render_pedestrian(c2, 20, 360, np.random.default_rng(1), 0.3)
     assert np.abs(img1 - img2).mean() > 0.05
+
+
+#: sha256 over the tiny bench's relative paths and file bytes: pins every
+#: RNG draw and rounding step of the generator
+TINY_BENCH_DIGEST = "b3dbbd5ec00c1905c230058e8bd78e14d3038e450e431b12e60961bf3fd1a891"
+
+
+def test_generated_tiny_bench_keeps_its_bytes(tiny_bench):
+    index, _ = tiny_bench
+    root = index.root
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == TINY_BENCH_DIGEST

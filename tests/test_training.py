@@ -1,4 +1,6 @@
 """Schedules, optimizer, augmentation, batch composition, and full runs."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -445,9 +447,9 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
     )
     stacks = []
 
-    def reference_stack(*args):
+    def reference_stack(*args, **kwargs):
         stacks.append(args[-1])
-        return conv_reference.conv_relu_stack(*args)
+        return conv_reference.conv_relu_stack(*args, **kwargs)
 
     monkeypatch.setattr(ops, "conv_relu_stack", reference_stack)
     monkeypatch.setattr(ops, "conv_relu_stack_backward", conv_reference.conv_relu_stack_backward)
@@ -491,6 +493,86 @@ def test_run_aborts_with_dump_when_loss_diverges(tiny_bench, tmp_path, monkeypat
     with pytest.raises(tr.TrainingDiverged, match="non-finite loss"):
         run_training(index, cfg, settings, tmp_path / "diverge")
     assert (tmp_path / "diverge" / "diverged.cdpm").exists()
+
+
+# ---------------------------------------------------------------------------
+# uint8 pixels into the backbone
+
+
+def calibrated_full_model(index):
+    net = CdpmNetwork(ModelConfig(classes=index.class_count, with_mgf=True),
+                      np.random.default_rng(6))
+    net.calibrate(np.stack([data.load_image(r.path) for r in index.split("train")[:8]]))
+    return net
+
+
+def test_uint8_pixels_give_the_bits_of_load_image_floats(tiny_bench):
+    """Stored pixels and `load_image` floats give the same backbone
+    activations, window picks and descriptors, bit for bit."""
+    index, _ = tiny_bench
+    net = calibrated_full_model(index)
+    records = index.split("query") + index.split("gallery")
+    pixels = np.stack([data.read_person_image(r.path) for r in records])
+    floats = np.stack([data.load_image(r.path) for r in records])
+    assert pixels.dtype == np.uint8
+    fmap = net.features(pixels)
+    assert np.array_equal(fmap, net.features(floats))
+    selection = alignment.SelectionConfig()
+    assert np.array_equal(net.part_tops(fmap, selection),
+                          net.part_tops(net.features(floats), selection))
+    assert np.array_equal(net.descriptor(pixels), net.descriptor(floats))
+    (got, got_acts), (want, want_acts) = (net.backbone_forward(x) for x in (pixels, floats))
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(g, w) for g, w in zip(got_acts, want_acts, strict=True))
+
+
+def test_feature_cache_reads_pixels_with_the_bits_of_floats(tiny_bench):
+    """Stage 2's feature cache over translated copies equals the backbone
+    run on each copy's float intensities."""
+    index, anns = tiny_bench
+    net = calibrated_full_model(index)
+    aug = AugmentationConfig(translation_copies=3)
+    items = build_train_items(index, anns, net.cfg, aug, np.random.default_rng(2))
+    assert any(item.shift != (0, 0) for item in items)
+    store = training.ImageStore()
+    cache = training._build_feature_cache(net, items, store, 16)
+    floats = np.stack([data.to_unit_float(training.load_item_image(item, store))
+                       for item in items])
+    assert np.array_equal(cache, net.features(floats))
+
+
+def test_image_store_hands_out_read_only_pixels(tiny_bench):
+    index, _ = tiny_bench
+    store = training.ImageStore()
+    path = index.split("train")[0].path
+    pixels = store.load(path)
+    assert pixels.dtype == np.uint8 and not pixels.flags.writeable
+    assert store.load(path) is pixels
+    assert np.array_equal(pixels, data.read_person_image(path))
+
+
+def test_extract_peak_memory_below_one_float_chunk(tiny_bench, monkeypatch):
+    """A full descriptor or alignment chunk of stored pixels stays uint8: each
+    call's traced peak is below the float64 copy of one chunk (~28 MB),
+    which alone the float path held twice."""
+    monkeypatch.setattr(ops, "WORKERS", 1)
+    index, anns = tiny_bench
+    net = calibrated_full_model(index)
+    assert len(index.split("train")) >= pipeline.EXTRACT_BATCH
+    float_chunk = pipeline.EXTRACT_BATCH * 384 * 128 * 3 * 8
+    selection = alignment.SelectionConfig()
+    runs = {
+        "extract": lambda: pipeline.extract_descriptors(net, index, "train", selection),
+        "align": lambda: pipeline.alignment_report(net, index, anns, ("train",), selection),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < float_chunk, f"{name}: peak {peak / 1e6:.1f} MB"
 
 
 @pytest.fixture(scope="module")
