@@ -1,8 +1,10 @@
 """Window geometry and label algebra for vertical part detection.
 
-All row coordinates are real-valued feature-map rows. Intervals are
-half-open [u, l). Window indices are 1-based; the window with index r
-covers rows [r - 1, r - 1 + h).
+All row coordinates are real-valued rows of the one MAP_HEIGHT-row feature
+map. Intervals are half-open [u, l). The stride-1 windows of height h have
+tops 0 .. MAP_HEIGHT - h; window index r is 1-based and covers rows
+[r - 1, r - 1 + h). Every function works on whole arrays of windows,
+parts or images at once.
 """
 from __future__ import annotations
 
@@ -15,61 +17,15 @@ MAP_HEIGHT = 24
 WINDOW_HEIGHT = 4
 NUM_PARTS = 6
 
+#: Number of stride-1 detection windows over the map.
+WINDOW_COUNT = MAP_HEIGHT - WINDOW_HEIGHT + 1
+
 GRANULARITIES = (2, 3, 4)
 
 
 def granularity_height(granularity: int) -> int:
     """Row height of every window of one granularity: the map split evenly."""
     return MAP_HEIGHT // granularity
-
-
-@dataclass(frozen=True)
-class SlidingWindow:
-    """One fixed-height window over the feature map."""
-
-    index: int  # 1-based
-    top: float
-    height: int
-
-    @property
-    def bottom(self) -> float:
-        return self.top + self.height
-
-    @property
-    def center(self) -> float:
-        return self.top + self.height / 2.0
-
-
-@dataclass(frozen=True)
-class WindowGrid:
-    """All stride-1 windows of a fixed height over a map of `map_height` rows."""
-
-    map_height: int
-    window_height: int
-    count: int = field(init=False)
-
-    def __post_init__(self):
-        if self.window_height > self.map_height:
-            raise ValueError(
-                f"window height {self.window_height} exceeds map height {self.map_height}"
-            )
-        object.__setattr__(self, "count", self.map_height - self.window_height + 1)
-
-    def window(self, index: int) -> SlidingWindow:
-        if not 1 <= index <= self.count:
-            raise ValueError(f"window index {index} outside 1..{self.count}")
-        return SlidingWindow(index=index, top=float(index - 1), height=self.window_height)
-
-    def windows(self) -> list[SlidingWindow]:
-        return [self.window(r) for r in range(1, self.count + 1)]
-
-    def centers(self) -> np.ndarray:
-        return np.arange(self.count) + self.window_height / 2.0
-
-
-def enumerate_windows(map_height: int, window_height: int) -> WindowGrid:
-    """Stride-1 grid of windows; count = map_height - window_height + 1."""
-    return WindowGrid(map_height=map_height, window_height=window_height)
 
 
 @dataclass(frozen=True)
@@ -97,12 +53,10 @@ class PartLayout:
             raise ValueError(f"part index {k} outside 1..{self.parts}")
         return self.boundaries[k - 1], self.boundaries[k]
 
-    def center(self, k: int) -> float:
-        u, l = self.interval(k)
-        return (u + l) / 2.0
-
     def centers(self) -> np.ndarray:
-        return np.array([self.center(k) for k in range(1, self.parts + 1)])
+        """Center row of every part, (K,)."""
+        b = np.array(self.boundaries)
+        return (b[:-1] + b[1:]) / 2.0
 
 
 def part_intervals(upper: float, lower: float, parts: int) -> PartLayout:
@@ -110,11 +64,11 @@ def part_intervals(upper: float, lower: float, parts: int) -> PartLayout:
     return PartLayout(upper=float(upper), lower=float(lower), parts=parts)
 
 
-def uniform_layout(map_height: int, parts: int) -> PartLayout:
-    """Partition of the whole map: part_intervals(0, map_height, parts)."""
-    if parts > map_height:
-        raise ValueError(f"cannot split {map_height} rows into {parts} parts")
-    return part_intervals(0.0, float(map_height), parts)
+def uniform_layout(parts: int) -> PartLayout:
+    """Partition of the whole map: part_intervals(0, MAP_HEIGHT, parts)."""
+    if parts > MAP_HEIGHT:
+        raise ValueError(f"cannot split {MAP_HEIGHT} rows into {parts} parts")
+    return part_intervals(0.0, float(MAP_HEIGHT), parts)
 
 
 def overlap_length(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -122,25 +76,34 @@ def overlap_length(a: tuple[float, float], b: tuple[float, float]) -> float:
     return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
 
 
-def soft_labels(window: SlidingWindow, layout: PartLayout) -> np.ndarray:
-    """Per-window ground-truth probabilities over K parts plus background.
+def _window_tops(height: int) -> np.ndarray:
+    """Top rows of the stride-1 windows of `height` rows, as floats, (R,)."""
+    return np.arange(MAP_HEIGHT - height + 1, dtype=np.float64)
 
-    Entry k (k < K) is the fraction of the window covered by part k+1;
-    the last entry is the uncovered remainder. Entries are in [0, 1] and
-    sum to 1.
+
+def _overlaps(lo, hi, other_lo, other_hi) -> np.ndarray:
+    """`overlap_length` of [lo, hi) and [other_lo, other_hi), broadcast."""
+    return np.maximum(np.minimum(hi, other_hi) - np.maximum(lo, other_lo), 0.0)
+
+
+def _overlap(layout: PartLayout, height: int) -> np.ndarray:
+    """Rows each window of `height` rows (axis 0) shares with each part
+    (axis 1), (R, K)."""
+    tops = _window_tops(height)[:, None]
+    b = np.array(layout.boundaries)
+    return _overlaps(b[:-1], b[1:], tops, tops + height)
+
+
+def soft_label_matrix(layout: PartLayout) -> np.ndarray:
+    """Ground-truth probabilities of every detection window, (R, K + 1).
+
+    Column k - 1 is the fraction of the window covered by part k; the last
+    column is the uncovered remainder (background). Entries are in [0, 1]
+    and each row sums to 1.
     """
-    k = layout.parts
-    y = np.zeros(k + 1)
-    span = (window.top, window.bottom)
-    for j in range(1, k + 1):
-        y[j - 1] = overlap_length(layout.interval(j), span) / window.height
-    y[k] = max(0.0, 1.0 - y[:k].sum())
-    return y
-
-
-def soft_label_matrix(grid: WindowGrid, layout: PartLayout) -> np.ndarray:
-    """Soft labels for every window of the grid, shape (R, K + 1)."""
-    return np.stack([soft_labels(w, layout) for w in grid.windows()])
+    y = _overlap(layout, WINDOW_HEIGHT) / WINDOW_HEIGHT
+    background = np.maximum(1.0 - y.sum(axis=1), 0.0)
+    return np.concatenate([y, background[:, None]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -156,13 +119,25 @@ class OffsetTarget:
     mask: np.ndarray  # (R, K), {0.0, 1.0}
 
 
-def offset_targets(grid: WindowGrid, layout: PartLayout) -> OffsetTarget:
-    """Normalized center offsets and the |offset| < 1 inclusion mask."""
-    window_centers = grid.centers()
-    part_centers = layout.centers()
-    offsets = (part_centers[None, :] - window_centers[:, None]) / grid.window_height
+def offset_targets(layout: PartLayout) -> OffsetTarget:
+    """Normalized center offsets of every detection window and the
+    |offset| < 1 inclusion mask."""
+    window_centers = _window_tops(WINDOW_HEIGHT) + WINDOW_HEIGHT / 2.0
+    offsets = (layout.centers()[None, :] - window_centers[:, None]) / WINDOW_HEIGHT
     mask = (np.abs(offsets) < 1.0).astype(np.float64)
     return OffsetTarget(offsets=offsets, mask=mask)
+
+
+def layout_tops(layout: PartLayout, height: int) -> np.ndarray:
+    """Top row of each part's window of `height` rows, (K,): the window
+    that overlaps the part most, the smaller top on a tie."""
+    return np.argmax(_overlap(layout, height), axis=0)
+
+
+def uniform_tops(parts: int, height: int) -> np.ndarray:
+    """Window tops of the uniform division into `parts`, (parts,): the one
+    definition every branch's uniform window reads."""
+    return layout_tops(uniform_layout(parts), height)
 
 
 @dataclass(frozen=True)
@@ -178,62 +153,28 @@ class SelectionConfig:
 
 def select_window(
     scores: np.ndarray, offsets: np.ndarray, cfg: SelectionConfig
-) -> int:
-    """Pick the window for one part from per-window scores and predicted offsets.
+) -> np.ndarray:
+    """Pick one window along the last axis of per-window scores and
+    predicted offsets, of any matching shape.
 
     If at least two windows score above the threshold, the one with the
     smallest |offset| among them wins; otherwise the highest-scoring window
-    wins. Ties go to the smaller window index. Returns a 1-based index.
+    wins. Ties go to the smaller window index. Returns 1-based indices of
+    shape scores.shape[:-1].
     """
     scores = np.asarray(scores, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
-    if scores.shape != offsets.shape or scores.ndim != 1:
+    if scores.shape != offsets.shape or scores.ndim < 1:
         raise ValueError(f"scores {scores.shape} and offsets {offsets.shape} must match")
-    above = np.flatnonzero(scores > cfg.threshold)
-    if above.size >= 2:
-        best = above[np.argmin(np.abs(offsets[above]))]
-    else:
-        best = int(np.argmax(scores))
-    return int(best) + 1
+    above = scores > cfg.threshold
+    nearest = np.argmin(np.where(above, np.abs(offsets), np.inf), axis=-1)
+    best = np.where(above.sum(axis=-1) >= 2, nearest, np.argmax(scores, axis=-1))
+    return best + 1
 
 
-def best_overlap_window(grid: WindowGrid, interval: tuple[float, float]) -> int:
-    """1-based index of the window with maximal overlap with `interval`.
-
-    Ties resolve to the smaller index (argmax on exact overlap values).
-    """
-    overlaps = [
-        overlap_length(interval, (w.top, w.bottom)) for w in grid.windows()
-    ]
-    return int(np.argmax(overlaps)) + 1
-
-
-def layout_tops(layout: PartLayout, window_height: int) -> np.ndarray:
-    """Top row of each part's window: its best-overlap window over the map, (K,)."""
-    grid = enumerate_windows(MAP_HEIGHT, window_height)
-    return np.array(
-        [best_overlap_window(grid, layout.interval(k)) - 1 for k in range(1, layout.parts + 1)],
-        dtype=np.int64,
-    )
-
-
-@dataclass(frozen=True)
-class GranularityWindow:
-    """A derived part window of a coarser granularity."""
-
-    center: float
-    height: int
-    top: int  # integer row after rounding and clamping
-
-    @property
-    def bottom(self) -> int:
-        return self.top + self.height
-
-
-def infer_granularity_layout(
-    selected_centers: np.ndarray, granularity: int, map_height: int = MAP_HEIGHT
-) -> list[GranularityWindow]:
-    """Derive coarser part windows from the K = 6 detected part centers.
+def infer_granularity_layout(centers: np.ndarray, granularity: int) -> np.ndarray:
+    """Window tops of a coarser granularity from K = 6 detected part
+    centers per image: (B, 6) -> (B, granularity) integer rows.
 
     Part j of granularity g covers the base-part index range
     [(j-1) * 6/g, j * 6/g); its center is the mean of the base centers
@@ -243,21 +184,18 @@ def infer_granularity_layout(
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity {granularity} not in {GRANULARITIES}")
-    centers = np.asarray(selected_centers, dtype=np.float64)
-    if centers.shape != (NUM_PARTS,):
-        raise ValueError(f"expected {NUM_PARTS} centers, got shape {centers.shape}")
-    if np.any(centers < 0) or np.any(centers >= map_height):
-        raise ValueError("centers must lie in [0, map_height)")
+    centers = np.asarray(centers, dtype=np.float64)
+    if centers.ndim != 2 or centers.shape[1] != NUM_PARTS:
+        raise ValueError(f"expected (B, {NUM_PARTS}) centers, got shape {centers.shape}")
+    if np.any(centers < 0) or np.any(centers >= MAP_HEIGHT):
+        raise ValueError(f"centers must lie in [0, {MAP_HEIGHT})")
     height = granularity_height(granularity)
     span = NUM_PARTS / granularity
-    out = []
-    for j in range(granularity):
-        lo, hi = j * span, (j + 1) * span
-        weights = np.array(
-            [overlap_length((lo, hi), (i, i + 1.0)) for i in range(NUM_PARTS)]
-        )
-        center = float(weights @ centers / weights.sum())
-        top = int(np.floor(center - height / 2.0 + 0.5))
-        top = min(max(top, 0), map_height - height)
-        out.append(GranularityWindow(center=center, height=height, top=top))
-    return out
+    j = np.arange(granularity)[:, None]
+    base = np.arange(NUM_PARTS, dtype=np.float64)  # base part i spans [i, i + 1)
+    weights = _overlaps(j * span, (j + 1) * span, base, base + 1.0)
+    # detected centers are integer tops + 2 and the weights 1 or 0.5, so the
+    # weighted sums are exact whatever order the product adds them in
+    center = centers @ weights.T / weights.sum(axis=1)
+    tops = np.floor(center - height / 2.0 + 0.5).astype(np.int64)
+    return np.clip(tops, 0, MAP_HEIGHT - height)

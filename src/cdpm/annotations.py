@@ -65,14 +65,9 @@ def detect_part_missing(
     return ann.head_pixels < threshold or ann.lower_pixels < threshold
 
 
-def to_feature_rows(
-    upper_px: float,
-    lower_px: float,
-    image_height: int = IMAGE_HEIGHT,
-    map_height: int = MAP_HEIGHT,
-) -> tuple[float, float]:
+def to_feature_rows(upper_px: float, lower_px: float) -> tuple[float, float]:
     """Convert pixel boundaries to real-valued feature-map rows."""
-    scale = image_height / map_height
+    scale = IMAGE_HEIGHT / MAP_HEIGHT
     return upper_px / scale, lower_px / scale
 
 

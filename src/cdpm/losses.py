@@ -2,7 +2,7 @@
 and the batch-hard triplet term.
 
 Every `*_with_grad` function returns `(loss, gradient)` where the gradient
-is taken w.r.t. the predictions; the plain function returns the loss alone.
+is taken w.r.t. the predictions.
 All reductions follow fixed summation order, so results are deterministic.
 """
 from __future__ import annotations
@@ -76,10 +76,6 @@ def part_softmax_loss_with_grad(
     return float(loss), grad / n
 
 
-def part_softmax_loss(scores: np.ndarray, labels: np.ndarray) -> float:
-    return part_softmax_loss_with_grad(scores, labels)[0]
-
-
 # ---------------------------------------------------------------------------
 # window classification
 
@@ -102,10 +98,6 @@ def window_classification_loss_with_grad(
     loss = -elementwise.sum() / (n * r)
     grad = -(truth / p - (1.0 - truth) / (1.0 - p)) / (n * r)
     return float(loss), grad
-
-
-def window_classification_loss(pred: np.ndarray, truth: np.ndarray) -> float:
-    return window_classification_loss_with_grad(pred, truth)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +125,6 @@ def regression_loss_with_grad(
     loss = float((diff * diff).sum() / (2.0 * count))
     grad = (pred - truth) * mask / count
     return loss, grad
-
-
-def regression_loss(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
-    return regression_loss_with_grad(pred, truth, mask)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +205,3 @@ def batch_hard_triplet_loss_with_grad(
         grad[i] -= 2.0 * scale * (emb[i] - emb[q])
         grad[q] += 2.0 * scale * (emb[i] - emb[q])
     return loss, grad
-
-
-def batch_hard_triplet_loss(
-    embeddings: np.ndarray, identities: np.ndarray, cfg: TripletConfig = TripletConfig()
-) -> float:
-    return batch_hard_triplet_loss_with_grad(embeddings, identities, cfg)[0]

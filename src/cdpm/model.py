@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alignment, ops, tensorio
-from .alignment import MAP_HEIGHT, WINDOW_HEIGHT, granularity_height
+from .alignment import MAP_HEIGHT, WINDOW_COUNT, WINDOW_HEIGHT, granularity_height
 from .annotations import IMAGE_HEIGHT
 from .data import IMAGE_WIDTH, PIXEL_MAX
 from .layers import (Block, ChannelAttention, Conv, Dense, SpatialChannelAttention,
@@ -103,7 +103,7 @@ class ToyBackbone(Block):
         if images.dtype == np.uint8:
             scale = PIXEL_MAX
         else:
-            images, scale = ops.as_f64(images), None
+            images, scale = ops.as_f64(images), 1.0
         return ops.conv_relu_stack(images, self._kernels(), self.INPUT_MEAN, self.INPUT_STD,
                                    keep, scale=scale)
 
@@ -275,7 +275,6 @@ class CdpmNetwork(Block):
         self.initialized = rng is not None
         self.backbone = self._child(ToyBackbone(cfg.backbone_channels))
         c = self.backbone.out_channels
-        self.grid = alignment.enumerate_windows(MAP_HEIGHT, WINDOW_HEIGHT)
         self.part_branches = [
             self._child(PartBranch(f"part{k}", cfg, c))
             for k in range(1, cfg.parts + 1)
@@ -424,14 +423,13 @@ class CdpmNetwork(Block):
 
     def window_vectors(self, fmap: np.ndarray):
         """Pooled vector per sliding window: (B, R, C)."""
-        h = self.grid.window_height
-        vecs = [fmap[:, r : r + h].mean(axis=(1, 2)) for r in range(self.grid.count)]
+        vecs = [fmap[:, r : r + WINDOW_HEIGHT].mean(axis=(1, 2)) for r in range(WINDOW_COUNT)]
         return np.stack(vecs, axis=1)
 
     def window_vectors_backward(self, fmap_shape, grad_vecs: np.ndarray) -> np.ndarray:
         g = np.zeros(fmap_shape)
-        h, w = self.grid.window_height, fmap_shape[2]
-        for r in range(self.grid.count):
+        h, w = WINDOW_HEIGHT, fmap_shape[2]
+        for r in range(WINDOW_COUNT):
             g[:, r : r + h] += grad_vecs[:, r][:, None, None, :] / (h * w)
         return g
 
@@ -453,22 +451,18 @@ class CdpmNetwork(Block):
     def select_part_windows(
         self, scores: np.ndarray, offsets: np.ndarray, selection: alignment.SelectionConfig
     ) -> np.ndarray:
-        """Per-image 1-based window index for each part. scores: (B, R, K+1)."""
-        b = scores.shape[0]
-        picks = np.zeros((b, self.cfg.parts), dtype=np.int64)
-        for i in range(b):
-            for k in range(self.cfg.parts):
-                picks[i, k] = alignment.select_window(
-                    scores[i, :, k], offsets[i, :, k], selection
-                )
-        return picks
+        """Per-image 1-based window index for each part, (B, K), from scores
+        (B, R, K+1), whose column k - 1 is part k, and offsets (B, R, K)."""
+        parts = self.cfg.parts
+        return alignment.select_window(
+            scores[..., :parts].swapaxes(1, 2), offsets.swapaxes(1, 2), selection
+        )
 
     def uniform_tops(self, batch: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """Uniform-division window tops: parts (B, K) and each granularity (B, g)."""
 
         def tiled(parts: int, height: int) -> np.ndarray:
-            layout = alignment.uniform_layout(MAP_HEIGHT, parts)
-            return np.tile(alignment.layout_tops(layout, height), (batch, 1))
+            return np.tile(alignment.uniform_tops(parts, height), (batch, 1))
 
         gran = {g: tiled(g, granularity_height(g)) for g in self.granularity_branches}
         return tiled(self.cfg.parts, WINDOW_HEIGHT), gran
@@ -513,9 +507,7 @@ class CdpmNetwork(Block):
         # coarser windows follow the part windows the image actually uses
         centers = part_tops + WINDOW_HEIGHT / 2.0
         gran_tops = {
-            g: np.array([[w.top for w in alignment.infer_granularity_layout(c, g)]
-                         for c in centers], dtype=np.int64)
-            for g in self.granularity_branches
+            g: alignment.infer_granularity_layout(centers, g) for g in self.granularity_branches
         }
         pieces = self._branch_features(fmap, part_tops, gran_tops)
         if self.holistic is not None:

@@ -18,7 +18,7 @@ import numpy as np
 BN_EPS = 1e-5
 
 #: Target bytes of one block of a batch-blocked pass (a convolution's patch
-#: matrix, a relu mask); a block holds at least one image.
+#: matrix); a block holds at least one image.
 BLOCK_BYTES = 2**22
 
 
@@ -195,17 +195,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """grad_out * (x > 0), masked in leading-axis blocks so the boolean mask
-    never exists at full size; grad_out is left untouched."""
-    gx = np.empty(grad_out.shape)
-    step = _block_images(len(gx), 8 * (gx[0].size or 1))
-
-    def mask(starts):
-        for i in starts:
-            np.multiply(grad_out[i : i + step], x[i : i + step] > 0.0, out=gx[i : i + step])
-
-    _run_blocks(mask, len(gx), step)
-    return gx
+    return grad_out * (x > 0.0)
 
 
 def l2_normalize(x: np.ndarray) -> np.ndarray:
@@ -397,9 +387,8 @@ def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
     takes the next block.
 
     `standardize` = (scale, mean, std) maps each block to
-    (x / scale - mean) / std first, or to (x - mean) / std when `scale` is
-    None, written straight into the first layer's padded input, so integer
-    `x` is converted block by block. Returns every
+    (x / scale - mean) / std first, written straight into the first layer's
+    padded input, so integer `x` is converted block by block. Returns every
     layer's whole-batch input and the last output with `keep`, else only
     the last output, as a one-item list.
     """
@@ -429,11 +418,8 @@ def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
                 inner[...] = x[i : i + n]
             else:
                 scale, mean, std = standardize
-                if scale is None:
-                    np.subtract(x[i : i + n], mean, out=inner)
-                else:
-                    np.divide(x[i : i + n], scale, out=inner)
-                    inner -= mean
+                np.divide(x[i : i + n], scale, out=inner)
+                inner -= mean
                 inner /= std
             if acts[0] is not None:
                 acts[0][i : i + n] = inner
@@ -549,11 +535,12 @@ def conv2d(
 
 def conv_relu_stack(
     x: np.ndarray, kernels, mean: float, std: float, keep: bool = False, *,
-    scale: float | None = None,
+    scale: float = 1.0,
 ) -> list[np.ndarray]:
-    """Standardise (B, H, W, C) images as (x - mean) / std, after dividing
-    them by `scale` if one is given, then apply each (w, b, stride, padding)
-    of `kernels` as conv2d followed by relu, depth first (see `_conv_stack`).
+    """Standardise (B, H, W, C) images as (x / scale - mean) / std (the
+    default scale 1.0 divides exactly), then apply each (w, b, stride,
+    padding) of `kernels` as conv2d followed by relu, depth first (see
+    `_conv_stack`).
 
     With `keep`, returns the standardised input and every layer's relu
     output, each over the whole batch, as `conv_relu_stack_backward` takes

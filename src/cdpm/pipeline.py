@@ -14,7 +14,7 @@ import numpy as np
 from . import alignment, data, evaluate
 from .annotations import BoundaryAnnotation, load_annotations, supervision_mode
 from .config import Config
-from .model import MAP_HEIGHT, WINDOW_HEIGHT, CdpmNetwork
+from .model import WINDOW_HEIGHT, CdpmNetwork
 from .training import run_training
 
 log = logging.getLogger(__name__)
@@ -89,15 +89,14 @@ def alignment_report(
     that case). `uniform_iou` scores the uniform part interval itself.
     """
     selection = selection or alignment.SelectionConfig()
-    uniform = alignment.uniform_layout(MAP_HEIGHT, net.cfg.parts)
+    uniform = alignment.uniform_layout(net.cfg.parts)
     records = [r for split in splits for r in index.split(split)]
     rows: list[AlignmentRow] = []
     for chunk in _batched(records, EXTRACT_BATCH):
         usable = []
         for r in chunk:
-            ann = annotations.get(r.image_id)
-            mode = supervision_mode(ann) if ann is not None else None
-            if mode is not None and mode.is_aligned:
+            mode = supervision_mode(annotations.get(r.image_id))
+            if mode.is_aligned:
                 usable.append((r, mode))
         if not usable:
             continue

@@ -20,14 +20,7 @@ from . import alignment, augment, data, losses
 from .annotations import BoundaryAnnotation, load_annotations, supervision_mode
 from .augment import AugmentationConfig
 from .losses import LossWeights, TripletConfig
-from .model import (
-    MAP_HEIGHT,
-    WINDOW_HEIGHT,
-    CdpmNetwork,
-    ModelConfig,
-    gather_windows,
-    scatter_window_grad,
-)
+from .model import WINDOW_HEIGHT, CdpmNetwork, ModelConfig, gather_windows, scatter_window_grad
 
 log = logging.getLogger(__name__)
 
@@ -134,12 +127,9 @@ def build_train_items(
     annotation passes the part-missing check; otherwise the image trains
     with uniform part locations and is excluded from the detection losses.
     """
-    grid = alignment.enumerate_windows(MAP_HEIGHT, WINDOW_HEIGHT)
-    uniform = alignment.uniform_layout(MAP_HEIGHT, model_cfg.parts)
-    uniform_tops = alignment.layout_tops(uniform, WINDOW_HEIGHT)
+    uniform_tops = alignment.uniform_tops(model_cfg.parts, WINDOW_HEIGHT)
     uniform_gran = {
-        g: alignment.layout_tops(alignment.uniform_layout(MAP_HEIGHT, g),
-                                 alignment.granularity_height(g))
+        g: alignment.uniform_tops(g, alignment.granularity_height(g))
         for g in alignment.GRANULARITIES
     }
     items: list[TrainItem] = []
@@ -152,11 +142,10 @@ def build_train_items(
                 shifted = BoundaryAnnotation(
                     ann.image_id, u, v, ann.head_pixels, ann.lower_pixels, ann.source
                 )
-            mode = supervision_mode(shifted) if shifted is not None else None
-            aligned = bool(model_cfg.with_alignment and mode is not None and mode.is_aligned)
-            if aligned:
+            mode = supervision_mode(shifted)
+            if model_cfg.with_alignment and mode.is_aligned:
                 layout = alignment.part_intervals(mode.upper, mode.lower, model_cfg.parts)
-                target = alignment.offset_targets(grid, layout)
+                target = alignment.offset_targets(layout)
                 gran = None
                 if model_cfg.with_mgf:
                     gran = {
@@ -173,7 +162,7 @@ def build_train_items(
                         aligned=True,
                         part_tops=alignment.layout_tops(layout, WINDOW_HEIGHT),
                         gran_tops=gran,
-                        soft=alignment.soft_label_matrix(grid, layout),
+                        soft=alignment.soft_label_matrix(layout),
                         offsets=target.offsets,
                         mask=target.mask,
                     )

@@ -118,11 +118,11 @@ def conv2d_backward(
     return gxp, gw, gb
 
 
-def conv_relu_stack(x, kernels, mean, std, keep=False, *, scale=None):
+def conv_relu_stack(x, kernels, mean, std, keep=False, *, scale=1.0):
     """Whole-batch, layer-by-layer counterpart of `cdpm.ops.conv_relu_stack`:
     standardise, then conv2d and relu per layer, as the backbone's forward
     did before it ran depth first."""
-    a = x - mean if scale is None else x / scale - mean
+    a = x / scale - mean
     a /= std
     acts = [a]
     for w, b, stride, padding in kernels:

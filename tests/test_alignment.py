@@ -1,4 +1,5 @@
 """Window geometry, soft labels, offsets, selection, and granularity layouts."""
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from cdpm import alignment as al
 from cdpm.annotations import BoundaryAnnotation, supervision_mode
+from cdpm.model import CdpmNetwork, ModelConfig
 
 
 def exact_overlap(a, b) -> float:
@@ -20,23 +22,22 @@ def exact_overlap(a, b) -> float:
 
 
 def test_enumerate_windows_full_model_geometry():
-    grid = al.enumerate_windows(24, 4)
-    assert grid.count == 21
-    assert grid.window(1).top == 0 and grid.window(21).top == 20
-    assert all(w.bottom <= 24 for w in grid.windows())
-
-
-def test_enumerate_windows_degenerate_and_generic():
-    grid = al.enumerate_windows(4, 4)
-    assert grid.count == 1 and grid.window(1).top == 0 and grid.window(1).bottom == 4
-    grid = al.enumerate_windows(10, 3)
-    assert grid.count == 8
-    assert [w.top for w in grid.windows()] == list(map(float, range(8)))
+    """The detection windows are the 21 stride-1 windows of 4 rows over the
+    24-row map: window r covers rows [r - 1, r + 3)."""
+    assert al.WINDOW_COUNT == 21
+    layout = al.part_intervals(0, 24, 6)
+    labels = al.soft_label_matrix(layout)
+    assert labels.shape == (21, 7)
+    np.testing.assert_array_equal(labels[0], [1, 0, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(labels[20], [0, 0, 0, 0, 0, 1, 0])
+    # part 1's center (row 2) minus each window's center, in window heights
+    window_centers = 2.0 - 4.0 * al.offset_targets(layout).offsets[:, 0]
+    np.testing.assert_array_equal(window_centers, np.arange(21) + 2.0)
 
 
 def test_enumerate_windows_rejects_oversized_window():
     with pytest.raises(ValueError):
-        al.enumerate_windows(3, 4)
+        al.layout_tops(al.part_intervals(0, 24, 2), 25)
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,7 @@ def test_part_intervals_whole_map():
     layout = al.part_intervals(0, 24, 6)
     for k in range(1, 7):
         assert layout.interval(k) == (4.0 * (k - 1), 4.0 * k)
+    np.testing.assert_array_equal(layout.centers(), [2, 6, 10, 14, 18, 22])
 
 
 def test_part_intervals_annotated_region():
@@ -63,11 +65,12 @@ def test_part_intervals_single_part_and_rejection():
 
 
 def test_uniform_layout():
-    layout = al.uniform_layout(24, 6)
+    layout = al.uniform_layout(6)
     assert [layout.interval(k) for k in (1, 6)] == [(0.0, 4.0), (20.0, 24.0)]
-    assert al.uniform_layout(24, 2).interval(2) == (12.0, 24.0)
-    heights = np.diff(al.uniform_layout(23, 6).boundaries)
-    np.testing.assert_allclose(heights, 23 / 6)
+    assert al.uniform_layout(2).interval(2) == (12.0, 24.0)
+    np.testing.assert_allclose(np.diff(al.uniform_layout(7).boundaries), 24 / 7)
+    with pytest.raises(ValueError):
+        al.uniform_layout(25)
 
 
 def test_layout_tiles_without_gaps():
@@ -87,15 +90,13 @@ def test_layout_tiles_without_gaps():
 
 def test_soft_labels_half_half_split():
     layout = al.part_intervals(0, 24, 6)
-    window = al.SlidingWindow(index=3, top=2.0, height=4)
-    y = al.soft_labels(window, layout)
+    y = al.soft_label_matrix(layout)[2]  # window 3, rows [2, 6)
     np.testing.assert_allclose(y, [0.5, 0.5, 0, 0, 0, 0, 0])
 
 
 def test_soft_labels_with_background():
     layout = al.part_intervals(2, 20, 6)
-    window = al.SlidingWindow(index=1, top=0.0, height=4)
-    y = al.soft_labels(window, layout)
+    y = al.soft_label_matrix(layout)[0]  # window 1, rows [0, 4)
     np.testing.assert_allclose(y[0], 0.5)
     np.testing.assert_allclose(y[6], 0.5)
     np.testing.assert_allclose(y[1:6], 0.0)
@@ -103,38 +104,35 @@ def test_soft_labels_with_background():
 
 def test_soft_labels_one_hot_inside_part():
     layout = al.part_intervals(0, 24, 3)  # parts of height 8
-    window = al.SlidingWindow(index=10, top=9.0, height=4)  # inside part 2
-    y = al.soft_labels(window, layout)
+    y = al.soft_label_matrix(layout)[9]  # window 10, rows [9, 13): inside part 2
     np.testing.assert_array_equal(y, [0, 1, 0, 0])
 
 
 def test_soft_labels_random_layouts_match_interval_oracle():
     rng = np.random.default_rng(11)
-    grid = al.enumerate_windows(24, 4)
     for _ in range(500):
         u = rng.uniform(0, 12)
         v = rng.uniform(u + 1, 24)
         k = int(rng.integers(1, 9))
         layout = al.part_intervals(u, v, k)
-        for w in grid.windows():
-            y = al.soft_labels(w, layout)
-            assert abs(y.sum() - 1.0) < 1e-12
-            assert np.all(y >= 0) and np.all(y <= 1)
+        labels = al.soft_label_matrix(layout)
+        assert labels.shape == (21, k + 1)
+        assert np.all(np.abs(labels.sum(axis=1) - 1.0) < 1e-12)
+        assert np.all(labels >= 0) and np.all(labels <= 1)
+        for r, y in enumerate(labels):
             for j in range(1, k + 1):
-                want = exact_overlap(layout.interval(j), (w.top, w.bottom)) / 4.0
+                want = exact_overlap(layout.interval(j), (r, r + 4)) / 4.0
                 assert y[j - 1] == want
 
 
 def test_window_coverage_sums_to_height_times_length():
-    # Every row in [h-1, H-h+1] is covered by exactly h windows.
-    grid = al.enumerate_windows(24, 4)
+    # Every row in [h-1, H-h+1] is covered by exactly h windows, so a part
+    # there is covered h times its length; a label is coverage / h.
     layout = al.part_intervals(5.3, 19.1, 4)
+    labels = al.soft_label_matrix(layout)
     for k in range(1, 5):
         u, l = layout.interval(k)
-        total = sum(
-            al.overlap_length((u, l), (w.top, w.bottom)) for w in grid.windows()
-        )
-        np.testing.assert_allclose(total, 4 * (l - u))
+        np.testing.assert_allclose(labels[:, k - 1].sum(), l - u)
 
 
 # ---------------------------------------------------------------------------
@@ -142,39 +140,36 @@ def test_window_coverage_sums_to_height_times_length():
 
 
 def test_offset_targets_coincident_centers():
-    grid = al.enumerate_windows(24, 4)
     layout = al.part_intervals(0, 24, 6)
-    target = al.offset_targets(grid, layout)
+    target = al.offset_targets(layout)
+    assert target.offsets.shape == target.mask.shape == (21, 6)
     assert target.offsets[0, 0] == 0.0
     assert target.mask[0, 0] == 1.0
 
 
 def test_offset_targets_hand_value():
-    grid = al.enumerate_windows(24, 4)
     layout = al.part_intervals(2, 20, 6)
-    target = al.offset_targets(grid, layout)
+    target = al.offset_targets(layout)
     # part 1 center 3.5, window 1 center 2 -> (3.5 - 2) / 4
     np.testing.assert_allclose(target.offsets[0, 0], 0.375)
 
 
 def test_offset_targets_mask_excludes_far_windows():
-    grid = al.enumerate_windows(24, 4)
     layout = al.part_intervals(8, 16, 1)  # part center 12
-    target = al.offset_targets(grid, layout)
+    target = al.offset_targets(layout)
     # window 1 center 2: offset (12-2)/4 = 2.5 -> masked out
     assert target.offsets[0, 0] == 2.5
     assert target.mask[0, 0] == 0.0
 
 
 def test_offset_targets_translation_equivariance():
-    grid = al.enumerate_windows(24, 4)
     rng = np.random.default_rng(5)
     for _ in range(50):
         u = rng.uniform(0, 8)
         v = rng.uniform(u + 2, 16)
         delta = rng.uniform(0, 7)
-        base = al.offset_targets(grid, al.part_intervals(u, v, 6))
-        shifted = al.offset_targets(grid, al.part_intervals(u + delta, v + delta, 6))
+        base = al.offset_targets(al.part_intervals(u, v, 6))
+        shifted = al.offset_targets(al.part_intervals(u + delta, v + delta, 6))
         np.testing.assert_allclose(
             shifted.offsets - base.offsets, delta / 4.0, atol=1e-12
         )
@@ -207,19 +202,32 @@ def test_select_window_spec_cases():
     assert al.select_window([0.5, 0.6, 0.3], [0.9, 0.0, 0.0], cfg) == 2
     # single window above threshold wins regardless of offset
     assert al.select_window([0.9, 0.2, 0.1], [0.99, 0.0, 0.0], cfg) == 1
+    # one pick per leading index, windows along the last axis
+    picks = al.select_window(
+        [[0.7, 0.65, 0.4], [0.5, 0.6, 0.3]], [[0.3, -0.1, 0.0], [0.9, 0.0, 0.0]], cfg
+    )
+    np.testing.assert_array_equal(picks, [2, 2])
+    with pytest.raises(ValueError):
+        al.select_window([0.5, 0.6], [0.1, 0.2, 0.3], cfg)
 
 
 def test_select_window_matches_oracle_on_random_instances():
+    """Every pick of a batched selection equals the oracle on its row; half
+    the instances draw coarse values, so ties are common."""
     rng = np.random.default_rng(13)
-    for _ in range(10_000):
+    for trial in range(2000):
         r = int(rng.integers(1, 22))
-        scores = rng.random(r)
-        offsets = rng.uniform(-1, 1, r)
+        if trial % 2:
+            scores = rng.integers(0, 6, (2, 3, r)) / 5.0
+            offsets = rng.integers(-3, 4, (2, 3, r)) / 3.0
+        else:
+            scores = rng.random((2, 3, r))
+            offsets = rng.uniform(-1, 1, (2, 3, r))
         t = float(rng.random())
-        cfg = al.SelectionConfig(threshold=t)
-        assert al.select_window(scores, offsets, cfg) == selection_oracle(
-            scores, offsets, t
-        )
+        picks = al.select_window(scores, offsets, al.SelectionConfig(threshold=t))
+        assert picks.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            assert picks[i] == selection_oracle(scores[i], offsets[i], t)
 
 
 def test_select_window_tie_breaks_to_smaller_index():
@@ -228,29 +236,40 @@ def test_select_window_tie_breaks_to_smaller_index():
     assert al.select_window([0.4, 0.4, 0.4], [0.1, 0.0, 0.3], cfg) == 1
 
 
+def test_select_part_windows_reads_part_k_from_column_k_minus_1():
+    """Part k's pick reads score column k - 1 and offset column k - 1; the
+    last score column (background) picks nothing."""
+    net = CdpmNetwork(ModelConfig(classes=2, parts=3))
+    rng = np.random.default_rng(19)
+    scores = rng.random((4, 21, 4))
+    offsets = rng.uniform(-1, 1, (4, 21, 3))
+    cfg = al.SelectionConfig(0.6)
+    picks = net.select_part_windows(scores, offsets, cfg)
+    assert picks.shape == (4, 3) and picks.dtype == np.int64
+    for i in range(4):
+        for k in range(3):
+            assert picks[i, k] == selection_oracle(scores[i, :, k], offsets[i, :, k], 0.6)
+
+
 # ---------------------------------------------------------------------------
 # best-overlap window (ground-truth oracle geometry)
 
 
 def test_best_overlap_window_exhaustive():
-    grid = al.enumerate_windows(24, 4)
     rng = np.random.default_rng(17)
     for _ in range(300):
         u = rng.uniform(0, 20)
         l = rng.uniform(u + 0.5, 24)
-        got = al.best_overlap_window(grid, (u, l))
-        overlaps = [
-            al.overlap_length((u, l), (w.top, w.bottom)) for w in grid.windows()
-        ]
+        got = al.layout_tops(al.part_intervals(u, l, 1), 4)[0]
+        overlaps = [exact_overlap((u, l), (t, t + 4)) for t in range(21)]
         best = max(overlaps)
-        assert overlaps[got - 1] == best
-        assert all(overlaps[r] < best for r in range(got - 1))
+        assert overlaps[got] == best
+        assert all(overlaps[t] < best for t in range(got))
 
 
 def test_best_overlap_window_tie_goes_to_smaller_index():
-    grid = al.enumerate_windows(24, 4)
     # part [2, 5): windows with tops 1 and 2 both overlap by 3
-    assert al.best_overlap_window(grid, (2.0, 5.0)) == 2
+    assert al.layout_tops(al.part_intervals(2.0, 5.0, 1), 4)[0] == 1
 
 
 def _part_tops(ann):
@@ -261,12 +280,11 @@ def _part_tops(ann):
 
 def test_layout_tops_match_soft_label_argmax(tiny_bench):
     index, anns = tiny_bench
-    grid = al.enumerate_windows(24, 4)
     for record in index.split("train"):
         ann = anns[record.image_id]
         mode = supervision_mode(ann)
         layout = al.part_intervals(mode.upper, mode.lower, 6)
-        labels = al.soft_label_matrix(grid, layout)
+        labels = al.soft_label_matrix(layout)
         tops = al.layout_tops(layout, 4)
         for k in range(1, 7):
             assert labels[tops[k - 1], k - 1] == labels[:, k - 1].max()
@@ -279,6 +297,8 @@ def test_layout_tops_spec_cases():
     assert _part_tops(off)[0] == 1  # window 2
     missing = BoundaryAnnotation("m", 0, 384, 10, 9000, "manual")
     assert supervision_mode(missing).is_aligned is False
+    np.testing.assert_array_equal(al.uniform_tops(6, 4), [0, 4, 8, 12, 16, 20])
+    np.testing.assert_array_equal(al.uniform_tops(4, 6), [0, 6, 12, 18])
 
 
 # ---------------------------------------------------------------------------
@@ -286,49 +306,106 @@ def test_layout_tops_spec_cases():
 
 
 def uniform_centers():
-    return np.array([4 * k - 2 for k in range(1, 7)], dtype=np.float64)
+    return np.array([[4 * k - 2 for k in range(1, 7)]], dtype=np.float64)
 
 
 def test_granularity_two_from_uniform_centers():
-    wins = al.infer_granularity_layout(uniform_centers(), 2)
-    assert [w.center for w in wins] == [6.0, 18.0]
-    assert [(w.top, w.bottom) for w in wins] == [(0, 12), (12, 24)]
+    # halves centered on rows 6 and 18; one row lower, on 7 and 19
+    centers = np.concatenate([uniform_centers(), uniform_centers() + 1.0])
+    tops = al.infer_granularity_layout(centers, 2)
+    np.testing.assert_array_equal(tops, [[0, 12], [1, 12]])
 
 
 def test_granularity_three_pairs_adjacent_parts():
-    wins = al.infer_granularity_layout(uniform_centers(), 3)
-    c = uniform_centers()
-    np.testing.assert_allclose(
-        [w.center for w in wins], [(c[0] + c[1]) / 2, (c[2] + c[3]) / 2, (c[4] + c[5]) / 2]
-    )
-    assert [(w.top, w.bottom) for w in wins] == [(0, 8), (8, 16), (16, 24)]
+    np.testing.assert_array_equal(al.infer_granularity_layout(uniform_centers(), 3),
+                                  [[0, 8, 16]])
+    # pair means 6, 12, 18 -> tops floor(mean - 4 + 0.5)
+    centers = np.array([[5.0, 7.0, 10.0, 14.0, 17.0, 19.0]])
+    np.testing.assert_array_equal(al.infer_granularity_layout(centers, 3), [[2, 8, 14]])
 
 
 def test_granularity_four_fractional_weights():
-    wins = al.infer_granularity_layout(uniform_centers(), 4)
-    # first group: all of part 1 plus half of part 2 -> (2 + 0.5*6) / 1.5
-    np.testing.assert_allclose(wins[0].center, 10.0 / 3.0)
-    assert [(w.top, w.bottom) for w in wins] == [(0, 6), (6, 12), (12, 18), (18, 24)]
+    np.testing.assert_array_equal(al.infer_granularity_layout(uniform_centers(), 4),
+                                  [[0, 6, 12, 18]])
+    # first group: all of part 1 plus half of part 2 -> (2 + 0.5 * 14) / 1.5 = 6
+    centers = np.array([[2.0, 14.0, 14.0, 16.0, 18.0, 20.0]])
+    assert al.infer_granularity_layout(centers, 4)[0, 0] == 3
 
 
 def test_granularity_windows_reproduce_uniform_layout():
     for g in (2, 3, 4):
-        wins = al.infer_granularity_layout(uniform_centers(), g)
-        layout = al.uniform_layout(24, g)
-        for j, w in enumerate(wins, start=1):
-            assert (float(w.top), float(w.bottom)) == layout.interval(j)
+        tops = al.infer_granularity_layout(uniform_centers(), g)
+        np.testing.assert_array_equal(tops[0], al.uniform_tops(g, 24 // g))
+        layout = al.uniform_layout(g)
+        for j, top in enumerate(tops[0], start=1):
+            assert (float(top), float(top + 24 // g)) == layout.interval(j)
 
 
 def test_granularity_windows_clamped_into_map():
-    centers = np.array([0.5, 0.5, 0.5, 23.5, 23.5, 23.5])
+    centers = np.array([[0.5, 0.5, 0.5, 23.5, 23.5, 23.5], [0.0] * 6, [23.9] * 6])
     for g in (2, 3, 4):
-        for w in al.infer_granularity_layout(centers, g):
-            assert 0 <= w.top and w.bottom <= 24
-            assert w.height == 24 // g
+        tops = al.infer_granularity_layout(centers, g)
+        assert tops.shape == (3, g) and tops.dtype == np.int64
+        assert np.all(tops >= 0) and np.all(tops + 24 // g <= 24)
+
+
+def test_granularity_rows_are_independent():
+    rng = np.random.default_rng(29)
+    centers = rng.integers(0, 21, (32, 6)) + 2.0
+    for g in (2, 3, 4):
+        tops = al.infer_granularity_layout(centers, g)
+        for i in range(32):
+            one = al.infer_granularity_layout(centers[i : i + 1], g)
+            np.testing.assert_array_equal(tops[i : i + 1], one)
 
 
 def test_granularity_rejects_bad_inputs():
     with pytest.raises(ValueError):
         al.infer_granularity_layout(uniform_centers(), 5)
     with pytest.raises(ValueError):
-        al.infer_granularity_layout(np.full(6, 25.0), 2)
+        al.infer_granularity_layout(np.full((1, 6), 25.0), 2)
+    with pytest.raises(ValueError):
+        al.infer_granularity_layout(uniform_centers()[0], 2)  # one image still needs (1, 6)
+
+
+# ---------------------------------------------------------------------------
+# bit pin: digests of the outputs of the earlier per-window implementation
+
+
+PIN_SPANS = [(0.0, 24.0), (2.0, 20.0), (3.25, 22.5), (37 / 16, 345 / 16), (5.3, 19.1),
+             (-1.5, 25.0)]
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_outputs_keep_the_bits_of_the_per_window_implementation():
+    """Soft labels, offsets, masks and tops for 1..24 parts on fixed spans,
+    and granularity tops and part picks on a seeded set, hash to the digests
+    the per-window, per-image implementation gave."""
+    labels, tops = [], []
+    for k in range(1, 25):
+        for u, v in PIN_SPANS:
+            layout = al.part_intervals(u, v, k)
+            target = al.offset_targets(layout)
+            labels += [al.soft_label_matrix(layout), target.offsets, target.mask]
+            tops += [al.layout_tops(layout, h) for h in (4, 6, 8, 12)]
+    assert _digest(labels) == "f24cc3de60b29bd4e3c568999861deea2a01b5bc101c1c3b0e5fb63352afc003"
+    assert _digest(tops) == "245c40be97749630c9aab86da2d40f4fc2ad2ec16dc2287f39e4273d3b85dba2"
+
+    rng = np.random.default_rng(1906)
+    centers = rng.integers(0, 21, (64, 6)) + 2.0
+    gran = [al.infer_granularity_layout(centers, g) for g in (2, 3, 4)]
+    assert _digest(gran) == "fa634449cf7edc09bb3032c1b47074950445905907b8c71bbcc20ecefbf632e6"
+
+    net = CdpmNetwork(ModelConfig(classes=2))
+    scores = rng.integers(0, 6, (16, 21, 7)) / 5.0
+    offsets = rng.integers(-3, 4, (16, 21, 6)) / 3.0
+    picks = [net.select_part_windows(scores, offsets, al.SelectionConfig(t))
+             for t in (0.0, 0.6, 1.0)]
+    assert _digest(picks) == "96f7653899c0a0a9b21c31bada899c910758aa5729e51eb26927500c0b5fda6a"

@@ -26,13 +26,13 @@ def softmax_loss_oracle(scores, labels):
 def test_part_softmax_uniform_logits():
     scores = np.zeros((4, 751))
     labels = np.array([1, 10, 400, 751])
-    assert abs(losses.part_softmax_loss(scores, labels) - math.log(751)) < 1e-12
+    assert abs(losses.part_softmax_loss_with_grad(scores, labels)[0] - math.log(751)) < 1e-12
 
 
 def test_part_softmax_confident_prediction():
     scores = np.zeros((1, 5))
     scores[0, 2] = 1e3
-    assert losses.part_softmax_loss(scores, np.array([3])) < 1e-10
+    assert losses.part_softmax_loss_with_grad(scores, np.array([3]))[0] < 1e-10
 
 
 def test_part_softmax_matches_logsumexp_oracle():
@@ -40,15 +40,15 @@ def test_part_softmax_matches_logsumexp_oracle():
         n, c = int(RNG.integers(1, 9)), int(RNG.integers(2, 30))
         scores = RNG.standard_normal((n, c)) * 5
         labels = RNG.integers(1, c + 1, n)
-        got = losses.part_softmax_loss(scores, labels)
+        got = losses.part_softmax_loss_with_grad(scores, labels)[0]
         assert abs(got - softmax_loss_oracle(scores, labels)) < 1e-10
 
 
 def test_part_softmax_rejects_bad_labels():
     with pytest.raises(ValueError):
-        losses.part_softmax_loss(np.zeros((2, 3)), np.array([0, 1]))
+        losses.part_softmax_loss_with_grad(np.zeros((2, 3)), np.array([0, 1]))
     with pytest.raises(ValueError):
-        losses.part_softmax_loss(np.zeros((2, 3)), np.array([1, 4]))
+        losses.part_softmax_loss_with_grad(np.zeros((2, 3)), np.array([1, 4]))
 
 
 def test_part_softmax_gradient():
@@ -56,7 +56,7 @@ def test_part_softmax_gradient():
     labels = RNG.integers(1, 8, 5)
     _, grad = losses.part_softmax_loss_with_grad(scores, labels)
     check_grad(
-        lambda s: losses.part_softmax_loss(s, labels), scores.copy(), grad, tol=1e-6
+        lambda s: losses.part_softmax_loss_with_grad(s, labels)[0], scores.copy(), grad, tol=1e-6
     )
 
 
@@ -81,7 +81,7 @@ def window_loss_oracle(pred, truth):
 def test_window_classification_half_everywhere():
     pred = np.full((3, 21, 7), 0.5)
     truth = np.full((3, 21, 7), 0.5)
-    got = losses.window_classification_loss(pred, truth)
+    got = losses.window_classification_loss_with_grad(pred, truth)[0]
     assert abs(got - 7 * math.log(2)) < 1e-12
 
 
@@ -89,7 +89,7 @@ def test_window_classification_perfect_one_hot():
     truth = np.zeros((2, 4, 7))
     truth[:, :, 3] = 1.0
     pred = np.clip(truth, 1e-9, 1 - 1e-9)
-    assert losses.window_classification_loss(pred, truth) < 1e-6
+    assert losses.window_classification_loss_with_grad(pred, truth)[0] < 1e-6
 
 
 def test_window_classification_matches_loop_oracle():
@@ -97,7 +97,7 @@ def test_window_classification_matches_loop_oracle():
         n, r, kk = int(RNG.integers(1, 5)), int(RNG.integers(1, 8)), int(RNG.integers(2, 9))
         pred = RNG.uniform(0.01, 0.99, (n, r, kk))
         truth = RNG.uniform(0, 1, (n, r, kk))
-        got = losses.window_classification_loss(pred, truth)
+        got = losses.window_classification_loss_with_grad(pred, truth)[0]
         assert abs(got - window_loss_oracle(pred, truth)) < 1e-12
 
 
@@ -106,7 +106,8 @@ def test_window_classification_gradient_and_minimum():
     truth = RNG.uniform(0.1, 0.9, (2, 5, 7))
     _, grad = losses.window_classification_loss_with_grad(pred, truth)
     check_grad(
-        lambda p: losses.window_classification_loss(p, truth), pred.copy(), grad, tol=1e-6
+        lambda p: losses.window_classification_loss_with_grad(p, truth)[0], pred.copy(), grad,
+        tol=1e-6,
     )
     # gradient vanishes at pred == truth for interior truth values
     _, g0 = losses.window_classification_loss_with_grad(truth, truth)
@@ -131,24 +132,24 @@ def regression_loss_oracle(pred, truth, mask):
 def test_regression_loss_exact_predictions():
     truth = RNG.uniform(-0.9, 0.9, (3, 21))
     mask = (RNG.random((3, 21)) < 0.5).astype(float)
-    assert losses.regression_loss(truth, truth, mask) == 0.0
+    assert losses.regression_loss_with_grad(truth, truth, mask)[0] == 0.0
 
 
 def test_regression_loss_hand_value():
     pred = np.array([[0.0]])
     truth = np.array([[0.375]])
     mask = np.array([[1.0]])
-    got = losses.regression_loss(pred, truth, mask)
+    got = losses.regression_loss_with_grad(pred, truth, mask)[0]
     assert abs(got - 0.375**2 / 2) < 1e-15
 
 
 def test_regression_loss_ignores_unmasked_windows():
     truth = np.array([[1.2, 0.3]])
     mask = np.array([[0.0, 1.0]])
-    base = losses.regression_loss(np.zeros((1, 2)), truth, mask)
-    perturbed = losses.regression_loss(np.array([[99.0, 0.0]]), truth, mask)
+    base = losses.regression_loss_with_grad(np.zeros((1, 2)), truth, mask)[0]
+    perturbed = losses.regression_loss_with_grad(np.array([[99.0, 0.0]]), truth, mask)[0]
     assert base == perturbed
-    assert losses.regression_loss(np.zeros((1, 2)), truth, np.zeros((1, 2))) == 0.0
+    assert losses.regression_loss_with_grad(np.zeros((1, 2)), truth, np.zeros((1, 2)))[0] == 0.0
 
 
 def test_regression_loss_matches_loop_oracle():
@@ -157,7 +158,7 @@ def test_regression_loss_matches_loop_oracle():
         pred = RNG.uniform(-1, 1, (n, r))
         truth = RNG.uniform(-2, 2, (n, r))
         mask = (np.abs(truth) < 1).astype(float)
-        got = losses.regression_loss(pred, truth, mask)
+        got = losses.regression_loss_with_grad(pred, truth, mask)[0]
         assert abs(got - regression_loss_oracle(pred, truth, mask)) < 1e-12
 
 
@@ -167,7 +168,7 @@ def test_regression_loss_gradient():
     mask = (np.abs(truth) < 1).astype(float)
     _, grad = losses.regression_loss_with_grad(pred, truth, mask)
     check_grad(
-        lambda p: losses.regression_loss(p, truth, mask), pred.copy(), grad, tol=1e-6
+        lambda p: losses.regression_loss_with_grad(p, truth, mask)[0], pred.copy(), grad, tol=1e-6
     )
 
 
@@ -234,7 +235,7 @@ def test_triplet_identical_embeddings():
     cfg = losses.TripletConfig()
     emb = np.tile(np.ones(8) / np.sqrt(8), (cfg.batch_size, 1))
     ids = batch_ids(cfg)
-    got = losses.batch_hard_triplet_loss(emb, ids, cfg)
+    got = losses.batch_hard_triplet_loss_with_grad(emb, ids, cfg)[0]
     assert abs(got - cfg.margin / 2) < 1e-15
     assert abs(got - 0.2) < 1e-15
 
@@ -246,7 +247,7 @@ def test_triplet_separated_clusters_zero_loss():
     emb = np.zeros((cfg.batch_size, 3))
     for i, ident in enumerate(ids):
         emb[i, ident] = 1.0
-    assert losses.batch_hard_triplet_loss(emb, ids, cfg) == 0.0
+    assert losses.batch_hard_triplet_loss_with_grad(emb, ids, cfg)[0] == 0.0
 
 
 def test_triplet_matches_exhaustive_oracle():
@@ -255,7 +256,7 @@ def test_triplet_matches_exhaustive_oracle():
     for _ in range(100):
         emb = RNG.standard_normal((cfg.batch_size, 6))
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        got = losses.batch_hard_triplet_loss(emb, ids, cfg)
+        got = losses.batch_hard_triplet_loss_with_grad(emb, ids, cfg)[0]
         assert abs(got - triplet_oracle(emb, ids, cfg)) < 1e-12
 
 
@@ -265,8 +266,8 @@ def test_triplet_rotation_invariance():
     emb = RNG.standard_normal((cfg.batch_size, 6))
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     q, _ = np.linalg.qr(RNG.standard_normal((6, 6)))
-    a = losses.batch_hard_triplet_loss(emb, ids, cfg)
-    b = losses.batch_hard_triplet_loss(emb @ q, ids, cfg)
+    a = losses.batch_hard_triplet_loss_with_grad(emb, ids, cfg)[0]
+    b = losses.batch_hard_triplet_loss_with_grad(emb @ q, ids, cfg)[0]
     assert abs(a - b) < 1e-10
 
 
@@ -275,7 +276,7 @@ def test_triplet_rejects_malformed_batches():
     emb = RNG.standard_normal((cfg.batch_size, 4))
     bad = np.array([0] * 6 + [1] * 6)
     with pytest.raises(ValueError):
-        losses.batch_hard_triplet_loss(emb, bad, cfg)
+        losses.batch_hard_triplet_loss_with_grad(emb, bad, cfg)
 
 
 def test_triplet_gradient():
@@ -285,7 +286,8 @@ def test_triplet_gradient():
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     _, grad = losses.batch_hard_triplet_loss_with_grad(emb, ids, cfg)
     check_grad(
-        lambda e: losses.batch_hard_triplet_loss(e, ids, cfg), emb.copy(), grad, tol=1e-5
+        lambda e: losses.batch_hard_triplet_loss_with_grad(e, ids, cfg)[0], emb.copy(), grad,
+        tol=1e-5,
     )
 
 
@@ -293,7 +295,7 @@ def test_losses_nonnegative():
     for _ in range(20):
         pred = RNG.uniform(0.01, 0.99, (2, 4, 5))
         truth = RNG.uniform(0, 1, (2, 4, 5))
-        assert losses.window_classification_loss(pred, truth) >= 0
+        assert losses.window_classification_loss_with_grad(pred, truth)[0] >= 0
         p = RNG.uniform(-1, 1, (2, 6))
         t = RNG.uniform(-2, 2, (2, 6))
-        assert losses.regression_loss(p, t, (np.abs(t) < 1).astype(float)) >= 0
+        assert losses.regression_loss_with_grad(p, t, (np.abs(t) < 1).astype(float))[0] >= 0
