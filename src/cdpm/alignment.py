@@ -134,10 +134,22 @@ def layout_tops(layout: PartLayout, height: int) -> np.ndarray:
     return np.argmax(_overlap(layout, height), axis=0)
 
 
-def uniform_tops(parts: int, height: int) -> np.ndarray:
-    """Window tops of the uniform division into `parts`, (parts,): the one
-    definition every branch's uniform window reads."""
-    return layout_tops(uniform_layout(parts), height)
+def branch_heights(parts: int, granularities: tuple[int, ...]) -> tuple[int, ...]:
+    """Window height of every part branch in descriptor order: the `parts`
+    detected parts, then each granularity's parts, ascending."""
+    return (WINDOW_HEIGHT,) * parts + tuple(
+        granularity_height(g) for g in granularities for _ in range(g)
+    )
+
+
+def branch_tops(
+    upper: float, lower: float, parts: int, granularities: tuple[int, ...]
+) -> np.ndarray:
+    """Window top of every part branch (`branch_heights` order) for a body
+    spanning [upper, lower), (branches,); the span [0, MAP_HEIGHT) gives the
+    uniform division."""
+    groups = [(parts, WINDOW_HEIGHT)] + [(g, granularity_height(g)) for g in granularities]
+    return np.concatenate([layout_tops(part_intervals(upper, lower, n), h) for n, h in groups])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import data, evaluate, pipeline, tensorio
-from .alignment import SelectionConfig
 from .annotations import AnnotationError, load_annotations
 from .config import ConfigError, load_config, save_config
 from .model import CdpmNetwork
@@ -157,9 +156,7 @@ def cmd_extract(args) -> int:
     cfg = _config_from(args)
     net = CdpmNetwork.load(args.checkpoint)
     index = data.load_dataset(args.data)
-    descs = pipeline.extract_descriptors(
-        net, index, args.split, SelectionConfig(cfg.selection_threshold)
-    )
+    descs = pipeline.extract_descriptors(net, index, args.split, cfg.selection)
     tensorio.write_descriptors(args.out, descs)
     dim = next(iter(descs.values())).size
     print(f"wrote {len(descs)} descriptors of dim {dim} to {args.out}")
@@ -175,9 +172,7 @@ def cmd_align(args) -> int:
     net = CdpmNetwork.load(args.checkpoint)
     index = data.load_dataset(args.data)
     annotations = load_annotations(index.annotations_path)
-    report = pipeline.alignment_report(
-        net, index, annotations, splits, SelectionConfig(cfg.selection_threshold)
-    )
+    report = pipeline.alignment_report(net, index, annotations, splits, cfg.selection)
     pipeline.write_alignment_csv(args.out, report)
     print(
         f"mean IoU {report.mean_iou:.4f} vs uniform-division {report.uniform_mean_iou:.4f} "

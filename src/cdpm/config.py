@@ -3,8 +3,8 @@
 The file holds one `section.key = value` assignment per line; `#` starts a
 comment. Command-line `--set section.key=value` assignments win over file
 values, and `--seed` wins over both. Each key names one field of the run's
-own dataclasses (`ModelConfig`, `TrainSettings` and the settings nested in
-it), whose `__post_init__` checks its range.
+own dataclasses (`SelectionConfig`, `ModelConfig`, `TrainSettings` and the
+settings nested in it), whose `__post_init__` checks its range.
 """
 from __future__ import annotations
 
@@ -23,19 +23,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Config:
     data_root: str = ""
-    profile: str = "market"  # sets the selection-threshold default
-    threshold: float = -1.0  # negative = use the profile default
+    selection: alignment.SelectionConfig = alignment.SelectionConfig()
     model: ModelConfig = ModelConfig(classes=1)  # classes come from the dataset
     train: TrainSettings = TrainSettings()
-
-    def __post_init__(self):
-        alignment.SelectionConfig(self.selection_threshold)
-
-    @property
-    def selection_threshold(self) -> float:
-        if self.threshold >= 0:
-            return self.threshold
-        return 0.60 if self.profile == "market" else 0.35
 
     def model_config(self, classes: int) -> ModelConfig:
         return replace(self.model, classes=classes)
@@ -44,7 +34,6 @@ class Config:
 #: file/CLI key -> attribute path from Config
 KEY_MAP = {
     "data.root": "data_root",
-    "data.profile": "profile",
     "model.parts": "model.parts",
     "model.feature_dim": "model.feature_dim",
     "model.holistic_dim": "model.holistic_dim",
@@ -57,12 +46,11 @@ KEY_MAP = {
     "loss.margin": "train.triplet.margin",
     "triplet.identities_per_batch": "train.triplet.identities_per_batch",
     "triplet.images_per_identity": "train.triplet.images_per_identity",
-    "select.threshold": "threshold",
+    "select.threshold": "selection.threshold",
     "train.seed": "train.seed",
     "train.epoch_scale": "train.epoch_scale",
     "train.batch_size": "train.batch_size",
     "train.momentum": "train.momentum",
-    "train.cache_images": "train.cache_images",
     "augment.translation_copies": "train.augmentation.translation_copies",
     "augment.flip_probability": "train.augmentation.flip_probability",
     "augment.erase_probability": "train.augmentation.erase_probability",

@@ -56,10 +56,15 @@ def write_ppm(path: str | Path, image: np.ndarray) -> None:
     Path(path).write_bytes(header + image.tobytes())
 
 
+#: header tokens are separated by whitespace and `#` comments to the end of a line
+_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PPM_HEADER = re.compile(rb"P6" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
+
+
 def read_ppm(path: str | Path) -> np.ndarray:
     """Read a binary PPM into an (H, W, 3) uint8 array."""
     blob = Path(path).read_bytes()
-    m = re.match(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s", blob)
+    m = _PPM_HEADER.match(blob)
     if not m:
         raise DataError(f"{path}: not a binary PPM")
     w, h, maxval = (int(g) for g in m.groups())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alignment, ops, tensorio
-from .alignment import MAP_HEIGHT, WINDOW_COUNT, WINDOW_HEIGHT, granularity_height
+from .alignment import MAP_HEIGHT, WINDOW_COUNT, WINDOW_HEIGHT
 from .annotations import IMAGE_HEIGHT
 from .data import IMAGE_WIDTH, PIXEL_MAX
 from .layers import (Block, ChannelAttention, Conv, Dense, SpatialChannelAttention,
@@ -53,12 +53,14 @@ class ModelConfig:
             )
 
     @property
+    def granularities(self) -> tuple[int, ...]:
+        """Coarser part counts whose branches follow the K parts."""
+        return alignment.GRANULARITIES if self.with_mgf else ()
+
+    @property
     def descriptor_dim(self) -> int:
-        dim = self.parts * self.feature_dim
-        if self.with_mgf:
-            dim += sum(alignment.GRANULARITIES) * self.feature_dim
-            dim += self.holistic_dim
-        return dim
+        dim = (self.parts + sum(self.granularities)) * self.feature_dim
+        return dim + (self.holistic_dim if self.with_mgf else 0)
 
 
 class ToyBackbone(Block):
@@ -256,10 +258,10 @@ def gather_windows(fmap: np.ndarray, tops: np.ndarray, height: int) -> np.ndarra
 
 
 def scatter_window_grad(gfmap: np.ndarray, tops: np.ndarray, gwin: np.ndarray) -> None:
-    """Accumulate window gradients back onto the feature-map gradient."""
-    h = gwin.shape[1]
-    for i, t in enumerate(tops):
-        gfmap[i, t : t + h] += gwin[i]
+    """Accumulate window gradients back onto the feature-map gradient; each
+    (image, row) pair occurs once, so one indexed add suffices."""
+    rows = tops[:, None] + np.arange(gwin.shape[1])
+    gfmap[np.arange(len(tops))[:, None], rows] += gwin
 
 
 class CdpmNetwork(Block):
@@ -267,6 +269,9 @@ class CdpmNetwork(Block):
 
     With `rng`, its one draw keys every weight's `init_weights` stream; without
     it the parameters keep their constants until a checkpoint is loaded.
+    `part_branches` holds every part branch in descriptor order (the K parts,
+    then each granularity's parts), and `heights[k]` is branch k's window
+    height; a tops array's column k is branch k's window top.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
@@ -281,13 +286,13 @@ class CdpmNetwork(Block):
         ]
         self.heads = self._child(DetectionHeads(cfg, c)) if cfg.with_alignment else None
         self.holistic = self._child(HolisticBranch(cfg, c)) if cfg.with_mgf else None
-        self.granularity_branches: dict[int, list[PartBranch]] = {}
-        if cfg.with_mgf:
-            for g in alignment.GRANULARITIES:
-                self.granularity_branches[g] = [
-                    self._child(PartBranch(f"g{g}.part{j}", cfg, c))
-                    for j in range(1, g + 1)
-                ]
+        # registered after holistic, which fixes the parameter and checkpoint order
+        self.part_branches += [
+            self._child(PartBranch(f"g{g}.part{j}", cfg, c))
+            for g in cfg.granularities
+            for j in range(1, g + 1)
+        ]
+        self.heights = alignment.branch_heights(cfg.parts, cfg.granularities)
         names = [p.name for p in self.parameters()]
         if len(names) != len(set(names)):
             raise ValueError("parameter names must be unique")
@@ -414,7 +419,8 @@ class CdpmNetwork(Block):
             n.calibrating = True
         try:
             fmap = self.features(images)
-            self._branch_features(fmap, *self.uniform_tops(fmap.shape[0]))
+            uniform = alignment.branch_tops(0, MAP_HEIGHT, self.cfg.parts, self.cfg.granularities)
+            self._branch_features(fmap, np.tile(uniform, (len(fmap), 1)))
             if self.heads is not None:
                 self.detection_forward(fmap)
         finally:
@@ -458,42 +464,24 @@ class CdpmNetwork(Block):
             scores[..., :parts].swapaxes(1, 2), offsets.swapaxes(1, 2), selection
         )
 
-    def uniform_tops(self, batch: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Uniform-division window tops: parts (B, K) and each granularity (B, g)."""
-
-        def tiled(parts: int, height: int) -> np.ndarray:
-            return np.tile(alignment.uniform_tops(parts, height), (batch, 1))
-
-        gran = {g: tiled(g, granularity_height(g)) for g in self.granularity_branches}
-        return tiled(self.cfg.parts, WINDOW_HEIGHT), gran
-
     def part_tops(
         self, fmap: np.ndarray, selection: alignment.SelectionConfig
     ) -> np.ndarray:
         """Window top of each part per image, (B, K): the detected windows, or
         uniform division when the network has no detection heads."""
         if self.heads is None:
-            return self.uniform_tops(fmap.shape[0])[0]
+            uniform = alignment.branch_tops(0, MAP_HEIGHT, self.cfg.parts, ())
+            return np.tile(uniform, (len(fmap), 1))
         scores, offsets, _ = self.detection_forward(fmap)
         return self.select_part_windows(scores, offsets, selection) - 1
 
-    def branch_groups(self, part_tops: np.ndarray, gran_tops: dict[int, np.ndarray]):
-        """(branches, tops, window height) per group in descriptor order: the
-        parts, then each granularity in `gran_tops` ascending."""
-        groups = [(self.part_branches, part_tops, WINDOW_HEIGHT)]
-        for g in sorted(gran_tops):
-            height = granularity_height(g)
-            groups.append((self.granularity_branches[g], gran_tops[g], height))
-        return groups
-
-    def _branch_features(self, fmap, part_tops, gran_tops) -> list[np.ndarray]:
-        feats = []
-        for branches, tops, height in self.branch_groups(part_tops, gran_tops):
-            for j, branch in enumerate(branches):
-                window = gather_windows(fmap, tops[:, j], height)
-                feat, _, _ = branch.forward(window, self.cfg.with_refinement)
-                feats.append(feat)
-        return feats
+    def _branch_features(self, fmap: np.ndarray, tops: np.ndarray) -> list[np.ndarray]:
+        """Every part branch's feature, given its window tops (B, branches)."""
+        return [
+            branch.forward(gather_windows(fmap, tops[:, k], height),
+                           self.cfg.with_refinement)[0]
+            for k, (branch, height) in enumerate(zip(self.part_branches, self.heights))
+        ]
 
     def descriptor(
         self, images: np.ndarray, selection: alignment.SelectionConfig | None = None
@@ -506,10 +494,12 @@ class CdpmNetwork(Block):
         part_tops = self.part_tops(fmap, selection or alignment.SelectionConfig())
         # coarser windows follow the part windows the image actually uses
         centers = part_tops + WINDOW_HEIGHT / 2.0
-        gran_tops = {
-            g: alignment.infer_granularity_layout(centers, g) for g in self.granularity_branches
-        }
-        pieces = self._branch_features(fmap, part_tops, gran_tops)
+        tops = np.concatenate(
+            [part_tops, *(alignment.infer_granularity_layout(centers, g)
+                          for g in self.cfg.granularities)],
+            axis=1,
+        )
+        pieces = self._branch_features(fmap, tops)
         if self.holistic is not None:
             emb, _ = self.holistic.forward(fmap)
             pieces.append(emb)

@@ -171,12 +171,11 @@ def run_ablation(base_cfg: Config, out_dir: str | Path) -> list[AblationRow]:
         log.info("ablation %s: training into %s", name, run_dir)
         index, result = train_from_config(cfg, run_dir)
         net = result.network
-        selection = alignment.SelectionConfig(cfg.selection_threshold)
-        queries = extract_descriptors(net, index, "query", selection)
-        gallery = extract_descriptors(net, index, "gallery", selection)
+        queries = extract_descriptors(net, index, "query", cfg.selection)
+        gallery = extract_descriptors(net, index, "gallery", cfg.selection)
         report = evaluate.evaluate_retrieval(queries, gallery, "single")
         annotations = load_annotations(index.annotations_path)
-        align_rep = alignment_report(net, index, annotations, selection=selection)
+        align_rep = alignment_report(net, index, annotations, selection=cfg.selection)
         mean_iou = align_rep.mean_iou if cfg.model.with_alignment else align_rep.uniform_mean_iou
         rows.append(AblationRow(name, report.rank1, report.mean_ap, mean_iou))
         log.info(

@@ -20,7 +20,7 @@ from . import alignment, augment, data, losses
 from .annotations import BoundaryAnnotation, load_annotations, supervision_mode
 from .augment import AugmentationConfig
 from .losses import LossWeights, TripletConfig
-from .model import WINDOW_HEIGHT, CdpmNetwork, ModelConfig, gather_windows, scatter_window_grad
+from .model import CdpmNetwork, ModelConfig, gather_windows, scatter_window_grad
 
 log = logging.getLogger(__name__)
 
@@ -106,8 +106,7 @@ class TrainItem:
     record: data.Record
     shift: tuple[int, int]
     aligned: bool
-    part_tops: np.ndarray  # (K,) int window tops for the part branches
-    gran_tops: dict[int, np.ndarray] | None
+    tops: np.ndarray  # (branches,) int window tops, one per part branch
     soft: np.ndarray | None  # (R, K+1)
     offsets: np.ndarray | None  # (R, K)
     mask: np.ndarray | None  # (R, K)
@@ -127,11 +126,6 @@ def build_train_items(
     annotation passes the part-missing check; otherwise the image trains
     with uniform part locations and is excluded from the detection losses.
     """
-    uniform_tops = alignment.uniform_tops(model_cfg.parts, WINDOW_HEIGHT)
-    uniform_gran = {
-        g: alignment.uniform_tops(g, alignment.granularity_height(g))
-        for g in alignment.GRANULARITIES
-    }
     items: list[TrainItem] = []
     for record in index.split("train"):
         ann = annotations.get(record.image_id)
@@ -143,43 +137,17 @@ def build_train_items(
                     ann.image_id, u, v, ann.head_pixels, ann.lower_pixels, ann.source
                 )
             mode = supervision_mode(shifted)
-            if model_cfg.with_alignment and mode.is_aligned:
-                layout = alignment.part_intervals(mode.upper, mode.lower, model_cfg.parts)
+            aligned = model_cfg.with_alignment and mode.is_aligned
+            upper, lower = (mode.upper, mode.lower) if aligned else (0, alignment.MAP_HEIGHT)
+            soft = offsets = mask = None
+            if aligned:
+                layout = alignment.part_intervals(upper, lower, model_cfg.parts)
                 target = alignment.offset_targets(layout)
-                gran = None
-                if model_cfg.with_mgf:
-                    gran = {
-                        g: alignment.layout_tops(
-                            alignment.part_intervals(mode.upper, mode.lower, g),
-                            alignment.granularity_height(g),
-                        )
-                        for g in alignment.GRANULARITIES
-                    }
-                items.append(
-                    TrainItem(
-                        record=record,
-                        shift=(dy, dx),
-                        aligned=True,
-                        part_tops=alignment.layout_tops(layout, WINDOW_HEIGHT),
-                        gran_tops=gran,
-                        soft=alignment.soft_label_matrix(layout),
-                        offsets=target.offsets,
-                        mask=target.mask,
-                    )
-                )
-            else:
-                items.append(
-                    TrainItem(
-                        record=record,
-                        shift=(dy, dx),
-                        aligned=False,
-                        part_tops=uniform_tops,
-                        gran_tops=uniform_gran if model_cfg.with_mgf else None,
-                        soft=None,
-                        offsets=None,
-                        mask=None,
-                    )
-                )
+                soft = alignment.soft_label_matrix(layout)
+                offsets, mask = target.offsets, target.mask
+            tops = alignment.branch_tops(upper, lower, model_cfg.parts,
+                                         model_cfg.granularities)
+            items.append(TrainItem(record, (dy, dx), aligned, tops, soft, offsets, mask))
     return items
 
 
@@ -192,8 +160,7 @@ class ImageStore:
 
     LIMIT = 8000
 
-    def __init__(self, cache: bool = True):
-        self.cache = cache
+    def __init__(self):
         self._store: dict[Path, np.ndarray] = {}
 
     def load(self, path: Path) -> np.ndarray:
@@ -201,7 +168,7 @@ class ImageStore:
         if cached is None:
             cached = data.read_person_image(path)
             cached.flags.writeable = False
-            if self.cache and len(self._store) < self.LIMIT:
+            if len(self._store) < self.LIMIT:
                 self._store[path] = cached
         return cached
 
@@ -214,8 +181,7 @@ class ImageStore:
 class Batch:
     images: np.ndarray | None  # (B, 384, 128, 3); None when features are cached
     labels: np.ndarray  # (B,) 1-based train classes
-    part_tops: np.ndarray  # (B, K)
-    gran_tops: dict[int, np.ndarray]  # g -> (B, g)
+    tops: np.ndarray  # (B, branches): column k is net.part_branches[k]'s top
     aligned_idx: np.ndarray  # batch positions with detection targets
     soft: np.ndarray | None  # (Na, R, K+1)
     offsets: np.ndarray | None  # (Na, R, K)
@@ -250,11 +216,6 @@ def _assemble(
             for item in chosen
         ]
     labels = np.array([item.record.label for item in chosen], dtype=np.int64)
-    part_tops = np.stack([item.part_tops for item in chosen])
-    gran_tops = {}
-    if chosen[0].gran_tops is not None:
-        for g in alignment.GRANULARITIES:
-            gran_tops[g] = np.stack([item.gran_tops[g] for item in chosen])
     aligned_idx = np.array(
         [i for i, item in enumerate(chosen) if item.aligned], dtype=np.int64
     )
@@ -266,8 +227,7 @@ def _assemble(
     return Batch(
         images=np.stack(images) if images is not None else None,
         labels=labels,
-        part_tops=part_tops,
-        gran_tops=gran_tops,
+        tops=np.stack([item.tops for item in chosen]),
         aligned_idx=aligned_idx,
         soft=soft,
         offsets=offsets,
@@ -352,20 +312,19 @@ def train_step(
     gfmap = np.zeros_like(fmap) if flags.backbone_grad else None
     terms: dict[str, float] = {}
 
-    loss_f = 0.0  # summed per group, then across groups; the order fixes the bits
-    gran_tops = batch.gran_tops if flags.mgf else {}
-    for branches, tops, height in net.branch_groups(batch.part_tops, gran_tops):
-        group = 0.0
-        for k, branch in enumerate(branches):
-            window = gather_windows(fmap, tops[:, k], height)
-            _, scores, ctx = branch.forward(window, flags.refinement)
-            lk, gscores = losses.part_softmax_loss_with_grad(scores, batch.labels)
-            group += lk
-            gwin = branch.backward(ctx, gscores)
-            if gfmap is not None:
-                scatter_window_grad(gfmap, tops[:, k], gwin)
-        loss_f += group
-    terms["loss_f"] = loss_f
+    # loss_f sums each group (the parts, then each granularity: one window
+    # height per group), then the groups; that order fixes the bits
+    groups: dict[int, float] = {}
+    branches = net.part_branches if flags.mgf else net.part_branches[: net.cfg.parts]
+    for k, branch in enumerate(branches):
+        height, tops = net.heights[k], batch.tops[:, k]
+        _, scores, ctx = branch.forward(gather_windows(fmap, tops, height), flags.refinement)
+        lk, gscores = losses.part_softmax_loss_with_grad(scores, batch.labels)
+        groups[height] = groups.get(height, 0.0) + lk
+        gwin = branch.backward(ctx, gscores)
+        if gfmap is not None:
+            scatter_window_grad(gfmap, tops, gwin)
+    terms["loss_f"] = loss_f = sum(groups.values())
 
     loss_c, loss_r = 0.0, 0.0
     if flags.detection and net.heads is not None and batch.aligned_idx.size:
@@ -422,7 +381,6 @@ class TrainSettings:
     weights: LossWeights = LossWeights()
     triplet: TripletConfig = TripletConfig()
     augmentation: AugmentationConfig = AugmentationConfig()
-    cache_images: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -506,7 +464,7 @@ def run_training(
         index, annotations, model_cfg, settings.augmentation,
         np.random.default_rng(shift_seq),
     )
-    store = ImageStore(cache=settings.cache_images)
+    store = ImageStore()
     optimizer = SGDMomentum(settings.momentum)
     batch_rng = np.random.default_rng(batch_seq)
     result = TrainResult(network=net, checkpoints={}, final_checkpoint=out_dir / "final.cdpm")

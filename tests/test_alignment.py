@@ -297,8 +297,14 @@ def test_layout_tops_spec_cases():
     assert _part_tops(off)[0] == 1  # window 2
     missing = BoundaryAnnotation("m", 0, 384, 10, 9000, "manual")
     assert supervision_mode(missing).is_aligned is False
-    np.testing.assert_array_equal(al.uniform_tops(6, 4), [0, 4, 8, 12, 16, 20])
-    np.testing.assert_array_equal(al.uniform_tops(4, 6), [0, 6, 12, 18])
+    np.testing.assert_array_equal(al.branch_tops(0, 24, 6, ()), [0, 4, 8, 12, 16, 20])
+    np.testing.assert_array_equal(al.branch_tops(0, 24, 6, (4,))[6:], [0, 6, 12, 18])
+    assert al.branch_heights(6, (4,)) == (4,) * 6 + (6,) * 4
+    np.testing.assert_array_equal(
+        al.branch_tops(0, 24, 6, al.GRANULARITIES),
+        [0, 4, 8, 12, 16, 20, 0, 12, 0, 8, 16, 0, 6, 12, 18],
+    )
+    assert al.branch_heights(6, al.GRANULARITIES) == (4,) * 6 + (12,) * 2 + (8,) * 3 + (6,) * 4
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +341,7 @@ def test_granularity_four_fractional_weights():
 def test_granularity_windows_reproduce_uniform_layout():
     for g in (2, 3, 4):
         tops = al.infer_granularity_layout(uniform_centers(), g)
-        np.testing.assert_array_equal(tops[0], al.uniform_tops(g, 24 // g))
+        np.testing.assert_array_equal(tops[0], al.branch_tops(0, 24, 6, (g,))[6:])
         layout = al.uniform_layout(g)
         for j, top in enumerate(tops[0], start=1):
             assert (float(top), float(top + 24 // g)) == layout.interval(j)
@@ -386,8 +392,9 @@ def _digest(arrays) -> str:
 
 def test_outputs_keep_the_bits_of_the_per_window_implementation():
     """Soft labels, offsets, masks and tops for 1..24 parts on fixed spans,
-    and granularity tops and part picks on a seeded set, hash to the digests
-    the per-window, per-image implementation gave."""
+    granularity tops and part picks on a seeded set, and every branch's tops
+    on fixed and seeded spans, hash to the digests the per-window, per-image,
+    per-group implementation gave."""
     labels, tops = [], []
     for k in range(1, 25):
         for u, v in PIN_SPANS:
@@ -409,3 +416,10 @@ def test_outputs_keep_the_bits_of_the_per_window_implementation():
     picks = [net.select_part_windows(scores, offsets, al.SelectionConfig(t))
              for t in (0.0, 0.6, 1.0)]
     assert _digest(picks) == "96f7653899c0a0a9b21c31bada899c910758aa5729e51eb26927500c0b5fda6a"
+
+    rng = np.random.default_rng(16)
+    lo = rng.uniform(-2.0, 18.0, 8)
+    spans = PIN_SPANS + list(zip(lo, lo + rng.uniform(2.0, 12.0, 8)))
+    branch = [al.branch_tops(u, v, k, grans) for k in range(1, 25) for u, v in spans
+              for grans in ((), al.GRANULARITIES)]
+    assert _digest(branch) == "6d41daf1b7bc55af24d4c800de86f303761072cf95a84414c63a16fc39310048"

@@ -1,13 +1,17 @@
 """Config file parsing, overrides, and the command-line surface."""
 import csv
 import functools
+import importlib
+import re
 import shutil
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdpm import cli, config, data, ops, pipeline, tensorio
+from cdpm.alignment import SelectionConfig
 from cdpm.config import ConfigError, apply_assignments, load_config, save_config
 from cdpm.losses import LossWeights
 from cdpm.model import CdpmNetwork, ModelConfig
@@ -22,13 +26,19 @@ def test_defaults():
     assert cfg.train.triplet.identities_per_batch == 6
     assert cfg.train.triplet.images_per_identity == 8
     assert cfg.train.augmentation.translation_copies == 5
-    assert cfg.selection_threshold == 0.60  # market profile default
+    assert cfg.selection == SelectionConfig(0.60)
 
 
-def test_threshold_profile_rules():
-    assert config.Config(profile="other").selection_threshold == 0.35
-    assert config.Config(profile="market").selection_threshold == 0.60
-    assert config.Config(profile="other", threshold=0.5).selection_threshold == 0.5
+def test_threshold_default_and_range():
+    """The threshold defaults to 0.60 and is set only by select.threshold, in
+    [0, 1]; data.profile is not a key."""
+    assert load_config(None).selection.threshold == 0.60
+    assert load_config(None, {"select.threshold": "0.35"}).selection.threshold == 0.35
+    assert load_config(None, {"select.threshold": "0"}).selection.threshold == 0.0
+    with pytest.raises(ConfigError, match="outside"):
+        load_config(None, {"select.threshold": "-0.1"})
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_config(None, {"data.profile": "other"})
 
 
 def test_parse_config_text_and_file(tmp_path):
@@ -47,7 +57,7 @@ select.threshold = 0.35
     assert cfg.train.seed == 9
     assert cfg.model.with_mgf is True
     assert cfg.train.weights.lambda2 == 0.5
-    assert cfg.selection_threshold == 0.35
+    assert cfg.selection.threshold == 0.35
 
 
 def test_overrides_win_over_file_and_seed_wins_over_all(tmp_path):
@@ -86,7 +96,7 @@ def test_assignments_apply_together(tmp_path):
 
 
 def test_save_config_roundtrip(tmp_path):
-    cfg = config.Config(data_root="/x", threshold=0.35,
+    cfg = config.Config(data_root="/x", selection=SelectionConfig(0.35),
                         model=ModelConfig(classes=1, with_mgf=True),
                         train=TrainSettings(seed=4, epoch_scale=0.25))
     path = tmp_path / "out.conf"
@@ -117,28 +127,48 @@ def _leaf_paths(obj, prefix: str) -> list[str]:
 def test_key_map_reaches_every_run_setting_once():
     cfg = config.Config()
     assert [f.name for f in fields(cfg)] == [
-        "data_root", "profile", "threshold", "model", "train"
+        "data_root", "selection", "model", "train"
     ]
     targets = list(config.KEY_MAP.values())
-    assert len(targets) == len(set(targets))
+    assert len(targets) == len(set(targets)) == 21
     model = set(_leaf_paths(cfg.model, "model")) - {
         "model.classes", "model.backbone_channels"
     }
     train = set(_leaf_paths(cfg.train, "train"))
-    assert set(targets) == {"data_root", "profile", "threshold"} | model | train
+    assert set(targets) == {"data_root", "selection.threshold"} | model | train
+
+
+def test_readme_names_only_existing_config_keys():
+    """Every `section.key` the README passes to --set, or names in backticks
+    (alone or as `section.key = value`), is a config key; a backticked name
+    of a cdpm module's attribute, such as `data.load_image`, is code."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    sections = {key.partition(".")[0] for key in config.KEY_MAP}
+
+    def is_code(section, name):
+        try:
+            return hasattr(importlib.import_module(f"cdpm.{section}"), name)
+        except ImportError:
+            return False
+
+    flags = re.findall(r"--set ([a-z]+)\.([a-z0-9_]+)=", text)
+    spans = re.findall(r"`([a-z]+)\.([a-z0-9_]+)(?: = [^`\n]+)?`", text)
+    named = {f"{s}.{n}" for s, n in flags + spans if s in sections and not is_code(s, n)}
+    assert "select.threshold" in named and "train.epoch_scale" in named
+    assert named <= set(config.KEY_MAP), named - set(config.KEY_MAP)
 
 
 #: a non-default value for every key but model.mgf, which needs the default
 #: 6 parts and is set on its own
 NON_DEFAULT = {
-    "data.root": "/d", "data.profile": "other", "model.parts": "8",
+    "data.root": "/d", "model.parts": "8",
     "model.feature_dim": "32", "model.holistic_dim": "24",
     "model.attention_reduction": "4", "model.refinement": "false",
     "model.alignment": "false", "loss.lambda1": "0.5", "loss.lambda2": "0.25",
     "loss.margin": "0.3", "triplet.identities_per_batch": "3",
     "triplet.images_per_identity": "2", "select.threshold": "0.45",
     "train.seed": "3", "train.epoch_scale": "0.2", "train.batch_size": "16",
-    "train.momentum": "0.8", "train.cache_images": "false",
+    "train.momentum": "0.8",
     "augment.translation_copies": "2", "augment.flip_probability": "0.4",
     "augment.erase_probability": "0.25",
 }
@@ -567,7 +597,8 @@ def test_cli_internal_error_is_one_line_exit_4(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("assignment", [
-    "select.threshold=2", "augment.flip_probability=-0.5", "loss.lambda1=-1",
+    "select.threshold=2", "select.threshold=-0.5", "data.profile=other",
+    "augment.flip_probability=-0.5", "loss.lambda1=-1",
     "augment.translation_copies=0", "model.parts=25", "model.parts=0",
     "model.feature_dim=0", "model.holistic_dim=0", "model.attention_reduction=0",
     "train.batch_size=0", "train.epoch_scale=0", "train.epoch_scale=-1",

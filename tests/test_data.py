@@ -43,6 +43,17 @@ def test_ppm_header_larger_than_pixel_data_is_truncated(tmp_path):
         data.read_ppm(path)
 
 
+def test_ppm_header_comments_are_skipped(tmp_path):
+    """`#` comments between header tokens, as GIMP writes them, read back
+    the same pixels."""
+    img = (np.arange(4 * 2 * 3) * 37 % 256).astype(np.uint8).reshape(4, 2, 3)
+    path = tmp_path / "commented.ppm"
+    for header in (b"P6\n# Created by GIMP version 2.10.34 PNM plug-in\n2 4\n255\n",
+                   b"P6 #a\n2#b\r4\n#c\n\n# d\n255\n"):
+        path.write_bytes(header + img.tobytes())
+        assert np.array_equal(data.read_ppm(path), img)
+
+
 def test_parse_image_name():
     assert data.parse_image_name("0042_c1_0007") == (42, 1, 7)
     assert data.parse_image_name("-1_c3_0000") == (-1, 3, 0)

@@ -188,6 +188,14 @@ def test_gather_scatter_roundtrip():
         np.testing.assert_array_equal(g[i, t : t + 4], win[i])
         outside = np.delete(g[i], np.s_[t : t + 4], axis=0)
         assert not outside.any()
+    # onto a non-zero gradient it adds the bits of the per-image loop
+    rng = np.random.default_rng(58)
+    base, gwin = rng.standard_normal((3, 24, 8, 2)), rng.standard_normal((3, 4, 8, 2))
+    got, want = base.copy(), base.copy()
+    scatter_window_grad(got, tops, gwin)
+    for i, t in enumerate(tops):
+        want[i, t : t + 4] += gwin[i]
+    assert np.array_equal(got, want)
 
 
 def test_descriptor_dimensions():

@@ -185,7 +185,7 @@ def test_build_items_uniform_when_alignment_disabled(tiny_bench):
     for item in items:
         assert not item.aligned
         assert item.soft is None
-        np.testing.assert_array_equal(item.part_tops, [0, 4, 8, 12, 16, 20])
+        np.testing.assert_array_equal(item.tops, [0, 4, 8, 12, 16, 20])
 
 
 @pytest.mark.parametrize("parts", range(1, alignment.MAP_HEIGHT + 1))
@@ -205,32 +205,32 @@ def test_every_part_count_reads_the_training_windows(tiny_bench, monkeypatch, pa
     mgf = parts == alignment.NUM_PARTS
     cfg = model_cfg(index, parts=parts, with_alignment=False, with_mgf=mgf)
     net = CdpmNetwork(cfg, np.random.default_rng(parts))
-    part_tops, gran_tops = net.uniform_tops(len(images))
+    # the uniform division of the parts, then of each granularity ascending
+    groups = [(parts, alignment.WINDOW_HEIGHT)]
+    groups += [(g, alignment.MAP_HEIGHT // g) for g in (alignment.GRANULARITIES if mgf else ())]
+    heights = [h for n, h in groups for _ in range(n)]
+    uniform = np.concatenate([alignment.layout_tops(alignment.uniform_layout(n), h)
+                              for n, h in groups])
+    assert list(net.heights) == heights and len(net.part_branches) == len(heights)
     items = build_train_items(index, anns, cfg, AugmentationConfig(translation_copies=1),
                               np.random.default_rng(0))
     for item in items:
         assert not item.aligned
-        np.testing.assert_array_equal(item.part_tops, part_tops[0])
-        for g, tops in (item.gran_tops or {}).items():
-            np.testing.assert_array_equal(tops, gran_tops[g][0])
-    assert set(gran_tops) == (set(alignment.GRANULARITIES) if mgf else set())
+        np.testing.assert_array_equal(item.tops, uniform)
 
     net.calibrate(images)
     gathered.clear()
     desc = net.descriptor(images, selection)
     assert desc.shape == (len(images), cfg.descriptor_dim) and np.all(np.isfinite(desc))
-    expected = [(alignment.WINDOW_HEIGHT, part_tops[:, k]) for k in range(parts)]
-    for g in sorted(gran_tops):
-        expected += [(alignment.MAP_HEIGHT // g, gran_tops[g][:, j]) for j in range(g)]
-    assert len(gathered) == len(expected)
-    for (height, tops), (want_height, want_tops) in zip(gathered, expected):
+    assert len(gathered) == len(heights)
+    for (height, tops), want_height, want_top in zip(gathered, heights, uniform):
         assert height == want_height
-        np.testing.assert_array_equal(tops, want_tops)
+        np.testing.assert_array_equal(tops, np.full(len(images), want_top))
 
     report = pipeline.alignment_report(net, index, anns, selection=selection)
     assert len(report.rows) == parts * 9  # query + gallery images
     for row in report.rows:
-        assert row.window == 0 and row.top == part_tops[0, row.part - 1]
+        assert row.window == 0 and row.top == uniform[row.part - 1]
 
     aligned = CdpmNetwork(model_cfg(index, parts=parts), np.random.default_rng(parts))
     aligned.calibrate(images)
@@ -336,14 +336,18 @@ def test_train_step_sums_loss_f_over_every_branch_group(tiny_bench):
         flags = StepFlags(refinement=True, detection=False, mgf=mgf, backbone_grad=False)
         sums[mgf] = training.train_step(net, batch, flags, LossWeights(), TripletConfig(),
                                         fmap=fmap)["loss_f"]
-    expected = 0.0
-    for branches, tops, height in net.branch_groups(batch.part_tops, batch.gran_tops):
+    expected, first = 0.0, 0
+    for count, height in ((6, 4), (2, 12), (3, 8), (4, 6)):  # parts, then g = 2, 3, 4
         group = 0.0
-        for k, branch in enumerate(branches):
-            _, scores, _ = branch.forward(gather_windows(fmap, tops[:, k], height), True)
+        for k in range(first, first + count):
+            branch = net.part_branches[k]
+            window = gather_windows(fmap, batch.tops[:, k], height)
+            _, scores, _ = branch.forward(window, True)
             group += losses.part_softmax_loss_with_grad(scores, batch.labels)[0]
             assert all(np.any(p.grad != 0) for p in branch.reduce.parameters())
         expected += group
+        first += count
+    assert first == len(net.part_branches) == batch.tops.shape[1]
     assert sums[True] == expected > sums[False]
 
 
