@@ -3,12 +3,14 @@
 All row coordinates are real-valued rows of the one MAP_HEIGHT-row feature
 map. Intervals are half-open [u, l). The stride-1 windows of height h have
 tops 0 .. MAP_HEIGHT - h; window index r is 1-based and covers rows
-[r - 1, r - 1 + h). Every function works on whole arrays of windows,
-parts or images at once.
+[r - 1, r - 1 + h). A part layout is one float array of K + 1 boundaries,
+(..., K + 1), for one body or a batch of bodies: part k spans
+[b[..., k - 1], b[..., k]). Every function works on whole arrays of
+windows, parts or images at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,52 +30,21 @@ def granularity_height(granularity: int) -> int:
     return MAP_HEIGHT // granularity
 
 
-@dataclass(frozen=True)
-class PartLayout:
-    """K consecutive part intervals tiling [upper, lower) without gaps."""
-
-    upper: float
-    lower: float
-    parts: int
-    boundaries: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        if not self.upper < self.lower:
-            raise ValueError(f"need upper < lower, got [{self.upper}, {self.lower})")
-        if self.parts < 1:
-            raise ValueError("part count must be >= 1")
-        # Shared boundary values make the tiling exact in floating point.
-        step = (self.lower - self.upper) / self.parts
-        bounds = tuple(self.upper + k * step for k in range(self.parts)) + (self.lower,)
-        object.__setattr__(self, "boundaries", bounds)
-
-    def interval(self, k: int) -> tuple[float, float]:
-        """Half-open row interval of part k (1-based)."""
-        if not 1 <= k <= self.parts:
-            raise ValueError(f"part index {k} outside 1..{self.parts}")
-        return self.boundaries[k - 1], self.boundaries[k]
-
-    def centers(self) -> np.ndarray:
-        """Center row of every part, (K,)."""
-        b = np.array(self.boundaries)
-        return (b[:-1] + b[1:]) / 2.0
-
-
-def part_intervals(upper: float, lower: float, parts: int) -> PartLayout:
-    """Uniform partition of [upper, lower) into `parts` equal intervals."""
-    return PartLayout(upper=float(upper), lower=float(lower), parts=parts)
-
-
-def uniform_layout(parts: int) -> PartLayout:
-    """Partition of the whole map: part_intervals(0, MAP_HEIGHT, parts)."""
-    if parts > MAP_HEIGHT:
-        raise ValueError(f"cannot split {MAP_HEIGHT} rows into {parts} parts")
-    return part_intervals(0.0, float(MAP_HEIGHT), parts)
-
-
-def overlap_length(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Length of the intersection of two half-open intervals."""
-    return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+def part_bounds(upper, lower, parts: int) -> np.ndarray:
+    """Boundaries of `parts` equal parts tiling [upper, lower), (..., parts + 1);
+    the span [0, MAP_HEIGHT) gives the uniform division."""
+    upper = np.asarray(upper, dtype=np.float64)
+    lower = np.asarray(lower, dtype=np.float64)
+    if parts < 1:
+        raise ValueError("part count must be >= 1")
+    if not np.all(upper < lower):
+        raise ValueError(f"need upper < lower, got [{upper}, {lower})")
+    step = (lower - upper) / parts
+    bounds = upper[..., None] + np.arange(parts + 1) * step[..., None]
+    # Neighbouring parts share one boundary value and the last is `lower`
+    # itself, so the tiling is exact in floating point.
+    bounds[..., -1] = lower
+    return bounds
 
 
 def _window_tops(height: int) -> np.ndarray:
@@ -81,57 +52,47 @@ def _window_tops(height: int) -> np.ndarray:
     return np.arange(MAP_HEIGHT - height + 1, dtype=np.float64)
 
 
-def _overlaps(lo, hi, other_lo, other_hi) -> np.ndarray:
-    """`overlap_length` of [lo, hi) and [other_lo, other_hi), broadcast."""
+def overlaps(lo, hi, other_lo, other_hi) -> np.ndarray:
+    """Length of the intersection of [lo, hi) and [other_lo, other_hi),
+    broadcast."""
     return np.maximum(np.minimum(hi, other_hi) - np.maximum(lo, other_lo), 0.0)
 
 
-def _overlap(layout: PartLayout, height: int) -> np.ndarray:
-    """Rows each window of `height` rows (axis 0) shares with each part
-    (axis 1), (R, K)."""
+def _overlap(bounds: np.ndarray, height: int) -> np.ndarray:
+    """Rows each window of `height` rows shares with each part, (..., R, K)."""
     tops = _window_tops(height)[:, None]
-    b = np.array(layout.boundaries)
-    return _overlaps(b[:-1], b[1:], tops, tops + height)
+    return overlaps(bounds[..., None, :-1], bounds[..., None, 1:], tops, tops + height)
 
 
-def soft_label_matrix(layout: PartLayout) -> np.ndarray:
-    """Ground-truth probabilities of every detection window, (R, K + 1).
+def soft_label_matrix(bounds: np.ndarray) -> np.ndarray:
+    """Ground-truth probabilities of every detection window, (..., R, K + 1).
 
     Column k - 1 is the fraction of the window covered by part k; the last
     column is the uncovered remainder (background). Entries are in [0, 1]
     and each row sums to 1.
     """
-    y = _overlap(layout, WINDOW_HEIGHT) / WINDOW_HEIGHT
-    background = np.maximum(1.0 - y.sum(axis=1), 0.0)
-    return np.concatenate([y, background[:, None]], axis=1)
+    y = _overlap(bounds, WINDOW_HEIGHT) / WINDOW_HEIGHT
+    background = np.maximum(1.0 - y.sum(axis=-1, keepdims=True), 0.0)
+    return np.concatenate([y, background], axis=-1)
 
 
-@dataclass(frozen=True)
-class OffsetTarget:
-    """Regression targets for one image.
+def offset_targets(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regression targets and their mask, each (..., R, K).
 
-    offsets[r, k] is the distance from window r+1's center to part k+1's
-    center, in window heights. mask[r, k] = 1 where |offset| < 1; only
+    offsets[..., r, k] is the distance from window r+1's center to part
+    k+1's center, in window heights. The mask is 1 where |offset| < 1; only
     those entries contribute to the regression loss.
     """
-
-    offsets: np.ndarray  # (R, K)
-    mask: np.ndarray  # (R, K), {0.0, 1.0}
-
-
-def offset_targets(layout: PartLayout) -> OffsetTarget:
-    """Normalized center offsets of every detection window and the
-    |offset| < 1 inclusion mask."""
     window_centers = _window_tops(WINDOW_HEIGHT) + WINDOW_HEIGHT / 2.0
-    offsets = (layout.centers()[None, :] - window_centers[:, None]) / WINDOW_HEIGHT
-    mask = (np.abs(offsets) < 1.0).astype(np.float64)
-    return OffsetTarget(offsets=offsets, mask=mask)
+    centers = (bounds[..., :-1] + bounds[..., 1:]) / 2.0
+    offsets = (centers[..., None, :] - window_centers[:, None]) / WINDOW_HEIGHT
+    return offsets, (np.abs(offsets) < 1.0).astype(np.float64)
 
 
-def layout_tops(layout: PartLayout, height: int) -> np.ndarray:
-    """Top row of each part's window of `height` rows, (K,): the window
+def layout_tops(bounds: np.ndarray, height: int) -> np.ndarray:
+    """Top row of each part's window of `height` rows, (..., K): the window
     that overlaps the part most, the smaller top on a tie."""
-    return np.argmax(_overlap(layout, height), axis=0)
+    return np.argmax(_overlap(bounds, height), axis=-2)
 
 
 def branch_heights(parts: int, granularities: tuple[int, ...]) -> tuple[int, ...]:
@@ -142,14 +103,14 @@ def branch_heights(parts: int, granularities: tuple[int, ...]) -> tuple[int, ...
     )
 
 
-def branch_tops(
-    upper: float, lower: float, parts: int, granularities: tuple[int, ...]
-) -> np.ndarray:
-    """Window top of every part branch (`branch_heights` order) for a body
-    spanning [upper, lower), (branches,); the span [0, MAP_HEIGHT) gives the
-    uniform division."""
+def branch_tops(upper, lower, parts: int, granularities: tuple[int, ...]) -> np.ndarray:
+    """Window top of every part branch (`branch_heights` order) for bodies
+    spanning [upper, lower), (..., branches); the span [0, MAP_HEIGHT) gives
+    the uniform division."""
     groups = [(parts, WINDOW_HEIGHT)] + [(g, granularity_height(g)) for g in granularities]
-    return np.concatenate([layout_tops(part_intervals(upper, lower, n), h) for n, h in groups])
+    return np.concatenate(
+        [layout_tops(part_bounds(upper, lower, n), h) for n, h in groups], axis=-1
+    )
 
 
 @dataclass(frozen=True)
@@ -205,7 +166,7 @@ def infer_granularity_layout(centers: np.ndarray, granularity: int) -> np.ndarra
     span = NUM_PARTS / granularity
     j = np.arange(granularity)[:, None]
     base = np.arange(NUM_PARTS, dtype=np.float64)  # base part i spans [i, i + 1)
-    weights = _overlaps(j * span, (j + 1) * span, base, base + 1.0)
+    weights = overlaps(j * span, (j + 1) * span, base, base + 1.0)
     # detected centers are integer tops + 2 and the weights 1 or 0.5, so the
     # weighted sums are exact whatever order the product adds them in
     center = centers @ weights.T / weights.sum(axis=1)

@@ -1,15 +1,16 @@
-"""Pedestrian boundary annotations and per-image supervision mode.
+"""Pedestrian boundary annotations and the body rows that supervise parts.
 
 Annotation records live in a headerless CSV, one record per line:
   image_id,upper_px,lower_px,head_pixels,lower_pixels,source
 Empty fields mean the value is absent. Pixel boundaries are in image
 coordinates (image height 384); the feature map has 24 rows, so one
-feature row spans 16 pixels.
+feature row spans 16 pixels. `body_rows` gives an image's body span in
+feature rows, or None when the image trains and is scored with uniform
+division.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .alignment import MAP_HEIGHT
@@ -53,55 +54,31 @@ class BoundaryAnnotation:
         return self.upper_px is not None and self.lower_px is not None
 
 
-def detect_part_missing(
-    ann: BoundaryAnnotation, threshold: int = PART_MISSING_THRESHOLD
-) -> bool:
+def detect_part_missing(ann: BoundaryAnnotation) -> bool:
     """True when the head or the lower body is too small to trust.
 
     Missing counts are treated as part-missing (conservative).
     """
     if ann.head_pixels is None or ann.lower_pixels is None:
         return True
-    return ann.head_pixels < threshold or ann.lower_pixels < threshold
+    return min(ann.head_pixels, ann.lower_pixels) < PART_MISSING_THRESHOLD
 
 
-def to_feature_rows(upper_px: float, lower_px: float) -> tuple[float, float]:
-    """Convert pixel boundaries to real-valued feature-map rows."""
-    scale = IMAGE_HEIGHT / MAP_HEIGHT
-    return upper_px / scale, lower_px / scale
+def body_rows(ann: BoundaryAnnotation | None, dy: int = 0) -> tuple[float, float] | None:
+    """The body span [upper, lower) in real-valued feature rows, with the
+    boundaries shifted by `dy` pixels and clamped to the frame.
 
-
-class Mode(Enum):
-    ALIGNED = "aligned"
-    UNIFORM = "uniform"
-
-
-@dataclass(frozen=True)
-class SupervisionMode:
-    """Per-image training mode.
-
-    ALIGNED carries the boundaries in feature rows and admits the image to
-    the window-detection losses; UNIFORM falls back to whole-image division
-    and contributes to the identity losses only.
+    None (uniform division, no detection targets) when the annotation is
+    absent, lacks boundaries, fails the part-missing check, or the shift
+    leaves no body inside the frame.
     """
-
-    mode: Mode
-    upper: float | None = None
-    lower: float | None = None
-
-    @property
-    def is_aligned(self) -> bool:
-        return self.mode is Mode.ALIGNED
-
-
-def supervision_mode(
-    ann: BoundaryAnnotation | None, threshold: int = PART_MISSING_THRESHOLD
-) -> SupervisionMode:
-    """ALIGNED when boundaries exist and no part is missing; UNIFORM otherwise."""
-    if ann is None or not ann.has_boundaries or detect_part_missing(ann, threshold):
-        return SupervisionMode(mode=Mode.UNIFORM)
-    upper, lower = to_feature_rows(ann.upper_px, ann.lower_px)
-    return SupervisionMode(mode=Mode.ALIGNED, upper=upper, lower=lower)
+    if ann is None or not ann.has_boundaries or detect_part_missing(ann):
+        return None
+    upper, lower = (min(max(v + dy, 0.0), IMAGE_HEIGHT) for v in (ann.upper_px, ann.lower_px))
+    if not upper < lower:
+        return None
+    scale = IMAGE_HEIGHT / MAP_HEIGHT
+    return upper / scale, lower / scale
 
 
 def _parse_field(raw: str) -> float | None:

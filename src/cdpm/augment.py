@@ -1,17 +1,15 @@
 """Training-time image augmentation.
 
 Offline: a fixed number of translated copies per image (shifts drawn once
-at plan time; boundary annotations shift with the pixels). Online, per
-batch draw: horizontal flip and random erasing, neither of which moves the
-vertical boundaries.
+at plan time; `annotations.body_rows` shifts the body span with the
+pixels). Online, per batch draw: horizontal flip and random erasing,
+neither of which moves the vertical boundaries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .annotations import IMAGE_HEIGHT
 
 TRANSLATE_MAX_PX = 8
 ERASE_AREA_RANGE = (0.02, 0.4)
@@ -45,17 +43,6 @@ def translate(image: np.ndarray, dy: int, dx: int) -> np.ndarray:
     xs_src = slice(max(-dx, 0), w + min(-dx, 0))
     out[ys, xs] = image[ys_src, xs_src]
     return out
-
-
-def shift_boundaries(
-    upper_px: float | None, lower_px: float | None, dy: int
-) -> tuple[float | None, float | None]:
-    """Translate boundary annotations with the image, clamped to the frame."""
-    clamp = lambda v: min(max(v + dy, 0.0), float(IMAGE_HEIGHT))
-    return (
-        clamp(upper_px) if upper_px is not None else None,
-        clamp(lower_px) if lower_px is not None else None,
-    )
 
 
 def flip_horizontal(image: np.ndarray) -> np.ndarray:
@@ -96,13 +83,12 @@ def apply_online(
     return image
 
 
-def offline_shifts(
-    rng: np.random.Generator, copies: int, max_px: int = TRANSLATE_MAX_PX
-) -> list[tuple[int, int]]:
-    """The original plus `copies - 1` random (dy, dx) shifts."""
+def offline_shifts(rng: np.random.Generator, copies: int) -> list[tuple[int, int]]:
+    """The original plus `copies - 1` random (dy, dx) shifts of at most
+    TRANSLATE_MAX_PX pixels."""
     shifts = [(0, 0)]
     for _ in range(copies - 1):
-        dy = int(rng.integers(-max_px, max_px + 1))
-        dx = int(rng.integers(-max_px, max_px + 1))
+        dy = int(rng.integers(-TRANSLATE_MAX_PX, TRANSLATE_MAX_PX + 1))
+        dx = int(rng.integers(-TRANSLATE_MAX_PX, TRANSLATE_MAX_PX + 1))
         shifts.append((dy, dx))
     return shifts

@@ -306,12 +306,11 @@ def generate_synthetic(
     root: str | Path,
     split: str = "train",
     identity_start: int = 1,
-    query_fraction: float = 1.0 / 3.0,
 ) -> dict[str, BoundaryAnnotation]:
     """Render one split and return its exact boundary annotations.
 
     For split="test" the images are divided into a camera-1 query portion
-    (first ceil(query_fraction * m) images) and a camera-2 gallery portion.
+    (first ceil(m / 3) images) and a camera-2 gallery portion.
     Annotations are returned keyed by image id; the caller merges splits
     and writes root/annotations.csv.
     """
@@ -324,7 +323,7 @@ def generate_synthetic(
         raise DataError(f"split must be 'train' or 'test', got {split!r}")
     for f in folders.values():
         f.mkdir(parents=True, exist_ok=True)
-    n_query = max(1, int(np.ceil(query_fraction * spec.images_per_identity)))
+    n_query = (spec.images_per_identity + 2) // 3
     annotations: dict[str, BoundaryAnnotation] = {}
     for ident_idx in range(spec.identities):
         identity = identity_start + ident_idx

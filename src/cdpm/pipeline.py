@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, data, evaluate
-from .annotations import BoundaryAnnotation, load_annotations, supervision_mode
+from .annotations import BoundaryAnnotation, body_rows, load_annotations
 from .config import Config
 from .model import WINDOW_HEIGHT, CdpmNetwork
 from .training import run_training
@@ -51,10 +51,11 @@ def extract_descriptors(
 # alignment quality
 
 
-def interval_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
-    inter = alignment.overlap_length(a, b)
-    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
-    return inter / union if union > 0 else 0.0
+def _part_iou(lo, hi, bounds: np.ndarray) -> np.ndarray:
+    """IoU of windows [lo, hi) with the parts of `bounds`, broadcast: (..., K)."""
+    part_lo, part_hi = bounds[..., :-1], bounds[..., 1:]
+    inter = alignment.overlaps(lo, hi, part_lo, part_hi)
+    return inter / ((hi - lo) + (part_hi - part_lo) - inter)
 
 
 @dataclass(frozen=True)
@@ -89,30 +90,25 @@ def alignment_report(
     that case). `uniform_iou` scores the uniform part interval itself.
     """
     selection = selection or alignment.SelectionConfig()
-    uniform = alignment.uniform_layout(net.cfg.parts)
+    parts = net.cfg.parts
+    uniform = alignment.part_bounds(0, alignment.MAP_HEIGHT, parts)
     records = [r for split in splits for r in index.split(split)]
     rows: list[AlignmentRow] = []
     for chunk in _batched(records, EXTRACT_BATCH):
-        usable = []
-        for r in chunk:
-            mode = supervision_mode(annotations.get(r.image_id))
-            if mode.is_aligned:
-                usable.append((r, mode))
+        usable = [(r, body) for r in chunk
+                  if (body := body_rows(annotations.get(r.image_id))) is not None]
         if not usable:
             continue
         images = np.stack([data.read_person_image(r.path) for r, _ in usable])
-        tops = net.part_tops(net.features(images), selection)
-        for i, (record, mode) in enumerate(usable):
-            layout = alignment.part_intervals(mode.upper, mode.lower, net.cfg.parts)
-            for k in range(1, net.cfg.parts + 1):
-                truth = layout.interval(k)
-                uniform_iou = interval_iou(uniform.interval(k), truth)
-                top = float(tops[i, k - 1])
-                window = int(tops[i, k - 1]) + 1 if net.heads is not None else 0
-                iou = interval_iou((top, top + WINDOW_HEIGHT), truth)
-                rows.append(
-                    AlignmentRow(record.image_id, k, window, top, iou, uniform_iou)
-                )
+        tops = net.part_tops(net.features(images), selection).astype(np.float64)
+        truth = alignment.part_bounds(*np.array([body for _, body in usable]).T, parts)
+        iou = _part_iou(tops, tops + WINDOW_HEIGHT, truth)
+        uniform_iou = _part_iou(uniform[:-1], uniform[1:], truth)
+        for i, (record, _) in enumerate(usable):
+            for k in range(parts):
+                window = int(tops[i, k]) + 1 if net.heads is not None else 0
+                rows.append(AlignmentRow(record.image_id, k + 1, window, float(tops[i, k]),
+                                         float(iou[i, k]), float(uniform_iou[i, k])))
     if not rows:
         raise data.DataError("no image offers aligned ground truth to score")
     return AlignmentReport(
@@ -162,19 +158,28 @@ class AblationRow:
 
 
 def run_ablation(base_cfg: Config, out_dir: str | Path) -> list[AblationRow]:
-    """Train and evaluate the four configurations on one dataset and seed."""
+    """Train and evaluate the four configurations on one dataset and seed.
+
+    The dataset and its annotations load once, before any training, and a
+    dataset whose query and gallery images offer no aligned ground truth
+    is a data error.
+    """
     out_dir = Path(out_dir)
+    index = data.load_dataset(base_cfg.data_root)
+    annotations = load_annotations(index.annotations_path)
+    scored = [r for split in ("query", "gallery") for r in index.split(split)]
+    if all(body_rows(annotations.get(r.image_id)) is None for r in scored):
+        raise data.DataError("no query or gallery image offers aligned ground truth to score")
     rows = []
     for name, flags in ABLATION_CONFIGS:
         cfg = replace(base_cfg, model=replace(base_cfg.model, with_mgf=False, **flags))
         run_dir = out_dir / name
         log.info("ablation %s: training into %s", name, run_dir)
-        index, result = train_from_config(cfg, run_dir)
-        net = result.network
+        model_cfg = cfg.model_config(classes=index.class_count)
+        net = run_training(index, model_cfg, cfg.train, run_dir).network
         queries = extract_descriptors(net, index, "query", cfg.selection)
         gallery = extract_descriptors(net, index, "gallery", cfg.selection)
         report = evaluate.evaluate_retrieval(queries, gallery, "single")
-        annotations = load_annotations(index.annotations_path)
         align_rep = alignment_report(net, index, annotations, selection=cfg.selection)
         mean_iou = align_rep.mean_iou if cfg.model.with_alignment else align_rep.uniform_mean_iou
         rows.append(AblationRow(name, report.rank1, report.mean_ap, mean_iou))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, augment, data, losses
-from .annotations import BoundaryAnnotation, load_annotations, supervision_mode
+from .annotations import BoundaryAnnotation, body_rows, load_annotations
 from .augment import AugmentationConfig
 from .losses import LossWeights, TripletConfig
 from .model import CdpmNetwork, ModelConfig, gather_windows, scatter_window_grad
@@ -122,32 +122,25 @@ def build_train_items(
     """Expand the train split into offline copies with per-copy supervision.
 
     Aligned supervision (ground-truth part windows plus detection targets)
-    applies only when the model runs with alignment and the (shifted)
-    annotation passes the part-missing check; otherwise the image trains
-    with uniform part locations and is excluded from the detection losses.
+    applies only when the model runs with alignment and `body_rows` finds a
+    body in the shifted copy; otherwise the copy trains with uniform part
+    locations and is excluded from the detection losses.
     """
     items: list[TrainItem] = []
     for record in index.split("train"):
         ann = annotations.get(record.image_id)
         for dy, dx in augment.offline_shifts(rng, aug.translation_copies):
-            shifted = ann
-            if ann is not None and (dy, dx) != (0, 0) and ann.has_boundaries:
-                u, v = augment.shift_boundaries(ann.upper_px, ann.lower_px, dy)
-                shifted = BoundaryAnnotation(
-                    ann.image_id, u, v, ann.head_pixels, ann.lower_pixels, ann.source
-                )
-            mode = supervision_mode(shifted)
-            aligned = model_cfg.with_alignment and mode.is_aligned
-            upper, lower = (mode.upper, mode.lower) if aligned else (0, alignment.MAP_HEIGHT)
+            body = body_rows(ann, dy) if model_cfg.with_alignment else None
+            upper, lower = body or (0, alignment.MAP_HEIGHT)
             soft = offsets = mask = None
-            if aligned:
-                layout = alignment.part_intervals(upper, lower, model_cfg.parts)
-                target = alignment.offset_targets(layout)
-                soft = alignment.soft_label_matrix(layout)
-                offsets, mask = target.offsets, target.mask
+            if body is not None:
+                bounds = alignment.part_bounds(upper, lower, model_cfg.parts)
+                soft = alignment.soft_label_matrix(bounds)
+                offsets, mask = alignment.offset_targets(bounds)
             tops = alignment.branch_tops(upper, lower, model_cfg.parts,
                                          model_cfg.granularities)
-            items.append(TrainItem(record, (dy, dx), aligned, tops, soft, offsets, mask))
+            items.append(TrainItem(record, (dy, dx), body is not None, tops, soft,
+                                   offsets, mask))
     return items
 
 

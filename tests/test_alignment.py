@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from cdpm import alignment as al
-from cdpm.annotations import BoundaryAnnotation, supervision_mode
+from cdpm import pipeline
+from cdpm.annotations import BoundaryAnnotation, body_rows
 from cdpm.model import CdpmNetwork, ModelConfig
+
+
+def interval(bounds, k) -> tuple[float, float]:
+    """Half-open row interval of part k (1-based) of one body's boundaries."""
+    return float(bounds[k - 1]), float(bounds[k])
 
 
 def exact_overlap(a, b) -> float:
@@ -25,63 +31,75 @@ def test_enumerate_windows_full_model_geometry():
     """The detection windows are the 21 stride-1 windows of 4 rows over the
     24-row map: window r covers rows [r - 1, r + 3)."""
     assert al.WINDOW_COUNT == 21
-    layout = al.part_intervals(0, 24, 6)
+    layout = al.part_bounds(0, 24, 6)
     labels = al.soft_label_matrix(layout)
     assert labels.shape == (21, 7)
     np.testing.assert_array_equal(labels[0], [1, 0, 0, 0, 0, 0, 0])
     np.testing.assert_array_equal(labels[20], [0, 0, 0, 0, 0, 1, 0])
     # part 1's center (row 2) minus each window's center, in window heights
-    window_centers = 2.0 - 4.0 * al.offset_targets(layout).offsets[:, 0]
+    window_centers = 2.0 - 4.0 * al.offset_targets(layout)[0][:, 0]
     np.testing.assert_array_equal(window_centers, np.arange(21) + 2.0)
 
 
 def test_enumerate_windows_rejects_oversized_window():
     with pytest.raises(ValueError):
-        al.layout_tops(al.part_intervals(0, 24, 2), 25)
+        al.layout_tops(al.part_bounds(0, 24, 2), 25)
 
 
 # ---------------------------------------------------------------------------
 # part layouts
 
 
-def test_part_intervals_whole_map():
-    layout = al.part_intervals(0, 24, 6)
+def test_part_bounds_whole_map():
+    layout = al.part_bounds(0, 24, 6)
+    assert layout.shape == (7,) and layout.dtype == np.float64
     for k in range(1, 7):
-        assert layout.interval(k) == (4.0 * (k - 1), 4.0 * k)
-    np.testing.assert_array_equal(layout.centers(), [2, 6, 10, 14, 18, 22])
+        assert interval(layout, k) == (4.0 * (k - 1), 4.0 * k)
+    np.testing.assert_array_equal((layout[:-1] + layout[1:]) / 2, [2, 6, 10, 14, 18, 22])
 
 
-def test_part_intervals_annotated_region():
-    layout = al.part_intervals(2, 20, 6)
-    u1, l1 = layout.interval(1)
+def test_part_bounds_annotated_region():
+    layout = al.part_bounds(2, 20, 6)
+    u1, l1 = interval(layout, 1)
     assert u1 == 2.0 and l1 == 5.0
 
 
-def test_part_intervals_single_part_and_rejection():
-    layout = al.part_intervals(3.5, 17.25, 1)
-    assert layout.interval(1) == (3.5, 17.25)
+def test_part_bounds_single_part_and_rejection():
+    layout = al.part_bounds(3.5, 17.25, 1)
+    assert interval(layout, 1) == (3.5, 17.25)
     with pytest.raises(ValueError):
-        al.part_intervals(5, 5, 3)
+        al.part_bounds(5, 5, 3)
+    with pytest.raises(ValueError):
+        al.part_bounds(0, 24, 0)
+    with pytest.raises(ValueError):  # one empty body rejects the batch
+        al.part_bounds([0.0, 5.0], [24.0, 5.0], 3)
 
 
-def test_uniform_layout():
-    layout = al.uniform_layout(6)
-    assert [layout.interval(k) for k in (1, 6)] == [(0.0, 4.0), (20.0, 24.0)]
-    assert al.uniform_layout(2).interval(2) == (12.0, 24.0)
-    np.testing.assert_allclose(np.diff(al.uniform_layout(7).boundaries), 24 / 7)
-    with pytest.raises(ValueError):
-        al.uniform_layout(25)
+def test_uniform_division():
+    layout = al.part_bounds(0, al.MAP_HEIGHT, 6)
+    assert [interval(layout, k) for k in (1, 6)] == [(0.0, 4.0), (20.0, 24.0)]
+    assert interval(al.part_bounds(0, al.MAP_HEIGHT, 2), 2) == (12.0, 24.0)
+    np.testing.assert_allclose(np.diff(al.part_bounds(0, al.MAP_HEIGHT, 7)), 24 / 7)
 
 
 def test_layout_tiles_without_gaps():
+    """Each body's boundaries start at its upper row, end exactly at its
+    lower row and increase; a batch gives every body's own bits."""
     rng = np.random.default_rng(3)
     for _ in range(200):
         u = rng.uniform(0, 20)
         v = u + rng.uniform(0.5, 24 - u)
         k = int(rng.integers(1, 9))
-        layout = al.part_intervals(u, v, k)
-        for j in range(1, k):
-            assert layout.interval(j)[1] == layout.interval(j + 1)[0]
+        layout = al.part_bounds(u, v, k)
+        assert layout.shape == (k + 1,)
+        assert layout[0] == u and layout[-1] == v
+        assert np.all(np.diff(layout) > 0)
+    u = rng.uniform(0, 12, (4, 5))
+    v = u + rng.uniform(0.5, 12, (4, 5))
+    batch = al.part_bounds(u, v, 6)
+    assert batch.shape == (4, 5, 7)
+    for i in np.ndindex(4, 5):
+        np.testing.assert_array_equal(batch[i], al.part_bounds(u[i], v[i], 6))
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +107,13 @@ def test_layout_tiles_without_gaps():
 
 
 def test_soft_labels_half_half_split():
-    layout = al.part_intervals(0, 24, 6)
+    layout = al.part_bounds(0, 24, 6)
     y = al.soft_label_matrix(layout)[2]  # window 3, rows [2, 6)
     np.testing.assert_allclose(y, [0.5, 0.5, 0, 0, 0, 0, 0])
 
 
 def test_soft_labels_with_background():
-    layout = al.part_intervals(2, 20, 6)
+    layout = al.part_bounds(2, 20, 6)
     y = al.soft_label_matrix(layout)[0]  # window 1, rows [0, 4)
     np.testing.assert_allclose(y[0], 0.5)
     np.testing.assert_allclose(y[6], 0.5)
@@ -103,7 +121,7 @@ def test_soft_labels_with_background():
 
 
 def test_soft_labels_one_hot_inside_part():
-    layout = al.part_intervals(0, 24, 3)  # parts of height 8
+    layout = al.part_bounds(0, 24, 3)  # parts of height 8
     y = al.soft_label_matrix(layout)[9]  # window 10, rows [9, 13): inside part 2
     np.testing.assert_array_equal(y, [0, 1, 0, 0])
 
@@ -114,24 +132,24 @@ def test_soft_labels_random_layouts_match_interval_oracle():
         u = rng.uniform(0, 12)
         v = rng.uniform(u + 1, 24)
         k = int(rng.integers(1, 9))
-        layout = al.part_intervals(u, v, k)
+        layout = al.part_bounds(u, v, k)
         labels = al.soft_label_matrix(layout)
         assert labels.shape == (21, k + 1)
         assert np.all(np.abs(labels.sum(axis=1) - 1.0) < 1e-12)
         assert np.all(labels >= 0) and np.all(labels <= 1)
         for r, y in enumerate(labels):
             for j in range(1, k + 1):
-                want = exact_overlap(layout.interval(j), (r, r + 4)) / 4.0
+                want = exact_overlap(interval(layout, j), (r, r + 4)) / 4.0
                 assert y[j - 1] == want
 
 
 def test_window_coverage_sums_to_height_times_length():
     # Every row in [h-1, H-h+1] is covered by exactly h windows, so a part
     # there is covered h times its length; a label is coverage / h.
-    layout = al.part_intervals(5.3, 19.1, 4)
+    layout = al.part_bounds(5.3, 19.1, 4)
     labels = al.soft_label_matrix(layout)
     for k in range(1, 5):
-        u, l = layout.interval(k)
+        u, l = interval(layout, k)
         np.testing.assert_allclose(labels[:, k - 1].sum(), l - u)
 
 
@@ -140,26 +158,23 @@ def test_window_coverage_sums_to_height_times_length():
 
 
 def test_offset_targets_coincident_centers():
-    layout = al.part_intervals(0, 24, 6)
-    target = al.offset_targets(layout)
-    assert target.offsets.shape == target.mask.shape == (21, 6)
-    assert target.offsets[0, 0] == 0.0
-    assert target.mask[0, 0] == 1.0
+    offsets, mask = al.offset_targets(al.part_bounds(0, 24, 6))
+    assert offsets.shape == mask.shape == (21, 6)
+    assert offsets[0, 0] == 0.0
+    assert mask[0, 0] == 1.0
 
 
 def test_offset_targets_hand_value():
-    layout = al.part_intervals(2, 20, 6)
-    target = al.offset_targets(layout)
+    offsets, _ = al.offset_targets(al.part_bounds(2, 20, 6))
     # part 1 center 3.5, window 1 center 2 -> (3.5 - 2) / 4
-    np.testing.assert_allclose(target.offsets[0, 0], 0.375)
+    np.testing.assert_allclose(offsets[0, 0], 0.375)
 
 
 def test_offset_targets_mask_excludes_far_windows():
-    layout = al.part_intervals(8, 16, 1)  # part center 12
-    target = al.offset_targets(layout)
+    offsets, mask = al.offset_targets(al.part_bounds(8, 16, 1))  # part center 12
     # window 1 center 2: offset (12-2)/4 = 2.5 -> masked out
-    assert target.offsets[0, 0] == 2.5
-    assert target.mask[0, 0] == 0.0
+    assert offsets[0, 0] == 2.5
+    assert mask[0, 0] == 0.0
 
 
 def test_offset_targets_translation_equivariance():
@@ -168,11 +183,9 @@ def test_offset_targets_translation_equivariance():
         u = rng.uniform(0, 8)
         v = rng.uniform(u + 2, 16)
         delta = rng.uniform(0, 7)
-        base = al.offset_targets(al.part_intervals(u, v, 6))
-        shifted = al.offset_targets(al.part_intervals(u + delta, v + delta, 6))
-        np.testing.assert_allclose(
-            shifted.offsets - base.offsets, delta / 4.0, atol=1e-12
-        )
+        base, _ = al.offset_targets(al.part_bounds(u, v, 6))
+        shifted, _ = al.offset_targets(al.part_bounds(u + delta, v + delta, 6))
+        np.testing.assert_allclose(shifted - base, delta / 4.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +273,7 @@ def test_best_overlap_window_exhaustive():
     for _ in range(300):
         u = rng.uniform(0, 20)
         l = rng.uniform(u + 0.5, 24)
-        got = al.layout_tops(al.part_intervals(u, l, 1), 4)[0]
+        got = al.layout_tops(al.part_bounds(u, l, 1), 4)[0]
         overlaps = [exact_overlap((u, l), (t, t + 4)) for t in range(21)]
         best = max(overlaps)
         assert overlaps[got] == best
@@ -269,12 +282,11 @@ def test_best_overlap_window_exhaustive():
 
 def test_best_overlap_window_tie_goes_to_smaller_index():
     # part [2, 5): windows with tops 1 and 2 both overlap by 3
-    assert al.layout_tops(al.part_intervals(2.0, 5.0, 1), 4)[0] == 1
+    assert al.layout_tops(al.part_bounds(2.0, 5.0, 1), 4)[0] == 1
 
 
 def _part_tops(ann):
-    mode = supervision_mode(ann)
-    layout = al.part_intervals(mode.upper, mode.lower, al.NUM_PARTS)
+    layout = al.part_bounds(*body_rows(ann), al.NUM_PARTS)
     return al.layout_tops(layout, al.WINDOW_HEIGHT)
 
 
@@ -282,8 +294,7 @@ def test_layout_tops_match_soft_label_argmax(tiny_bench):
     index, anns = tiny_bench
     for record in index.split("train"):
         ann = anns[record.image_id]
-        mode = supervision_mode(ann)
-        layout = al.part_intervals(mode.upper, mode.lower, 6)
+        layout = al.part_bounds(*body_rows(ann), 6)
         labels = al.soft_label_matrix(layout)
         tops = al.layout_tops(layout, 4)
         for k in range(1, 7):
@@ -296,7 +307,7 @@ def test_layout_tops_spec_cases():
     off = BoundaryAnnotation("off", 32, 320, 9000, 9000, "manual")  # rows [2, 20)
     assert _part_tops(off)[0] == 1  # window 2
     missing = BoundaryAnnotation("m", 0, 384, 10, 9000, "manual")
-    assert supervision_mode(missing).is_aligned is False
+    assert body_rows(missing) is None
     np.testing.assert_array_equal(al.branch_tops(0, 24, 6, ()), [0, 4, 8, 12, 16, 20])
     np.testing.assert_array_equal(al.branch_tops(0, 24, 6, (4,))[6:], [0, 6, 12, 18])
     assert al.branch_heights(6, (4,)) == (4,) * 6 + (6,) * 4
@@ -305,6 +316,41 @@ def test_layout_tops_spec_cases():
         [0, 4, 8, 12, 16, 20, 0, 12, 0, 8, 16, 0, 6, 12, 18],
     )
     assert al.branch_heights(6, al.GRANULARITIES) == (4,) * 6 + (12,) * 2 + (8,) * 3 + (6,) * 4
+
+
+# ---------------------------------------------------------------------------
+# alignment scoring
+
+
+def test_alignment_report_hand_computed_ious(tiny_bench, monkeypatch):
+    """One query image with body rows [2, 22) and K = 6, so part k spans
+    [2 + 10 (k - 1) / 3, 2 + 10 k / 3). Part 1 against uniform [0, 4)
+    overlaps 2 rows of a 16/3-row union: IoU 0.375."""
+    index, _ = tiny_bench
+    image_id = index.split("query")[0].image_id
+    anns = {image_id: BoundaryAnnotation(image_id, 32, 352, 9000, 9000, "manual")}
+    uniform_iou = [3 / 8, 4 / 7, 5 / 6, 5 / 6, 4 / 7, 3 / 8]
+    small = dict(classes=2, backbone_channels=(4, 8, 8, 8, 8), feature_dim=8)
+
+    plain = CdpmNetwork(ModelConfig(**small, with_alignment=False), np.random.default_rng(0))
+    report = pipeline.alignment_report(plain, index, anns)
+    assert [(r.image_id, r.part, r.window, r.top) for r in report.rows] == [
+        (image_id, k, 0, 4.0 * (k - 1)) for k in range(1, 7)
+    ]
+    np.testing.assert_allclose([r.uniform_iou for r in report.rows], uniform_iou, rtol=1e-12)
+    np.testing.assert_allclose([r.iou for r in report.rows], uniform_iou, rtol=1e-12)
+    np.testing.assert_allclose([report.mean_iou, report.uniform_mean_iou],
+                               np.mean(uniform_iou), rtol=1e-12)
+
+    # detected windows [2, 6), [5, 9), [9, 13), [12, 16), [15, 19), [0, 4)
+    detected = CdpmNetwork(ModelConfig(**small), np.random.default_rng(0))
+    tops = np.array([[2, 5, 9, 12, 15, 0]])
+    monkeypatch.setattr(detected, "part_tops", lambda fmap, selection: tops)
+    report = pipeline.alignment_report(detected, index, anns)
+    assert [(r.window, r.top) for r in report.rows] == [(t + 1, float(t)) for t in tops[0]]
+    np.testing.assert_allclose([r.iou for r in report.rows],
+                               [5 / 6, 5 / 6, 9 / 13, 5 / 6, 5 / 6, 0.0], rtol=1e-12)
+    np.testing.assert_allclose([r.uniform_iou for r in report.rows], uniform_iou, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +384,13 @@ def test_granularity_four_fractional_weights():
     assert al.infer_granularity_layout(centers, 4)[0, 0] == 3
 
 
-def test_granularity_windows_reproduce_uniform_layout():
+def test_granularity_windows_reproduce_uniform_division():
     for g in (2, 3, 4):
         tops = al.infer_granularity_layout(uniform_centers(), g)
         np.testing.assert_array_equal(tops[0], al.branch_tops(0, 24, 6, (g,))[6:])
-        layout = al.uniform_layout(g)
+        layout = al.part_bounds(0, al.MAP_HEIGHT, g)
         for j, top in enumerate(tops[0], start=1):
-            assert (float(top), float(top + 24 // g)) == layout.interval(j)
+            assert (float(top), float(top + 24 // g)) == interval(layout, j)
 
 
 def test_granularity_windows_clamped_into_map():
@@ -394,16 +440,25 @@ def test_outputs_keep_the_bits_of_the_per_window_implementation():
     """Soft labels, offsets, masks and tops for 1..24 parts on fixed spans,
     granularity tops and part picks on a seeded set, and every branch's tops
     on fixed and seeded spans, hash to the digests the per-window, per-image,
-    per-group implementation gave."""
-    labels, tops = [], []
+    per-group implementation gave: from one call per span and from one
+    batched call over all spans."""
+    upper, lower = np.array(PIN_SPANS).T
+    labels, tops, batched_labels, batched_tops = [], [], [], []
     for k in range(1, 25):
         for u, v in PIN_SPANS:
-            layout = al.part_intervals(u, v, k)
-            target = al.offset_targets(layout)
-            labels += [al.soft_label_matrix(layout), target.offsets, target.mask]
+            layout = al.part_bounds(u, v, k)
+            labels += [al.soft_label_matrix(layout), *al.offset_targets(layout)]
             tops += [al.layout_tops(layout, h) for h in (4, 6, 8, 12)]
-    assert _digest(labels) == "f24cc3de60b29bd4e3c568999861deea2a01b5bc101c1c3b0e5fb63352afc003"
-    assert _digest(tops) == "245c40be97749630c9aab86da2d40f4fc2ad2ec16dc2287f39e4273d3b85dba2"
+        layouts = al.part_bounds(upper, lower, k)
+        per_span = [al.soft_label_matrix(layouts), *al.offset_targets(layouts)]
+        per_height = [al.layout_tops(layouts, h) for h in (4, 6, 8, 12)]
+        for i in range(len(PIN_SPANS)):
+            batched_labels += [a[i] for a in per_span]
+            batched_tops += [a[i] for a in per_height]
+    for digest in (_digest(labels), _digest(batched_labels)):
+        assert digest == "f24cc3de60b29bd4e3c568999861deea2a01b5bc101c1c3b0e5fb63352afc003"
+    for digest in (_digest(tops), _digest(batched_tops)):
+        assert digest == "245c40be97749630c9aab86da2d40f4fc2ad2ec16dc2287f39e4273d3b85dba2"
 
     rng = np.random.default_rng(1906)
     centers = rng.integers(0, 21, (64, 6)) + 2.0
@@ -422,4 +477,9 @@ def test_outputs_keep_the_bits_of_the_per_window_implementation():
     spans = PIN_SPANS + list(zip(lo, lo + rng.uniform(2.0, 12.0, 8)))
     branch = [al.branch_tops(u, v, k, grans) for k in range(1, 25) for u, v in spans
               for grans in ((), al.GRANULARITIES)]
-    assert _digest(branch) == "6d41daf1b7bc55af24d4c800de86f303761072cf95a84414c63a16fc39310048"
+    upper, lower = np.array(spans).T
+    batched = [[al.branch_tops(upper, lower, k, grans) for grans in ((), al.GRANULARITIES)]
+               for k in range(1, 25)]
+    batched = [tops[i] for per_k in batched for i in range(len(spans)) for tops in per_k]
+    for digest in (_digest(branch), _digest(batched)):
+        assert digest == "6d41daf1b7bc55af24d4c800de86f303761072cf95a84414c63a16fc39310048"

@@ -1,4 +1,4 @@
-"""Boundary annotation parsing, part-missing rule, and supervision modes."""
+"""Boundary annotation parsing, part-missing rule, and body rows."""
 import pytest
 
 from cdpm import annotations as an
@@ -27,10 +27,10 @@ def test_detect_part_missing_rule():
     assert an.detect_part_missing(make_ann(head_pixels=None))
 
 
-def test_to_feature_rows():
-    assert an.to_feature_rows(0, 384) == (0.0, 24.0)
-    assert an.to_feature_rows(32, 352) == (2.0, 22.0)
-    u, v = an.to_feature_rows(100, 250)
+def test_body_rows_feature_rows():
+    assert an.body_rows(make_ann(upper_px=0, lower_px=384)) == (0.0, 24.0)
+    assert an.body_rows(make_ann(upper_px=32, lower_px=352)) == (2.0, 22.0)
+    u, v = an.body_rows(make_ann(upper_px=100, lower_px=250))
     assert u == 100 / 16 and v == 250 / 16
 
 
@@ -49,20 +49,31 @@ def test_invalid_boundaries_rejected():
         make_ann(head_pixels=-5)
 
 
-def test_supervision_mode_aligned():
-    mode = an.supervision_mode(make_ann())
-    assert mode.is_aligned
-    assert mode.upper == 2.0 and mode.lower == 22.0
+def test_body_rows_aligned():
+    assert an.body_rows(make_ann()) == (2.0, 22.0)
 
 
-def test_supervision_mode_uniform_cases():
-    assert not an.supervision_mode(None).is_aligned
-    assert not an.supervision_mode(make_ann(upper_px=None, lower_px=None)).is_aligned
-    # part-missing flag forces uniform mode even with boundaries present
-    assert not an.supervision_mode(make_ann(head_pixels=100)).is_aligned
+def test_body_rows_uniform_cases():
+    assert an.body_rows(None) is None
+    assert an.body_rows(make_ann(upper_px=None, lower_px=None)) is None
+    # part-missing flag forces uniform division even with boundaries present
+    assert an.body_rows(make_ann(head_pixels=100)) is None
 
 
-def test_supervision_mode_total_and_deterministic():
+def test_body_rows_shift_that_empties_the_body_is_uniform():
+    """A valid body in the last rows of the frame, shifted down by the
+    largest offline shift, clamps to [384, 384): no body is left, so the
+    copy trains with uniform division."""
+    ann = make_ann(upper_px=376, lower_px=384, head_pixels=5000, lower_pixels=5000)
+    assert an.body_rows(ann) == (23.5, 24.0)
+    assert an.body_rows(ann, 7) == (23.9375, 24.0)
+    assert an.body_rows(ann, 8) is None
+    assert an.body_rows(ann, -8) == (23.0, 23.5)
+    top = make_ann(upper_px=0, lower_px=8)
+    assert an.body_rows(top, -8) is None and an.body_rows(top, -7) == (0.0, 1 / 16)
+
+
+def test_body_rows_total_and_deterministic():
     cases = [
         None,
         make_ann(),
@@ -70,10 +81,10 @@ def test_supervision_mode_total_and_deterministic():
         make_ann(upper_px=None, lower_px=None),
     ]
     for ann in cases:
-        a = an.supervision_mode(ann)
-        b = an.supervision_mode(ann)
-        assert a == b
-        assert a.mode in (an.Mode.ALIGNED, an.Mode.UNIFORM)
+        for dy in (-8, 0, 8):
+            a = an.body_rows(ann, dy)
+            assert a == an.body_rows(ann, dy)
+            assert a is None or (len(a) == 2 and all(isinstance(v, float) for v in a))
 
 
 def test_csv_roundtrip(tmp_path):

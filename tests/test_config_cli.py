@@ -2,6 +2,7 @@
 import csv
 import functools
 import importlib
+import pkgutil
 import re
 import shutil
 from dataclasses import fields, is_dataclass, replace
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdpm
 from cdpm import cli, config, data, ops, pipeline, tensorio
 from cdpm.alignment import SelectionConfig
 from cdpm.config import ConfigError, apply_assignments, load_config, save_config
@@ -138,10 +140,28 @@ def test_key_map_reaches_every_run_setting_once():
     assert set(targets) == {"data_root", "selection.threshold"} | model | train
 
 
+def unresolved_code_names(text: str) -> set[str]:
+    """Every backticked `module.name[.attr]` whose first part is a cdpm
+    module and which does not resolve; config keys and the file name
+    `config.used` are not code."""
+    modules = {m.name for m in pkgutil.iter_modules(cdpm.__path__)}
+    out = set()
+    for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)(?: = [^`\n]+)?`", text):
+        module, *attrs = dotted.split(".")
+        if module not in modules or dotted in config.KEY_MAP or dotted == "config.used":
+            continue
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"cdpm.{module}"))
+        except AttributeError:
+            out.add(dotted)
+    return out
+
+
 def test_readme_names_only_existing_config_keys():
     """Every `section.key` the README passes to --set, or names in backticks
     (alone or as `section.key = value`), is a config key; a backticked name
-    of a cdpm module's attribute, such as `data.load_image`, is code."""
+    of a cdpm module's attribute, such as `data.load_image`, is code, and
+    every such name resolves."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
     sections = {key.partition(".")[0] for key in config.KEY_MAP}
 
@@ -156,6 +176,10 @@ def test_readme_names_only_existing_config_keys():
     named = {f"{s}.{n}" for s, n in flags + spans if s in sections and not is_code(s, n)}
     assert "select.threshold" in named and "train.epoch_scale" in named
     assert named <= set(config.KEY_MAP), named - set(config.KEY_MAP)
+    assert not unresolved_code_names(text)
+    assert unresolved_code_names(
+        text + "\nThe uniform tops are `alignment.uniform_tops`.\n"
+    ) == {"alignment.uniform_tops"}
 
 
 #: a non-default value for every key but model.mgf, which needs the default
@@ -378,6 +402,30 @@ def test_cli_ablate_grid_rows_and_shared_stage1(tmp_path, capsys, tiny_bench):
         assert [p.name for p in params[0]] == [p.name for p in params[1]]
         for p, q in zip(*params):
             assert np.array_equal(p.value, q.value), (a, b, p.name)
+
+
+@pytest.mark.parametrize("annotations", [None, "no_boundaries"])
+def test_cli_ablate_without_alignment_truth_fails_before_training(
+    tmp_path, capsys, tiny_bench, annotations
+):
+    """Alignment cannot be scored without the annotation file, or when no
+    query or gallery image has body rows: a data error before any training."""
+    index, anns = tiny_bench
+    bench = tmp_path / "bench"
+    shutil.copytree(index.root, bench)
+    (bench / "annotations.csv").unlink()
+    if annotations == "no_boundaries":
+        (bench / "annotations.csv").write_text(
+            "".join(f"{image_id},,,5000,5000,manual\n" for image_id in anns), "utf-8")
+    runs = tmp_path / "runs"
+    rc = cli.main([
+        "ablate", "--data", str(bench), "--out", str(tmp_path / "ablation.csv"),
+        "--workdir", str(runs), "--set", "train.epoch_scale=0.02",
+        "--set", "train.batch_size=6", "--set", "augment.translation_copies=1",
+    ])
+    assert rc == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not list(runs.rglob("*.cdpm")) and not list(runs.rglob("train_log.csv"))
 
 
 def test_cli_train_requires_data(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cdpm import data
-from cdpm.annotations import load_annotations, supervision_mode
+from cdpm.annotations import body_rows, load_annotations
 
 RNG = np.random.default_rng(61)
 
@@ -169,8 +169,7 @@ def test_benchmark_annotations_exact_and_within_frame(bench):
             ann = anns[record.image_id]
             assert 0 <= ann.upper_px < ann.lower_px <= 384
             assert ann.source == "synthetic"
-            mode = supervision_mode(ann)
-            assert mode.is_aligned
+            assert body_rows(ann) is not None
 
 
 def test_generator_deterministic(tmp_path):

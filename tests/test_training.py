@@ -6,6 +6,7 @@ import pytest
 
 import conv_reference
 from cdpm import alignment, augment, data, losses, model, ops, pipeline, training
+from cdpm.annotations import BoundaryAnnotation, body_rows
 from cdpm.augment import AugmentationConfig
 from cdpm.losses import LossWeights, TripletConfig
 from cdpm.model import CdpmNetwork, ModelConfig, gather_windows
@@ -120,11 +121,13 @@ def test_translate_shifts_and_pads():
 
 
 def test_translate_boundary_bookkeeping():
-    u, v = augment.shift_boundaries(10.0, 380.0, 8)
-    assert (u, v) == (18.0, 384.0)  # lower boundary clamps to the frame
-    u, v = augment.shift_boundaries(4.0, 300.0, -8)
-    assert (u, v) == (0.0, 292.0)
-    assert augment.shift_boundaries(None, None, 5) == (None, None)
+    """A copy translated by dy pixels has its body rows shifted by dy / 16,
+    clamped to the frame."""
+    ann = BoundaryAnnotation("a", 10.0, 380.0, 5000, 5000)
+    assert body_rows(ann, 8) == (18.0 / 16, 24.0)  # lower boundary clamps to the frame
+    ann = BoundaryAnnotation("a", 4.0, 300.0, 5000, 5000)
+    assert body_rows(ann, -8) == (0.0, 292.0 / 16)
+    assert body_rows(BoundaryAnnotation("a", None, None, 5000, 5000), 5) is None
 
 
 def test_random_erase_keeps_shape_and_changes_pixels():
@@ -188,6 +191,24 @@ def test_build_items_uniform_when_alignment_disabled(tiny_bench):
         np.testing.assert_array_equal(item.tops, [0, 4, 8, 12, 16, 20])
 
 
+def test_build_items_copy_shifted_out_of_the_body_trains_uniform(tiny_bench):
+    """A valid body in the last 8 rows of pixels, shifted down by 8, leaves
+    no body in the frame: that copy trains with uniform division instead of
+    failing, and every other copy stays aligned."""
+    index, _ = tiny_bench
+    anns = {r.image_id: BoundaryAnnotation(r.image_id, 376, 384, 5000, 5000)
+            for r in index.split("train")}
+    items = training.build_train_items(index, anns, model_cfg(index), AugmentationConfig(
+        translation_copies=5), np.random.default_rng(4))
+    emptied = [item for item in items if item.shift[0] == 8]
+    assert emptied
+    for item in items:
+        assert item.aligned == (item.shift[0] != 8)
+    for item in emptied:
+        assert item.soft is None and item.offsets is None and item.mask is None
+        np.testing.assert_array_equal(item.tops, [0, 4, 8, 12, 16, 20])
+
+
 @pytest.mark.parametrize("parts", range(1, alignment.MAP_HEIGHT + 1))
 def test_every_part_count_reads_the_training_windows(tiny_bench, monkeypatch, parts):
     """Training targets, calibration, descriptors and alignment scoring read
@@ -209,7 +230,7 @@ def test_every_part_count_reads_the_training_windows(tiny_bench, monkeypatch, pa
     groups = [(parts, alignment.WINDOW_HEIGHT)]
     groups += [(g, alignment.MAP_HEIGHT // g) for g in (alignment.GRANULARITIES if mgf else ())]
     heights = [h for n, h in groups for _ in range(n)]
-    uniform = np.concatenate([alignment.layout_tops(alignment.uniform_layout(n), h)
+    uniform = np.concatenate([alignment.layout_tops(alignment.part_bounds(0, 24, n), h)
                               for n, h in groups])
     assert list(net.heights) == heights and len(net.part_branches) == len(heights)
     items = build_train_items(index, anns, cfg, AugmentationConfig(translation_copies=1),
