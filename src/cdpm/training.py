@@ -3,9 +3,11 @@
 Three stages: the identity baseline trains first; the detection heads,
 attention masks, and any extra branches train second with the baseline
 frozen; everything fine-tunes jointly in the third stage. Epoch counts and
-decay milestones scale together by one desk-scale factor. All sampling
-comes from generators seeded from one master seed, so a run is a pure
-function of (seed, config, dataset).
+lr milestones scale together by one desk-scale factor. The train split's
+offline copies are one table of arrays (`TrainSet`, one row per copy), and
+a batch is a set of its row indices. All sampling comes from generators
+seeded from one master seed, so a run is a pure function of (seed, config,
+dataset).
 """
 from __future__ import annotations
 
@@ -44,8 +46,7 @@ class Stage:
     name: str
     epochs: int
     base_lr: float
-    decay_every: int | None  # lr multiplied by 0.1 every N epochs
-    drop_at: int | None  # lr multiplied by 0.1 once, from this epoch on
+    milestones: tuple[int, ...]  # lr multiplied by 0.1 from each of these epochs on
     trainable: str  # baseline | new | all
 
 
@@ -54,14 +55,13 @@ def _scaled(epochs: int, scale: float) -> int:
 
 
 def stage_schedule(scale: float = 1.0) -> list[Stage]:
-    """The three stages with epoch counts and milestones scaled by one factor."""
+    """The three stages with epoch counts and milestones scaled by one factor:
+    stages 1 and 2 decay every 20 and 15 epochs, stage 3 once at epoch 20."""
+    e1, d1, e2, d2 = (_scaled(n, scale) for n in (50, 20, 40, 15))
     return [
-        Stage("stage1_baseline", _scaled(50, scale), 0.01, _scaled(20, scale), None,
-              "baseline"),
-        Stage("stage2_new_modules", _scaled(40, scale), 0.01, _scaled(15, scale), None,
-              "new"),
-        Stage("stage3_end2end", _scaled(30, scale), 0.001, None, _scaled(20, scale),
-              "all"),
+        Stage("stage1_baseline", e1, 0.01, tuple(range(d1, e1, d1)), "baseline"),
+        Stage("stage2_new_modules", e2, 0.01, tuple(range(d2, e2, d2)), "new"),
+        Stage("stage3_end2end", _scaled(30, scale), 0.001, (_scaled(20, scale),), "all"),
     ]
 
 
@@ -69,11 +69,7 @@ def learning_rate(stage: Stage, epoch: int) -> float:
     """Piecewise-constant rate as a pure function of the epoch index."""
     if not 0 <= epoch < stage.epochs:
         raise ValueError(f"epoch {epoch} outside stage {stage.name}")
-    if stage.decay_every is not None:
-        return stage.base_lr * 0.1 ** (epoch // stage.decay_every)
-    if stage.drop_at is not None and epoch >= stage.drop_at:
-        return stage.base_lr * 0.1
-    return stage.base_lr
+    return stage.base_lr * 0.1 ** sum(epoch >= m for m in stage.milestones)
 
 
 # ---------------------------------------------------------------------------
@@ -98,27 +94,32 @@ class SGDMomentum:
 
 
 # ---------------------------------------------------------------------------
-# training items (image + supervision, one per offline copy)
+# the train set: one row per offline copy, one array per fact
 
 
 @dataclass(frozen=True)
-class TrainItem:
-    record: data.Record
-    shift: tuple[int, int]
-    aligned: bool
-    tops: np.ndarray  # (branches,) int window tops, one per part branch
-    soft: np.ndarray | None  # (R, K+1)
-    offsets: np.ndarray | None  # (R, K)
-    mask: np.ndarray | None  # (R, K)
+class TrainSet:
+    """The train split's offline copies in split order, each image's copies
+    together; a non-aligned row's bounds divide [0, MAP_HEIGHT)."""
+
+    records: list[data.Record]  # (N,) the image of each row
+    shifts: np.ndarray  # (N, 2) int offline (dy, dx) in pixels
+    labels: np.ndarray  # (N,) int64 1-based train classes
+    aligned: np.ndarray  # (N,) bool: detection targets and part windows from the body
+    tops: np.ndarray  # (N, branches) int window tops, one per part branch
+    bounds: np.ndarray  # (N, K + 1) part boundaries in feature rows
+
+    def __len__(self) -> int:
+        return len(self.records)
 
 
-def build_train_items(
+def build_train_set(
     index: data.DatasetIndex,
     annotations: dict[str, BoundaryAnnotation],
     model_cfg: ModelConfig,
     aug: AugmentationConfig,
     rng: np.random.Generator,
-) -> list[TrainItem]:
+) -> TrainSet:
     """Expand the train split into offline copies with per-copy supervision.
 
     Aligned supervision (ground-truth part windows plus detection targets)
@@ -126,22 +127,24 @@ def build_train_items(
     body in the shifted copy; otherwise the copy trains with uniform part
     locations and is excluded from the detection losses.
     """
-    items: list[TrainItem] = []
+    records, shifts, spans = [], [], []
     for record in index.split("train"):
         ann = annotations.get(record.image_id)
         for dy, dx in augment.offline_shifts(rng, aug.translation_copies):
-            body = body_rows(ann, dy) if model_cfg.with_alignment else None
-            upper, lower = body or (0, alignment.MAP_HEIGHT)
-            soft = offsets = mask = None
-            if body is not None:
-                bounds = alignment.part_bounds(upper, lower, model_cfg.parts)
-                soft = alignment.soft_label_matrix(bounds)
-                offsets, mask = alignment.offset_targets(bounds)
-            tops = alignment.branch_tops(upper, lower, model_cfg.parts,
-                                         model_cfg.granularities)
-            items.append(TrainItem(record, (dy, dx), body is not None, tops, soft,
-                                   offsets, mask))
-    return items
+            records.append(record)
+            shifts.append((dy, dx))
+            spans.append(body_rows(ann, dy) if model_cfg.with_alignment else None)
+    upper, lower = np.array(
+        [span or (0, alignment.MAP_HEIGHT) for span in spans], dtype=np.float64
+    ).reshape(-1, 2).T
+    return TrainSet(
+        records=records,
+        shifts=np.array(shifts, dtype=np.int64).reshape(-1, 2),
+        labels=np.array([r.label for r in records], dtype=np.int64),
+        aligned=np.array([span is not None for span in spans], dtype=bool),
+        tops=alignment.branch_tops(upper, lower, model_cfg.parts, model_cfg.granularities),
+        bounds=alignment.part_bounds(upper, lower, model_cfg.parts),
+    )
 
 
 class ImageStore:
@@ -176,62 +179,24 @@ class Batch:
     labels: np.ndarray  # (B,) 1-based train classes
     tops: np.ndarray  # (B, branches): column k is net.part_branches[k]'s top
     aligned_idx: np.ndarray  # batch positions with detection targets
-    soft: np.ndarray | None  # (Na, R, K+1)
-    offsets: np.ndarray | None  # (Na, R, K)
-    mask: np.ndarray | None  # (Na, R, K)
-    item_indices: np.ndarray | None = None  # positions in the item list
+    soft: np.ndarray  # (Na, R, K+1)
+    offsets: np.ndarray  # (Na, R, K)
+    mask: np.ndarray  # (Na, R, K)
+    rows: np.ndarray  # (B,) rows of the train set
     triplet_composed: bool = False  # exactly P identities x A images
 
 
-def load_item_image(item: TrainItem, store: ImageStore) -> np.ndarray:
-    """The item's uint8 pixels, translated by its offline shift."""
-    img = store.load(item.record.path)
-    dy, dx = item.shift
-    if (dy, dx) != (0, 0):
+def load_copy(train: TrainSet, row: int, store: ImageStore) -> np.ndarray:
+    """The row's uint8 pixels, translated by its offline shift."""
+    img = store.load(train.records[row].path)
+    dy, dx = train.shifts[row]
+    if dy or dx:
         img = augment.translate(img, dy, dx)
     return img
 
 
-def _assemble(
-    chosen: list[TrainItem],
-    store: ImageStore,
-    rng: np.random.Generator,
-    aug: AugmentationConfig,
-    indices: np.ndarray,
-    triplet_composed: bool = False,
-    load_images: bool = True,
-) -> Batch:
-    images = None
-    if load_images:
-        # random erasing writes float noise, so augmented batches are float
-        images = [
-            augment.apply_online(data.to_unit_float(load_item_image(item, store)), rng, aug)
-            for item in chosen
-        ]
-    labels = np.array([item.record.label for item in chosen], dtype=np.int64)
-    aligned_idx = np.array(
-        [i for i, item in enumerate(chosen) if item.aligned], dtype=np.int64
-    )
-    soft = offsets = mask = None
-    if aligned_idx.size:
-        soft = np.stack([chosen[i].soft for i in aligned_idx])
-        offsets = np.stack([chosen[i].offsets for i in aligned_idx])
-        mask = np.stack([chosen[i].mask for i in aligned_idx])
-    return Batch(
-        images=np.stack(images) if images is not None else None,
-        labels=labels,
-        tops=np.stack([item.tops for item in chosen]),
-        aligned_idx=aligned_idx,
-        soft=soft,
-        offsets=offsets,
-        mask=mask,
-        item_indices=np.asarray(indices, dtype=np.int64),
-        triplet_composed=triplet_composed,
-    )
-
-
 def compose_batch(
-    items: list[TrainItem],
+    train: TrainSet,
     store: ImageStore,
     rng: np.random.Generator,
     aug: AugmentationConfig,
@@ -239,34 +204,43 @@ def compose_batch(
     triplet: TripletConfig | None = None,
     load_images: bool = True,
 ) -> Batch:
-    """Draw one batch: uniform sampling, or P identities x A images."""
-    if not items:
+    """Draw one batch of rows: uniform sampling, or P identities x A images."""
+    if not len(train):
         raise data.DataError("cannot compose a batch from an empty dataset")
     if triplet is None:
-        idx = rng.choice(len(items), size=batch_size, replace=len(items) < batch_size)
-        return _assemble(
-            [items[i] for i in idx], store, rng, aug, idx, load_images=load_images
-        )
-    by_label: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        by_label.setdefault(item.record.label, []).append(i)
-    label_pool = sorted(by_label)
-    if len(label_pool) < triplet.identities_per_batch:
-        raise data.DataError(
-            f"triplet batches need {triplet.identities_per_batch} identities, "
-            f"dataset has {len(label_pool)}"
-        )
-    labels = rng.choice(label_pool, size=triplet.identities_per_batch, replace=False)
-    chosen_idx: list[int] = []
-    for lbl in labels:
-        pool = by_label[int(lbl)]
-        take = rng.choice(
-            pool, size=triplet.images_per_identity, replace=len(pool) < triplet.images_per_identity
-        )
-        chosen_idx.extend(int(i) for i in take)
-    return _assemble(
-        [items[i] for i in chosen_idx], store, rng, aug, np.array(chosen_idx),
-        triplet_composed=True, load_images=load_images,
+        rows = rng.choice(len(train), size=batch_size, replace=len(train) < batch_size)
+    else:
+        label_pool = np.unique(train.labels)
+        if len(label_pool) < triplet.identities_per_batch:
+            raise data.DataError(
+                f"triplet batches need {triplet.identities_per_batch} identities, "
+                f"dataset has {len(label_pool)}"
+            )
+        picked = rng.choice(label_pool, size=triplet.identities_per_batch, replace=False)
+        take = triplet.images_per_identity
+        pools = [np.flatnonzero(train.labels == label) for label in picked]
+        rows = np.concatenate([rng.choice(pool, take, replace=len(pool) < take)
+                               for pool in pools])
+    images = None
+    if load_images:
+        # random erasing writes float noise, so augmented batches are float
+        images = np.stack([
+            augment.apply_online(data.to_unit_float(load_copy(train, r, store)), rng, aug)
+            for r in rows
+        ])
+    aligned_idx = np.flatnonzero(train.aligned[rows])
+    bounds = train.bounds[rows[aligned_idx]]
+    offsets, mask = alignment.offset_targets(bounds)
+    return Batch(
+        images=images,
+        labels=train.labels[rows],
+        tops=train.tops[rows],
+        aligned_idx=aligned_idx,
+        soft=alignment.soft_label_matrix(bounds),
+        offsets=offsets,
+        mask=mask,
+        rows=rows,
+        triplet_composed=triplet is not None,
     )
 
 
@@ -360,7 +334,7 @@ def train_step(
 # the full run
 
 
-#: largest item count for which frozen-backbone features are precomputed;
+#: largest train-set size for which frozen-backbone features are precomputed;
 #: above it each frozen-backbone batch computes the same features itself
 FEATURE_CACHE_LIMIT = 6000
 
@@ -415,16 +389,16 @@ def _trainable(net: CdpmNetwork, stage: Stage):
 
 
 def _build_feature_cache(
-    net: CdpmNetwork, items: list[TrainItem], store: ImageStore, batch_size: int
+    net: CdpmNetwork, train: TrainSet, rows: np.ndarray, store: ImageStore,
+    batch_size: int,
 ) -> np.ndarray:
-    """Frozen-backbone feature maps for every item, without online
-    augmentation, so the backbone reads each item's uint8 pixels."""
-    maps = []
-    for start in range(0, len(items), batch_size):
-        chunk = items[start : start + batch_size]
-        images = np.stack([load_item_image(item, store) for item in chunk])
-        maps.append(net.features(images))
-    return np.concatenate(maps, axis=0)
+    """Frozen-backbone feature maps of the given rows, without online
+    augmentation, so the backbone reads each copy's uint8 pixels."""
+    return np.concatenate([
+        net.features(np.stack([load_copy(train, r, store)
+                               for r in rows[start : start + batch_size]]))
+        for start in range(0, len(rows), batch_size)
+    ], axis=0)
 
 
 def write_train_log(path: Path, rows: list[dict]) -> None:
@@ -453,7 +427,7 @@ def run_training(
     master = np.random.SeedSequence(settings.seed)
     init_seq, shift_seq, batch_seq = master.spawn(3)
     net = CdpmNetwork(model_cfg, np.random.default_rng(init_seq))
-    items = build_train_items(
+    train = build_train_set(
         index, annotations, model_cfg, settings.augmentation,
         np.random.default_rng(shift_seq),
     )
@@ -469,36 +443,37 @@ def run_training(
             continue
         flags = _stage_flags(stage, model_cfg)
         use_triplet = settings.triplet if (flags.mgf and net.holistic) else None
-        batches = max(1, len(items) // settings.batch_size)
+        batches = max(1, len(train) // settings.batch_size)
         calib = compose_batch(
-            items, store, batch_rng, settings.augmentation,
+            train, store, batch_rng, settings.augmentation,
             settings.batch_size, use_triplet,
         )
         net.calibrate(calib.images)
         # A frozen-backbone stage trains without online augmentation, so its
-        # features are a fixed function of each item: precomputed once when
-        # the items fit under the limit, else computed per batch. The limit
-        # only decides memory; the features are the same bits either way.
+        # features are a fixed function of each row: precomputed once when
+        # the train set fits under the limit, else computed per batch. The
+        # limit only decides memory; the features are the same bits either way.
         frozen = not flags.backbone_grad
         feature_cache = None
-        if frozen and len(items) <= FEATURE_CACHE_LIMIT:
-            log.info("%s: caching frozen-backbone features for %d items",
-                     stage.name, len(items))
-            feature_cache = _build_feature_cache(net, items, store, settings.batch_size)
+        if frozen and len(train) <= FEATURE_CACHE_LIMIT:
+            log.info("%s: caching frozen-backbone features for %d copies",
+                     stage.name, len(train))
+            feature_cache = _build_feature_cache(net, train, np.arange(len(train)), store,
+                                                 settings.batch_size)
         for epoch in range(stage.epochs):
             lr = learning_rate(stage, epoch)
             sums: dict[str, float] = {}
             for b in range(batches):
                 batch = compose_batch(
-                    items, store, batch_rng, settings.augmentation,
+                    train, store, batch_rng, settings.augmentation,
                     settings.batch_size, use_triplet, load_images=not frozen,
                 )
                 fmap = None
                 if feature_cache is not None:
-                    fmap = feature_cache[batch.item_indices]
+                    fmap = feature_cache[batch.rows]
                 elif frozen:
-                    chosen = [items[i] for i in batch.item_indices]
-                    fmap = _build_feature_cache(net, chosen, store, len(chosen))
+                    fmap = _build_feature_cache(net, train, batch.rows, store,
+                                                len(batch.rows))
                 terms = train_step(net, batch, flags, settings.weights,
                                    settings.triplet, fmap=fmap)
                 if not np.isfinite(terms["total"]):

@@ -566,6 +566,7 @@ def test_cli_bad_image_is_data_error(tmp_path, capsys, extract_inputs, command, 
     assert str(spoiled) in err and cause in err, err
 
 
+@pytest.mark.parametrize("command", ["align", "train", "ablate"])
 @pytest.mark.parametrize("line,message", [
     ("0001_c1_0000,0,384,9000,9000", "expected 6 fields, got 5"),
     ("0001_c1_0000,top,384,9000,9000,manual", "could not convert string to float"),
@@ -576,19 +577,28 @@ def test_cli_bad_image_is_data_error(tmp_path, capsys, extract_inputs, command, 
     ("0001_c1_0000,0,384,9000,9000,drawn", "unknown source 'drawn'"),
 ])
 def test_cli_align_bad_annotation_file_exit_code(tmp_path, capsys, extract_inputs,
-                                                  line, message):
+                                                  line, message, command):
+    """A bad annotation line is one data error naming file:line, before any
+    checkpoint is written, in every command that reads the file."""
     bench, tensors = extract_inputs
     copy = tmp_path / "bench"
     shutil.copytree(bench, copy)
     (copy / "annotations.csv").write_text(f"# header comment\n{line}\n")
     checkpoint = tmp_path / "net.cdpm"
     tensorio.save_tensors(checkpoint, tensors)
-    rc = cli.main(["align", "--checkpoint", str(checkpoint), "--data", str(copy),
-                   "--out", str(tmp_path / "align.csv")])
+    out, workdir = tmp_path / "out", tmp_path / "runs"
+    args = {
+        "align": ["--checkpoint", str(checkpoint), "--out", str(out)],
+        "train": ["--out", str(out), "--set", "train.epoch_scale=0.02"],
+        "ablate": ["--out", str(out), "--workdir", str(workdir),
+                   "--set", "train.epoch_scale=0.02"],
+    }[command]
+    rc = cli.main([command, "--data", str(copy), *args])
     assert rc == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "annotations.csv:2:" in err, err
-    assert message in err, err
+    assert err.count("\n") == 1 and err.startswith("data error:"), err
+    assert "annotations.csv:2:" in err and message in err, err
+    assert not [p for root in (out, workdir) if root.exists() for p in root.rglob("*.cdpm")]
 
 
 def test_cli_non_utf8_annotation_file_exit_code(tmp_path, capsys, extract_inputs):

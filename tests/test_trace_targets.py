@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import cdpm
-from cdpm import ops
+from cdpm import ops, training
 from cdpm.model import WINDOW_HEIGHT, CdpmNetwork, ModelConfig, gather_windows
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -113,3 +113,13 @@ def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch):
     assert {"layers.Conv.bwd", "ops.conv2d_backward", "model.PartBranch.bwd"} <= names
     assert len(threads) == len(tracer.spans)
     assert set(threads) == {threading.get_ident()}
+
+
+def test_each_stage_of_the_full_model_has_its_own_step_span(spans):
+    """The benchmark names each train step's span after its stage, read off
+    the step's flags; on the full model the schedule's three stages map to
+    stages 1, 2 and 3, so every per-stage step rate gets samples."""
+    full_cfg = ModelConfig(classes=4, with_refinement=True, with_alignment=True, with_mgf=True)
+    stages = [spans.stage_of(training._stage_flags(s, full_cfg))
+              for s in training.stage_schedule()]
+    assert stages == [1, 2, 3]

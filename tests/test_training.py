@@ -1,4 +1,5 @@
 """Schedules, optimizer, augmentation, batch composition, and full runs."""
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from cdpm.training import (
     SGDMomentum,
     StepFlags,
     TrainSettings,
-    build_train_items,
+    build_train_set,
     compose_batch,
     learning_rate,
     run_training,
@@ -30,9 +31,9 @@ RNG = np.random.default_rng(81)
 
 def test_stage_schedule_full_scale():
     s1, s2, s3 = stage_schedule(1.0)
-    assert (s1.epochs, s1.base_lr, s1.decay_every) == (50, 0.01, 20)
-    assert (s2.epochs, s2.base_lr, s2.decay_every) == (40, 0.01, 15)
-    assert (s3.epochs, s3.base_lr, s3.drop_at) == (30, 0.001, 20)
+    assert (s1.epochs, s1.base_lr, s1.milestones) == (50, 0.01, (20, 40))
+    assert (s2.epochs, s2.base_lr, s2.milestones) == (40, 0.01, (15, 30))
+    assert (s3.epochs, s3.base_lr, s3.milestones) == (30, 0.001, (20,))
     assert (s1.trainable, s2.trainable, s3.trainable) == ("baseline", "new", "all")
 
 
@@ -54,7 +55,7 @@ def test_learning_rate_piecewise_sequences():
 def test_stage_schedule_scaling():
     s1, s2, s3 = stage_schedule(0.2)
     assert [s.epochs for s in (s1, s2, s3)] == [10, 8, 6]
-    assert s1.decay_every == 4 and s2.decay_every == 3 and s3.drop_at == 4
+    assert (s1.milestones, s2.milestones, s3.milestones) == ((4, 8), (3, 6), (4,))
     tiny = stage_schedule(0.01)
     assert all(s.epochs >= 1 for s in tiny)
 
@@ -157,7 +158,7 @@ def test_augmentation_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# items & batches
+# the train set & batches
 
 
 def model_cfg(index, **kw):
@@ -170,25 +171,29 @@ def model_cfg(index, **kw):
 def test_build_items_aligned_supervision(tiny_bench):
     index, anns = tiny_bench
     cfg = model_cfg(index)
-    items = training.build_train_items(index, anns, cfg, AugmentationConfig(
+    train = training.build_train_set(index, anns, cfg, AugmentationConfig(
         translation_copies=1), np.random.default_rng(0))
-    assert len(items) == len(index.split("train"))
-    for item in items:
-        assert item.aligned  # synthetic annotations are complete
-        assert item.soft.shape == (21, 7)
-        assert item.offsets.shape == (21, 6)
-        np.testing.assert_allclose(item.soft.sum(axis=1), 1.0, atol=1e-12)
+    assert len(train) == len(index.split("train"))
+    assert train.aligned.all()  # synthetic annotations are complete
+    assert train.bounds.shape == (len(train), 7)
+    soft = alignment.soft_label_matrix(train.bounds)
+    offsets, _ = alignment.offset_targets(train.bounds)
+    assert soft.shape == (len(train), 21, 7)
+    assert offsets.shape == (len(train), 21, 6)
+    np.testing.assert_allclose(soft.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_build_items_uniform_when_alignment_disabled(tiny_bench):
     index, anns = tiny_bench
     cfg = model_cfg(index, with_alignment=False)
-    items = training.build_train_items(index, anns, cfg, AugmentationConfig(
-        translation_copies=1), np.random.default_rng(0))
-    for item in items:
-        assert not item.aligned
-        assert item.soft is None
-        np.testing.assert_array_equal(item.tops, [0, 4, 8, 12, 16, 20])
+    aug = AugmentationConfig(translation_copies=1)
+    train = training.build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
+    assert not train.aligned.any()
+    np.testing.assert_array_equal(train.tops, np.tile([0, 4, 8, 12, 16, 20], (len(train), 1)))
+    batch = compose_batch(train, training.ImageStore(), np.random.default_rng(0), aug, 4,
+                          load_images=False)
+    assert batch.aligned_idx.size == 0
+    assert batch.soft.shape == (0, 21, 7) and batch.offsets.shape == batch.mask.shape == (0, 21, 6)
 
 
 def test_build_items_copy_shifted_out_of_the_body_trains_uniform(tiny_bench):
@@ -198,15 +203,19 @@ def test_build_items_copy_shifted_out_of_the_body_trains_uniform(tiny_bench):
     index, _ = tiny_bench
     anns = {r.image_id: BoundaryAnnotation(r.image_id, 376, 384, 5000, 5000)
             for r in index.split("train")}
-    items = training.build_train_items(index, anns, model_cfg(index), AugmentationConfig(
-        translation_copies=5), np.random.default_rng(4))
-    emptied = [item for item in items if item.shift[0] == 8]
-    assert emptied
-    for item in items:
-        assert item.aligned == (item.shift[0] != 8)
-    for item in emptied:
-        assert item.soft is None and item.offsets is None and item.mask is None
-        np.testing.assert_array_equal(item.tops, [0, 4, 8, 12, 16, 20])
+    aug = AugmentationConfig(translation_copies=5)
+    train = training.build_train_set(index, anns, model_cfg(index), aug,
+                                     np.random.default_rng(4))
+    emptied = train.shifts[:, 0] == 8
+    assert emptied.any()
+    np.testing.assert_array_equal(train.aligned, ~emptied)
+    np.testing.assert_array_equal(train.tops[emptied],
+                                  np.tile([0, 4, 8, 12, 16, 20], (emptied.sum(), 1)))
+    # every row once: only the rows with a body get detection targets
+    batch = compose_batch(train, training.ImageStore(), np.random.default_rng(0), aug,
+                          len(train), load_images=False)
+    np.testing.assert_array_equal(batch.aligned_idx, np.flatnonzero(~emptied[batch.rows]))
+    assert batch.soft.shape[0] == batch.offsets.shape[0] == batch.mask.shape[0] == (~emptied).sum()
 
 
 @pytest.mark.parametrize("parts", range(1, alignment.MAP_HEIGHT + 1))
@@ -233,11 +242,10 @@ def test_every_part_count_reads_the_training_windows(tiny_bench, monkeypatch, pa
     uniform = np.concatenate([alignment.layout_tops(alignment.part_bounds(0, 24, n), h)
                               for n, h in groups])
     assert list(net.heights) == heights and len(net.part_branches) == len(heights)
-    items = build_train_items(index, anns, cfg, AugmentationConfig(translation_copies=1),
-                              np.random.default_rng(0))
-    for item in items:
-        assert not item.aligned
-        np.testing.assert_array_equal(item.tops, uniform)
+    train = build_train_set(index, anns, cfg, AugmentationConfig(translation_copies=1),
+                            np.random.default_rng(0))
+    assert not train.aligned.any()
+    np.testing.assert_array_equal(train.tops, np.tile(uniform, (len(train), 1)))
 
     net.calibrate(images)
     gathered.clear()
@@ -265,26 +273,25 @@ def test_every_part_count_reads_the_training_windows(tiny_bench, monkeypatch, pa
 def test_build_items_offline_copies_shift_annotations(tiny_bench):
     index, anns = tiny_bench
     cfg = model_cfg(index)
-    items = training.build_train_items(index, anns, cfg, AugmentationConfig(
+    train = training.build_train_set(index, anns, cfg, AugmentationConfig(
         translation_copies=3), np.random.default_rng(1))
-    assert len(items) == 3 * len(index.split("train"))
-    by_record = {}
-    for item in items:
-        by_record.setdefault(item.record.image_id, []).append(item)
+    assert len(train) == 3 * len(index.split("train"))
+    offsets, _ = alignment.offset_targets(train.bounds)
     checked = 0
-    for copies in by_record.values():
-        assert copies[0].shift == (0, 0)
-        base = copies[0]
-        ann = anns[base.record.image_id]
-        for c in copies[1:]:
-            dy = c.shift[0]
+    for base, record in zip(range(0, len(train), 3), index.split("train"), strict=True):
+        # rows in split order, each image's three copies together, the original first
+        assert [train.records[c] for c in range(base, base + 3)] == [record] * 3
+        assert train.shifts[base].tolist() == [0, 0]
+        ann = anns[record.image_id]
+        for c in range(base + 1, base + 3):
+            dy = train.shifts[c, 0]
             if dy == 0:
                 continue
             if not (0 <= ann.upper_px + dy and ann.lower_px + dy <= 384):
                 continue  # clamped at the frame; pure-shift equivariance broken
             # offsets move with the shifted boundaries
             np.testing.assert_allclose(
-                c.offsets - base.offsets, dy / 16.0 / 4.0, atol=1e-9
+                offsets[c] - offsets[base], dy / 16.0 / 4.0, atol=1e-9
             )
             checked += 1
     assert checked > 0
@@ -294,9 +301,9 @@ def test_compose_batch_classification(tiny_bench):
     index, anns = tiny_bench
     cfg = model_cfg(index)
     aug = AugmentationConfig(translation_copies=1)
-    items = training.build_train_items(index, anns, cfg, aug, np.random.default_rng(0))
+    train = training.build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
     store = training.ImageStore()
-    batch = compose_batch(items, store, np.random.default_rng(3), aug, batch_size=8)
+    batch = compose_batch(train, store, np.random.default_rng(3), aug, batch_size=8)
     assert batch.images.shape == (8, 384, 128, 3)
     assert batch.labels.shape == (8,)
     assert not batch.triplet_composed
@@ -307,33 +314,74 @@ def test_compose_batch_triplet_structure(tiny_bench):
     index, anns = tiny_bench
     cfg = model_cfg(index)
     aug = AugmentationConfig(translation_copies=1)
-    items = training.build_train_items(index, anns, cfg, aug, np.random.default_rng(0))
+    train = training.build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
     store = training.ImageStore()
     tri = TripletConfig(identities_per_batch=3, images_per_identity=4)
-    batch = compose_batch(items, store, np.random.default_rng(3), aug, 12, tri)
+    batch = compose_batch(train, store, np.random.default_rng(3), aug, 12, tri)
     assert batch.triplet_composed
     uniq, counts = np.unique(batch.labels, return_counts=True)
     assert len(uniq) == 3 and np.all(counts == 4)
     too_greedy = TripletConfig(identities_per_batch=50, images_per_identity=2)
     with pytest.raises(data.DataError):
-        compose_batch(items, store, np.random.default_rng(3), aug, 100, too_greedy)
+        compose_batch(train, store, np.random.default_rng(3), aug, 100, too_greedy)
 
 
 def test_compose_batch_deterministic(tiny_bench):
     index, anns = tiny_bench
     cfg = model_cfg(index)
     aug = AugmentationConfig(translation_copies=2)
-    items = training.build_train_items(index, anns, cfg, aug, np.random.default_rng(0))
+    train = training.build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
     store = training.ImageStore()
-    a = compose_batch(items, store, np.random.default_rng(7), aug, 6)
-    b = compose_batch(items, store, np.random.default_rng(7), aug, 6)
+    a = compose_batch(train, store, np.random.default_rng(7), aug, 6)
+    b = compose_batch(train, store, np.random.default_rng(7), aug, 6)
     assert np.array_equal(a.images, b.images)
     assert np.array_equal(a.labels, b.labels)
 
 
-def test_compose_batch_rejects_empty():
+def _feed(h, *arrays):
+    """Hash each array's dtype, shape and bytes; None and empty arrays add nothing."""
+    for a in arrays:
+        if a is not None and np.size(a):
+            a = np.ascontiguousarray(a)
+            h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+
+
+def test_train_copies_and_batch_draws_keep_their_bits(tiny_bench):
+    """The offline copies' shifts, alignment, tops and detection targets, and
+    16 uniform and triplet batches drawn with and without images, hash to
+    the digest of the one-object-per-copy implementation. One train image
+    has no annotation, so some copies and drawn rows are not aligned."""
+    index, anns = tiny_bench
+    anns = dict(anns)
+    del anns[index.split("train")[5].image_id]
+    cfg = model_cfg(index, with_mgf=True)
+    aug = AugmentationConfig(translation_copies=3)
+    train = build_train_set(index, anns, cfg, aug, np.random.default_rng(2))
+    h = hashlib.sha256("\n".join(r.image_id for r in train.records).encode())
+    assert 0 < train.aligned.sum() < len(train)
+    _feed(h, train.shifts, train.aligned, train.tops)
+    bounds = train.bounds[train.aligned]
+    _feed(h, alignment.soft_label_matrix(bounds), *alignment.offset_targets(bounds))
+    store, rng = training.ImageStore(), np.random.default_rng(7)
+    tri = TripletConfig(identities_per_batch=3, images_per_identity=2)
+    unaligned = 0
+    for _ in range(4):
+        for triplet in (None, tri):
+            for load_images in (True, False):
+                batch = compose_batch(train, store, rng, aug, 6, triplet, load_images)
+                unaligned += 6 - batch.aligned_idx.size
+                _feed(h, batch.rows, batch.labels, batch.tops, batch.aligned_idx,
+                      batch.soft, batch.offsets, batch.mask, batch.images)
+    assert unaligned > 0
+    assert h.hexdigest() == "1f733fde08ed8362fbf29f296cfc42129e598b606e6a28449c8f0d88cec52248"
+
+
+def test_compose_batch_rejects_empty(tmp_path):
+    empty = build_train_set(data.DatasetIndex(tmp_path), {}, ModelConfig(classes=2),
+                            AugmentationConfig(), np.random.default_rng(0))
+    assert len(empty) == 0 and empty.tops.shape == (0, 6) and empty.bounds.shape == (0, 7)
     with pytest.raises(data.DataError):
-        compose_batch([], training.ImageStore(), np.random.default_rng(0),
+        compose_batch(empty, training.ImageStore(), np.random.default_rng(0),
                       AugmentationConfig(), 4)
 
 
@@ -348,8 +396,8 @@ def test_train_step_sums_loss_f_over_every_branch_group(tiny_bench):
     cfg = model_cfg(index, with_mgf=True)
     net = CdpmNetwork(cfg, np.random.default_rng(4))
     aug = AugmentationConfig(translation_copies=1)
-    items = build_train_items(index, anns, cfg, aug, np.random.default_rng(0))
-    batch = compose_batch(items, training.ImageStore(), np.random.default_rng(5), aug, 4)
+    train = build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
+    batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 4)
     fmap, _ = net.backbone_forward(batch.images)
     sums = {}
     for mgf in (False, True):
@@ -378,8 +426,8 @@ def test_train_step_takes_fmap_exactly_when_backbone_is_frozen(tiny_bench):
     cfg = model_cfg(index)
     net = CdpmNetwork(cfg, np.random.default_rng(4))
     aug = AugmentationConfig(translation_copies=1)
-    items = build_train_items(index, anns, cfg, aug, np.random.default_rng(0))
-    batch = compose_batch(items, training.ImageStore(), np.random.default_rng(5), aug, 4)
+    train = build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
+    batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 4)
     fmap, _ = net.backbone_forward(batch.images)
     for backbone_grad, given in ((False, None), (True, fmap)):
         flags = StepFlags(refinement=False, detection=False, mgf=False,
@@ -396,10 +444,10 @@ def test_train_step_end_to_end_gradient_sample(tiny_bench):
     net = CdpmNetwork(cfg, np.random.default_rng(4))
     aug = AugmentationConfig(translation_copies=1, flip_probability=0.0,
                              erase_probability=0.0)
-    items = training.build_train_items(index, anns, cfg, aug, np.random.default_rng(0))
+    train = training.build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
     store = training.ImageStore()
     tri = TripletConfig(identities_per_batch=3, images_per_identity=2)
-    batch = compose_batch(items, store, np.random.default_rng(5), aug, 6, tri)
+    batch = compose_batch(train, store, np.random.default_rng(5), aug, 6, tri)
     flags = StepFlags(refinement=True, detection=True, mgf=True, backbone_grad=True)
     weights = LossWeights(lambda1=0.7, lambda2=1.3)
 
@@ -451,9 +499,9 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
     index, anns = tiny_bench
     cfg = ModelConfig(classes=index.class_count, with_mgf=True)
     aug = AugmentationConfig(translation_copies=1)
-    items = training.build_train_items(index, anns, cfg, aug, np.random.default_rng(0))
+    train = training.build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
     tri = TripletConfig(identities_per_batch=2, images_per_identity=2)
-    batch = compose_batch(items, training.ImageStore(), np.random.default_rng(5), aug,
+    batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug,
                           4, tri)
 
     def run():
@@ -557,13 +605,16 @@ def test_feature_cache_reads_pixels_with_the_bits_of_floats(tiny_bench):
     index, anns = tiny_bench
     net = calibrated_full_model(index)
     aug = AugmentationConfig(translation_copies=3)
-    items = build_train_items(index, anns, net.cfg, aug, np.random.default_rng(2))
-    assert any(item.shift != (0, 0) for item in items)
+    train = build_train_set(index, anns, net.cfg, aug, np.random.default_rng(2))
+    assert train.shifts.any()
     store = training.ImageStore()
-    cache = training._build_feature_cache(net, items, store, 16)
-    floats = np.stack([data.to_unit_float(training.load_item_image(item, store))
-                       for item in items])
+    cache = training._build_feature_cache(net, train, np.arange(len(train)), store, 16)
+    floats = np.stack([data.to_unit_float(training.load_copy(train, r, store))
+                       for r in range(len(train))])
     assert np.array_equal(cache, net.features(floats))
+    rows = np.array([5, 0, 5, len(train) - 1])  # one frozen-backbone batch
+    assert np.array_equal(training._build_feature_cache(net, train, rows, store, len(rows)),
+                          cache[rows])
 
 
 def test_image_store_hands_out_read_only_pixels(tiny_bench):
