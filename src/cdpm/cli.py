@@ -76,11 +76,12 @@ def build_parser() -> _Parser:
     p.add_argument("--images-per-id", type=int, default=20)
     p.add_argument("--test-identities", type=int, default=50)
     p.add_argument("--test-images-per-id", type=int, default=6)
-    p.add_argument("--offset-max", type=float, default=0.2,
+    spec = data.SyntheticSpec
+    p.add_argument("--offset-max", type=float, default=spec.offset_range[1],
                    help="largest top offset, fraction of image height")
-    p.add_argument("--scale-min", type=float, default=0.80)
-    p.add_argument("--scale-max", type=float, default=0.92)
-    p.add_argument("--noise", type=float, default=0.3)
+    p.add_argument("--scale-min", type=float, default=spec.scale_range[0])
+    p.add_argument("--scale-max", type=float, default=spec.scale_range[1])
+    p.add_argument("--noise", type=float, default=spec.noise_level)
 
     p = sub.add_parser("train", help="run the full stage schedule")
     _common(p)

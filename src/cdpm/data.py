@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -364,12 +364,13 @@ def generate_benchmark(
     images_per_identity: int,
     test_identities: int,
     test_images_per_identity: int,
-    offset_range: tuple[float, float] = (0.0, 0.2),
-    scale_range: tuple[float, float] = (0.80, 0.92),
-    noise_level: float = 0.3,
+    offset_range: tuple[float, float] = SyntheticSpec.offset_range,
+    scale_range: tuple[float, float] = SyntheticSpec.scale_range,
+    noise_level: float = SyntheticSpec.noise_level,
     seed: int = 0,
 ) -> DatasetIndex:
-    """Full train/query/gallery benchmark with disjoint identity pools."""
+    """Full train/query/gallery benchmark with disjoint identity pools; the
+    placement and noise defaults are `SyntheticSpec`'s."""
     out_root = Path(out_root)
     train_spec = SyntheticSpec(
         identities=train_identities,
@@ -379,13 +380,8 @@ def generate_benchmark(
         noise_level=noise_level,
         seed=seed,
     )
-    test_spec = SyntheticSpec(
-        identities=test_identities,
-        images_per_identity=test_images_per_identity,
-        offset_range=offset_range,
-        scale_range=scale_range,
-        noise_level=noise_level,
-        seed=seed,
+    test_spec = replace(
+        train_spec, identities=test_identities, images_per_identity=test_images_per_identity
     )
     anns = generate_synthetic(train_spec, out_root, "train", identity_start=1)
     anns.update(

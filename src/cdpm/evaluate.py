@@ -186,31 +186,17 @@ def _relevant_ranks(row: np.ndarray, relevant: np.ndarray) -> np.ndarray:
 
     A column's position is the number of columns with a higher similarity,
     plus the number of earlier columns with an equal one. `row` must hold no
-    NaN. Costs one values-only sort of the row and, where relevant
-    similarities tie, one stable sort of the tied columns.
+    NaN. Costs one values-only sort of the row and, per relevant column whose
+    similarity ties, one count over the columns before it.
     """
     values = row[relevant]
     ascending = np.sort(row)
     right = np.searchsorted(ascending, values, side="right")
     ranks = len(row) - right
     tied = right - np.searchsorted(ascending, values, side="left") > 1
-    if tied.any():
-        ranks[tied] += _earlier_ties(row, relevant[tied], values[tied])
+    for i in np.flatnonzero(tied):
+        ranks[i] += np.count_nonzero(row[: relevant[i]] == values[i])
     return ranks
-
-
-def _earlier_ties(row: np.ndarray, columns: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """For each column j of `columns` (ascending, `values` = row[columns]): the
-    number of columns before j whose similarity equals row[j]."""
-    tied = np.unique(values)
-    at = np.minimum(np.searchsorted(tied, row), len(tied) - 1)
-    members = np.flatnonzero(tied[at] == row)  # every column sharing a tied value
-    member_values = row[members]
-    order = np.argsort(member_values, kind="stable")  # by value, then column
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    group_start = np.searchsorted(member_values[order], values, side="left")
-    return position[np.searchsorted(members, columns)] - group_start
 
 
 def evaluate_retrieval(

@@ -72,6 +72,8 @@ class ToyBackbone(Block):
     scale when training from scratch, while it is written into the first
     conv's padded input. uint8 pixels are divided by `data.PIXEL_MAX` first,
     which gives the bits of standardizing `data.load_image`'s floats.
+    Callers reach it as `net.backbone`: `features` for a forward-only pass,
+    `forward` and `backward` for a step that trains it.
     """
 
     STRIDES = (2, 2, 2, 2, 1)
@@ -110,7 +112,10 @@ class ToyBackbone(Block):
                                    keep, scale=scale)
 
     def features(self, images: np.ndarray) -> np.ndarray:
-        """The feature map alone; no other whole-batch activation is made."""
+        """The feature map alone, for a pass with no backbone backward; no
+        other whole-batch activation is made. uint8 pixels and their float
+        intensities give the same bits, and no float copy of a uint8 batch
+        is made."""
         return self._stack(images, keep=False)[0]
 
     def forward(self, images: np.ndarray):
@@ -147,19 +152,17 @@ class PartBranch(Block):
         """window: (B, h, w, C) -> part feature (B, F) and class scores (B, classes)."""
         refine_ctx = None
         gated = window
-        if refine_active and self.refine is not None:
+        if refine_active:
             gated, refine_ctx = self.refine.forward(window)
         pooled = ops.global_avg_pool(gated)
         feat, ctx_r = self.reduce.forward(pooled)
         scores, ctx_c = self.classifier.forward(feat)
         return feat, scores, (window.shape, refine_ctx, ctx_r, ctx_c)
 
-    def backward(self, ctx, grad_scores: np.ndarray, grad_feat=None) -> np.ndarray:
+    def backward(self, ctx, grad_scores: np.ndarray) -> np.ndarray:
         """Returns the gradient w.r.t. the input window."""
         window_shape, refine_ctx, ctx_r, ctx_c = ctx
         gfeat = self.classifier.backward(ctx_c, grad_scores)
-        if grad_feat is not None:
-            gfeat = gfeat + grad_feat
         gpooled = self.reduce.backward(ctx_r, gfeat)
         ggated = ops.global_avg_pool_backward(window_shape, gpooled)
         if refine_ctx is not None:
@@ -395,19 +398,6 @@ class CdpmNetwork(Block):
 
     # -- forward pieces ------------------------------------------------------
 
-    def backbone_forward(self, images: np.ndarray):
-        """Feature map and the backbone activations its backward takes, for
-        a pass that runs the backbone's backward. `images` are uint8 pixels
-        or float intensities in [0, 1] (see `ToyBackbone`)."""
-        return self.backbone.forward(images)
-
-    def features(self, images: np.ndarray) -> np.ndarray:
-        """The backbone's feature map alone, for a pass with no backbone
-        backward. `images` (B, 384, 128, 3) are stored uint8 pixels or float
-        intensities in [0, 1]; the same image gives the same bits either
-        way, and no float copy of a uint8 batch is made."""
-        return self.backbone.features(images)
-
     def calibrate(self, images: np.ndarray) -> None:
         """Fit every normalization layer's statistics with one batch pass.
 
@@ -418,7 +408,7 @@ class CdpmNetwork(Block):
         for n in norms:
             n.calibrating = True
         try:
-            fmap = self.features(images)
+            fmap = self.backbone.features(images)
             uniform = alignment.branch_tops(0, MAP_HEIGHT, self.cfg.parts, self.cfg.granularities)
             self._branch_features(fmap, np.tile(uniform, (len(fmap), 1)))
             if self.heads is not None:
@@ -440,17 +430,11 @@ class CdpmNetwork(Block):
         return g
 
     def detection_forward(self, fmap: np.ndarray):
-        """Window scores and offsets for a feature-map batch."""
+        """Window scores and offsets for a feature-map batch, and the ctx
+        `heads.backward` takes."""
         if self.heads is None:
             raise NotInitializedError("detection heads are disabled in this configuration")
-        vecs = self.window_vectors(fmap)
-        scores, offsets, ctx = self.heads.forward(vecs)
-        return scores, offsets, (fmap.shape, ctx)
-
-    def detection_backward(self, ctx, grad_scores, grad_offsets) -> np.ndarray:
-        fmap_shape, heads_ctx = ctx
-        gvecs = self.heads.backward(heads_ctx, grad_scores, grad_offsets)
-        return self.window_vectors_backward(fmap_shape, gvecs)
+        return self.heads.forward(self.window_vectors(fmap))
 
     # -- selection and inference ----------------------------------------------
 
@@ -487,10 +471,10 @@ class CdpmNetwork(Block):
         self, images: np.ndarray, selection: alignment.SelectionConfig | None = None
     ) -> np.ndarray:
         """Concatenated image representation, shape (B, descriptor_dim), of
-        uint8 pixels or [0, 1] float intensities (see `features`)."""
+        uint8 pixels or [0, 1] float intensities (see `ToyBackbone.features`)."""
         if not self.initialized:
             raise NotInitializedError("parameters are neither initialized nor loaded")
-        fmap = self.features(images)
+        fmap = self.backbone.features(images)
         part_tops = self.part_tops(fmap, selection or alignment.SelectionConfig())
         # coarser windows follow the part windows the image actually uses
         centers = part_tops + WINDOW_HEIGHT / 2.0

@@ -100,7 +100,7 @@ def alignment_report(
         if not usable:
             continue
         images = np.stack([data.read_person_image(r.path) for r, _ in usable])
-        tops = net.part_tops(net.features(images), selection).astype(np.float64)
+        tops = net.part_tops(net.backbone.features(images), selection).astype(np.float64)
         truth = alignment.part_bounds(*np.array([body for _, body in usable]).T, parts)
         iou = _part_iou(tops, tops + WINDOW_HEIGHT, truth)
         uniform_iou = _part_iou(uniform[:-1], uniform[1:], truth)

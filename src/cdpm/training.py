@@ -179,9 +179,7 @@ class Batch:
     labels: np.ndarray  # (B,) 1-based train classes
     tops: np.ndarray  # (B, branches): column k is net.part_branches[k]'s top
     aligned_idx: np.ndarray  # batch positions with detection targets
-    soft: np.ndarray  # (Na, R, K+1)
-    offsets: np.ndarray  # (Na, R, K)
-    mask: np.ndarray  # (Na, R, K)
+    bounds: np.ndarray  # (Na, K + 1) part boundaries of the aligned positions
     rows: np.ndarray  # (B,) rows of the train set
     triplet_composed: bool = False  # exactly P identities x A images
 
@@ -229,16 +227,12 @@ def compose_batch(
             for r in rows
         ])
     aligned_idx = np.flatnonzero(train.aligned[rows])
-    bounds = train.bounds[rows[aligned_idx]]
-    offsets, mask = alignment.offset_targets(bounds)
     return Batch(
         images=images,
         labels=train.labels[rows],
         tops=train.tops[rows],
         aligned_idx=aligned_idx,
-        soft=alignment.soft_label_matrix(bounds),
-        offsets=offsets,
-        mask=mask,
+        bounds=train.bounds[rows[aligned_idx]],
         rows=rows,
         triplet_composed=triplet is not None,
     )
@@ -270,12 +264,15 @@ def train_step(
 
     Returns the loss terms; the caller applies the optimizer step. A
     frozen-backbone step takes its feature maps precomputed in `fmap`; a
-    step that trains the backbone computes them from `batch.images`.
+    step that trains the backbone computes them from `batch.images`. Each
+    input is built on the path that reads it: detection targets from
+    `batch.bounds` when detection is on, the window-vector gradient only
+    when the backbone trains.
     """
     if (fmap is not None) == flags.backbone_grad:
         raise ValueError("fmap must be given exactly when the backbone is frozen")
     if flags.backbone_grad:
-        fmap, bb_acts = net.backbone_forward(batch.images)
+        fmap, bb_acts = net.backbone.forward(batch.images)
     gfmap = np.zeros_like(fmap) if flags.backbone_grad else None
     terms: dict[str, float] = {}
 
@@ -294,27 +291,27 @@ def train_step(
     terms["loss_f"] = loss_f = sum(groups.values())
 
     loss_c, loss_r = 0.0, 0.0
-    if flags.detection and net.heads is not None and batch.aligned_idx.size:
+    if flags.detection and batch.aligned_idx.size:
         sub = fmap[batch.aligned_idx]
+        soft = alignment.soft_label_matrix(batch.bounds)
+        targets, mask = alignment.offset_targets(batch.bounds)
         scores, offsets, dctx = net.detection_forward(sub)
-        loss_c, gscores = losses.window_classification_loss_with_grad(scores, batch.soft)
+        loss_c, gscores = losses.window_classification_loss_with_grad(scores, soft)
         goffsets = np.zeros_like(offsets)
         for k in range(net.cfg.parts):
             lr_k, gk = losses.regression_loss_with_grad(
-                offsets[:, :, k], batch.offsets[:, :, k], batch.mask[:, :, k]
+                offsets[:, :, k], targets[:, :, k], mask[:, :, k]
             )
             loss_r += lr_k
             goffsets[:, :, k] = gk
-        gsub = net.detection_backward(
-            dctx, weights.lambda1 * gscores, weights.lambda2 * goffsets
-        )
+        gvecs = net.heads.backward(dctx, weights.lambda1 * gscores, weights.lambda2 * goffsets)
         if gfmap is not None:
-            gfmap[batch.aligned_idx] += gsub
+            gfmap[batch.aligned_idx] += net.window_vectors_backward(sub.shape, gvecs)
     terms["loss_c"] = loss_c
     terms["loss_r"] = loss_r
 
     loss_g = 0.0
-    if flags.mgf and net.holistic is not None and batch.triplet_composed:
+    if flags.mgf and batch.triplet_composed:
         emb, hctx = net.holistic.forward(fmap)
         loss_g, gemb = losses.batch_hard_triplet_loss_with_grad(
             emb, batch.labels, triplet
@@ -363,12 +360,13 @@ class TrainSettings:
 @dataclass
 class TrainResult:
     network: CdpmNetwork
-    checkpoints: dict[str, Path]
     final_checkpoint: Path
     log_rows: list[dict] = field(default_factory=list)
 
 
 def _stage_flags(stage: Stage, cfg: ModelConfig) -> StepFlags:
+    """The step's paths; the same `cfg.with_*` settings decide which modules
+    exist, so a path is on only where its module is."""
     if stage.trainable == "baseline":
         return StepFlags(refinement=False, detection=False, mgf=False,
                          backbone_grad=True)
@@ -395,8 +393,8 @@ def _build_feature_cache(
     """Frozen-backbone feature maps of the given rows, without online
     augmentation, so the backbone reads each copy's uint8 pixels."""
     return np.concatenate([
-        net.features(np.stack([load_copy(train, r, store)
-                               for r in rows[start : start + batch_size]]))
+        net.backbone.features(np.stack([load_copy(train, r, store)
+                                        for r in rows[start : start + batch_size]]))
         for start in range(0, len(rows), batch_size)
     ], axis=0)
 
@@ -434,7 +432,7 @@ def run_training(
     store = ImageStore()
     optimizer = SGDMomentum(settings.momentum)
     batch_rng = np.random.default_rng(batch_seq)
-    result = TrainResult(network=net, checkpoints={}, final_checkpoint=out_dir / "final.cdpm")
+    result = TrainResult(network=net, final_checkpoint=out_dir / "final.cdpm")
     for stage in stage_schedule(settings.epoch_scale):
         params = _trainable(net, stage)
         if not params:
@@ -442,7 +440,7 @@ def run_training(
                      stage.name)
             continue
         flags = _stage_flags(stage, model_cfg)
-        use_triplet = settings.triplet if (flags.mgf and net.holistic) else None
+        use_triplet = settings.triplet if flags.mgf else None
         batches = max(1, len(train) // settings.batch_size)
         calib = compose_batch(
             train, store, batch_rng, settings.augmentation,
@@ -491,9 +489,7 @@ def run_training(
                 stage.name, epoch, lr, row["total"], row["loss_f"], row["loss_c"],
                 row["loss_r"], row["loss_g"],
             )
-        path = out_dir / f"{stage.name}.cdpm"
-        net.save(path)
-        result.checkpoints[stage.name] = path
+        net.save(out_dir / f"{stage.name}.cdpm")
     net.save(result.final_checkpoint)
     write_train_log(out_dir / "train_log.csv", result.log_rows)
     return result

@@ -474,18 +474,32 @@ def extract_inputs(tmp_path_factory):
     return bench, tensorio.load_tensors(checkpoint)
 
 
-def _extract(tmp_path, bench, tensors):
+def _run_on_checkpoint(tmp_path, bench, tensors, command="extract", cut=None):
+    """Run `command` on a checkpoint of `tensors`, its first `cut` bytes if
+    given; the output path is tmp_path / "out"."""
     checkpoint = tmp_path / "edited.cdpm"
     tensorio.save_tensors(checkpoint, tensors)
-    return cli.main(["extract", "--checkpoint", str(checkpoint), "--data", str(bench),
-                     "--split", "query", "--out", str(tmp_path / "q.bin")])
+    if cut is not None:
+        checkpoint.write_bytes(checkpoint.read_bytes()[:cut])
+    args = ["--split", "query"] if command == "extract" else []
+    return cli.main([command, "--checkpoint", str(checkpoint), "--data", str(bench),
+                     "--out", str(tmp_path / "out"), *args])
+
+
+def _assert_one_data_error(tmp_path, capsys, rc):
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error:"), err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+    return err
 
 
 def test_cli_extract_accepts_intact_checkpoint_meta(tmp_path, extract_inputs):
     bench, tensors = extract_inputs
-    assert _extract(tmp_path, bench, dict(tensors)) == cli.EXIT_OK
+    assert _run_on_checkpoint(tmp_path, bench, dict(tensors)) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["extract", "align"])
 @pytest.mark.parametrize("edit,message", [
     (lambda t: t.pop("__meta__"), "__meta__ must hold 8 values, found missing"),
     (lambda t: t.pop("__meta_channels__"), "__meta_channels__ must hold 5 values"),
@@ -501,13 +515,22 @@ def test_cli_extract_accepts_intact_checkpoint_meta(tmp_path, extract_inputs):
     (_set_channel(4, np.inf), "conv5 = inf"),
 ])
 def test_cli_extract_rejects_bad_checkpoint_meta(tmp_path, capsys, extract_inputs,
-                                                  edit, message):
+                                                  edit, message, command):
     bench, tensors = extract_inputs
     tensors = {k: v.copy() for k, v in tensors.items()}
     edit(tensors)
-    assert _extract(tmp_path, bench, tensors) == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("data error:") and message in err, err
+    err = _assert_one_data_error(tmp_path, capsys,
+                                 _run_on_checkpoint(tmp_path, bench, tensors, command))
+    assert message in err, err
+
+
+@pytest.mark.parametrize("command", ["extract", "align"])
+@pytest.mark.parametrize("cut", [0, 5, 100, -1], ids=["0", "5", "100", "one_short"])
+def test_cli_rejects_cut_checkpoint(tmp_path, capsys, extract_inputs, command, cut):
+    bench, tensors = extract_inputs
+    err = _assert_one_data_error(tmp_path, capsys,
+                                 _run_on_checkpoint(tmp_path, bench, tensors, command, cut))
+    assert "edited.cdpm" in err, err
 
 
 def test_checkpoint_with_mgf_and_five_parts_is_data_error(tmp_path, capsys,
@@ -520,7 +543,7 @@ def test_checkpoint_with_mgf_and_five_parts_is_data_error(tmp_path, capsys,
     tensorio.save_tensors(checkpoint, tensors)
     with pytest.raises(tensorio.FormatError, match="need 6 parts, got 5"):
         CdpmNetwork.load(checkpoint)
-    assert _extract(tmp_path, bench, tensors) == cli.EXIT_DATA
+    assert _run_on_checkpoint(tmp_path, bench, tensors) == cli.EXIT_DATA
     assert "need 6 parts" in capsys.readouterr().err
 
 

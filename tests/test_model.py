@@ -42,24 +42,24 @@ def net():
 
 def test_backbone_output_shape_and_determinism(net):
     imgs = RNG.random((2, 384, 128, 3))
-    fmap, _ = net.backbone_forward(imgs)
+    fmap, _ = net.backbone.forward(imgs)
     assert fmap.shape == (2, 24, 8, 8)
-    fmap2, _ = net.backbone_forward(imgs)
+    fmap2, _ = net.backbone.forward(imgs)
     assert np.array_equal(fmap, fmap2)
 
 
 def test_backbone_zero_image_finite(net):
-    fmap, _ = net.backbone_forward(np.zeros((1, 384, 128, 3)))
+    fmap, _ = net.backbone.forward(np.zeros((1, 384, 128, 3)))
     assert np.all(np.isfinite(fmap))
 
 
 def test_backbone_rejects_wrong_size(net):
     with pytest.raises(ops.ShapeError):
-        net.backbone_forward(np.zeros((1, 128, 384, 3)))
+        net.backbone.forward(np.zeros((1, 128, 384, 3)))
 
 
 def test_window_vectors_match_direct_means(net):
-    fmap, _ = net.backbone_forward(RNG.random((2, 384, 128, 3)))
+    fmap, _ = net.backbone.forward(RNG.random((2, 384, 128, 3)))
     vecs = net.window_vectors(fmap)
     assert vecs.shape == (2, 21, 8)
     for r in range(21):
@@ -299,7 +299,7 @@ def test_checkpoint_mismatch_rejected(tmp_path, net):
 
 
 def test_holistic_embedding_unit_norm(net):
-    fmap, _ = net.backbone_forward(RNG.random((3, 384, 128, 3)))
+    fmap, _ = net.backbone.forward(RNG.random((3, 384, 128, 3)))
     emb, _ = net.holistic.forward(fmap)
     np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-9)
 
@@ -363,7 +363,7 @@ def test_backbone_backward_peak_memory_does_not_grow_with_batch(monkeypatch):
     net = CdpmNetwork(ModelConfig(classes=12), np.random.default_rng(3))
     peaks = []
     for batch in (8, 16):
-        fmap, acts = net.backbone_forward(RNG.random((batch, 384, 128, 3)))
+        fmap, acts = net.backbone.forward(RNG.random((batch, 384, 128, 3)))
         grad = RNG.standard_normal(fmap.shape)
         tracemalloc.start()
         try:

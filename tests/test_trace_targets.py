@@ -17,6 +17,8 @@ import pytest
 
 import cdpm
 from cdpm import ops, training
+from cdpm.augment import AugmentationConfig
+from cdpm.losses import LossWeights, TripletConfig
 from cdpm.model import WINDOW_HEIGHT, CdpmNetwork, ModelConfig, gather_windows
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -103,8 +105,8 @@ def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch):
     net = CdpmNetwork(ModelConfig(classes=4), np.random.default_rng(0))
     images = np.random.default_rng(1).random((3, 384, 128, 3))
     with ThreadRecordingTracer(cdpm, spans.TRACE_TARGETS) as tracer:
-        net.features(images)
-        fmap, acts = net.backbone_forward(images)
+        net.backbone.features(images)
+        fmap, acts = net.backbone.forward(images)
         net.backbone.backward(acts, np.ones_like(fmap))
         branch = net.part_branches[0]
         _, scores, ctx = branch.forward(gather_windows(fmap, np.zeros(3, int), WINDOW_HEIGHT), True)
@@ -123,3 +125,30 @@ def test_each_stage_of_the_full_model_has_its_own_step_span(spans):
     stages = [spans.stage_of(training._stage_flags(s, full_cfg))
               for s in training.stage_schedule()]
     assert stages == [1, 2, 3]
+
+
+def test_heads_and_window_gradient_spans_follow_the_stage(spans, tiny_bench):
+    """A traced stage-3 step records the heads' backward and the window-vector
+    gradient; a frozen stage-2 step records the heads' backward alone. The
+    step calls both itself, so the per-layer metrics keep both spans."""
+    index, anns = tiny_bench
+    cfg = ModelConfig(classes=index.class_count, backbone_channels=(4, 8, 8, 8, 8),
+                      feature_dim=16, holistic_dim=16, attention_reduction=4, with_mgf=True)
+    net = CdpmNetwork(cfg, np.random.default_rng(4))
+    aug = AugmentationConfig(translation_copies=1)
+    train = training.build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
+    tri = TripletConfig(identities_per_batch=3, images_per_identity=2)
+    batch = training.compose_batch(train, training.ImageStore(), np.random.default_rng(5),
+                                   aug, 6, tri)
+    assert batch.aligned_idx.size
+    _, stage2, stage3 = (training._stage_flags(s, cfg) for s in training.stage_schedule())
+    recorded = {}
+    for stage, flags, fmap in ((2, stage2, net.backbone.features(batch.images)),
+                               (3, stage3, None)):
+        with spans.Tracer(cdpm, spans.TRACE_TARGETS) as tracer:
+            training.train_step(net, batch, flags, LossWeights(), tri, fmap=fmap)
+        recorded[stage] = {span[0] for span in tracer.spans}
+    assert {"training.train_step.stage3", "model.DetectionHeads.bwd",
+            "model.window_vectors_backward"} <= recorded[3]
+    assert {"training.train_step.stage2", "model.DetectionHeads.bwd"} <= recorded[2]
+    assert "model.window_vectors_backward" not in recorded[2]

@@ -1,4 +1,5 @@
 """Schedules, optimizer, augmentation, batch composition, and full runs."""
+import collections
 import hashlib
 import tracemalloc
 
@@ -193,7 +194,9 @@ def test_build_items_uniform_when_alignment_disabled(tiny_bench):
     batch = compose_batch(train, training.ImageStore(), np.random.default_rng(0), aug, 4,
                           load_images=False)
     assert batch.aligned_idx.size == 0
-    assert batch.soft.shape == (0, 21, 7) and batch.offsets.shape == batch.mask.shape == (0, 21, 6)
+    offsets, mask = alignment.offset_targets(batch.bounds)
+    assert batch.bounds.shape == (0, 7) and alignment.soft_label_matrix(batch.bounds).shape == (0, 21, 7)
+    assert offsets.shape == mask.shape == (0, 21, 6)
 
 
 def test_build_items_copy_shifted_out_of_the_body_trains_uniform(tiny_bench):
@@ -215,7 +218,8 @@ def test_build_items_copy_shifted_out_of_the_body_trains_uniform(tiny_bench):
     batch = compose_batch(train, training.ImageStore(), np.random.default_rng(0), aug,
                           len(train), load_images=False)
     np.testing.assert_array_equal(batch.aligned_idx, np.flatnonzero(~emptied[batch.rows]))
-    assert batch.soft.shape[0] == batch.offsets.shape[0] == batch.mask.shape[0] == (~emptied).sum()
+    assert batch.bounds.shape == ((~emptied).sum(), 7)
+    np.testing.assert_array_equal(batch.bounds, train.bounds[batch.rows[batch.aligned_idx]])
 
 
 @pytest.mark.parametrize("parts", range(1, alignment.MAP_HEIGHT + 1))
@@ -307,7 +311,7 @@ def test_compose_batch_classification(tiny_bench):
     assert batch.images.shape == (8, 384, 128, 3)
     assert batch.labels.shape == (8,)
     assert not batch.triplet_composed
-    assert batch.soft.shape[0] == batch.aligned_idx.size
+    assert batch.bounds.shape == (batch.aligned_idx.size, 7)
 
 
 def test_compose_batch_triplet_structure(tiny_bench):
@@ -371,7 +375,8 @@ def test_train_copies_and_batch_draws_keep_their_bits(tiny_bench):
                 batch = compose_batch(train, store, rng, aug, 6, triplet, load_images)
                 unaligned += 6 - batch.aligned_idx.size
                 _feed(h, batch.rows, batch.labels, batch.tops, batch.aligned_idx,
-                      batch.soft, batch.offsets, batch.mask, batch.images)
+                      alignment.soft_label_matrix(batch.bounds),
+                      *alignment.offset_targets(batch.bounds), batch.images)
     assert unaligned > 0
     assert h.hexdigest() == "1f733fde08ed8362fbf29f296cfc42129e598b606e6a28449c8f0d88cec52248"
 
@@ -398,7 +403,7 @@ def test_train_step_sums_loss_f_over_every_branch_group(tiny_bench):
     aug = AugmentationConfig(translation_copies=1)
     train = build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
     batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 4)
-    fmap, _ = net.backbone_forward(batch.images)
+    fmap, _ = net.backbone.forward(batch.images)
     sums = {}
     for mgf in (False, True):
         net.zero_grad()
@@ -428,13 +433,52 @@ def test_train_step_takes_fmap_exactly_when_backbone_is_frozen(tiny_bench):
     aug = AugmentationConfig(translation_copies=1)
     train = build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
     batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 4)
-    fmap, _ = net.backbone_forward(batch.images)
+    fmap, _ = net.backbone.forward(batch.images)
     for backbone_grad, given in ((False, None), (True, fmap)):
         flags = StepFlags(refinement=False, detection=False, mgf=False,
                           backbone_grad=backbone_grad)
         with pytest.raises(ValueError, match="fmap"):
             training.train_step(net, batch, flags, LossWeights(), TripletConfig(),
                                 fmap=given)
+
+
+def test_detection_targets_and_window_gradient_are_built_only_where_read(
+    tiny_bench, monkeypatch
+):
+    """`compose_batch` builds no detection target; of the schedule's steps,
+    stage 1 builds none, frozen stage 2 builds them once and no window-vector
+    gradient, and stage 3 makes each call once."""
+    index, anns = tiny_bench
+    cfg = model_cfg(index, with_mgf=True)
+    counted = ((alignment, "soft_label_matrix"), (alignment, "offset_targets"),
+               (CdpmNetwork, "window_vectors_backward"))
+    calls = collections.Counter()
+    for owner, name in counted:
+        def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    def counts():
+        return tuple(calls[name] for _, name in counted)
+
+    net = CdpmNetwork(cfg, np.random.default_rng(4))
+    aug = AugmentationConfig(translation_copies=1)
+    train = build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
+    tri = TripletConfig(identities_per_batch=3, images_per_identity=2)
+    for triplet in (None, tri):
+        for load_images in (True, False):
+            compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 6,
+                          triplet, load_images)
+    batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 6, tri)
+    assert batch.aligned_idx.size and counts() == (0, 0, 0)
+    fmap = net.backbone.features(batch.images)
+    stage1, stage2, stage3 = (training._stage_flags(s, cfg) for s in stage_schedule())
+    for flags, given, want in ((stage1, None, (0, 0, 0)), (stage2, fmap, (1, 1, 0)),
+                               (stage3, None, (1, 1, 1))):
+        calls.clear()
+        training.train_step(net, batch, flags, LossWeights(), tri, fmap=given)
+        assert counts() == want, flags
 
 
 def test_train_step_end_to_end_gradient_sample(tiny_bench):
@@ -588,13 +632,13 @@ def test_uint8_pixels_give_the_bits_of_load_image_floats(tiny_bench):
     pixels = np.stack([data.read_person_image(r.path) for r in records])
     floats = np.stack([data.load_image(r.path) for r in records])
     assert pixels.dtype == np.uint8
-    fmap = net.features(pixels)
-    assert np.array_equal(fmap, net.features(floats))
+    fmap = net.backbone.features(pixels)
+    assert np.array_equal(fmap, net.backbone.features(floats))
     selection = alignment.SelectionConfig()
     assert np.array_equal(net.part_tops(fmap, selection),
-                          net.part_tops(net.features(floats), selection))
+                          net.part_tops(net.backbone.features(floats), selection))
     assert np.array_equal(net.descriptor(pixels), net.descriptor(floats))
-    (got, got_acts), (want, want_acts) = (net.backbone_forward(x) for x in (pixels, floats))
+    (got, got_acts), (want, want_acts) = (net.backbone.forward(x) for x in (pixels, floats))
     assert np.array_equal(got, want)
     assert all(np.array_equal(g, w) for g, w in zip(got_acts, want_acts, strict=True))
 
@@ -611,7 +655,7 @@ def test_feature_cache_reads_pixels_with_the_bits_of_floats(tiny_bench):
     cache = training._build_feature_cache(net, train, np.arange(len(train)), store, 16)
     floats = np.stack([data.to_unit_float(training.load_copy(train, r, store))
                        for r in range(len(train))])
-    assert np.array_equal(cache, net.features(floats))
+    assert np.array_equal(cache, net.backbone.features(floats))
     rows = np.array([5, 0, 5, len(train) - 1])  # one frozen-backbone batch
     assert np.array_equal(training._build_feature_cache(net, train, rows, store, len(rows)),
                           cache[rows])
