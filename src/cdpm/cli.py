@@ -16,10 +16,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import data, evaluate, pipeline, tensorio
-from .annotations import AnnotationError, load_annotations
+from .annotations import AnnotationError
 from .config import ConfigError, load_config, save_config
 from .model import CdpmNetwork
-from .training import TrainingDiverged
+from .training import TrainingDiverged, run_training
 
 log = logging.getLogger("cdpm")
 
@@ -145,7 +145,9 @@ def cmd_train(args) -> int:
         raise UsageError("train needs --data or data.root in the config")
     args.out.mkdir(parents=True, exist_ok=True)
     save_config(args.out / "config.used", cfg)
-    _, result = pipeline.train_from_config(cfg, args.out)
+    index = data.load_dataset(cfg.data_root)
+    result = run_training(index, cfg.model_config(classes=index.class_count), cfg.train,
+                          args.out)
     final = result.log_rows[-1] if result.log_rows else {}
     print(f"final checkpoint: {result.final_checkpoint}")
     if final:
@@ -172,8 +174,7 @@ def cmd_align(args) -> int:
                          f"{','.join(data.SPLITS)}, got {args.splits!r}")
     net = CdpmNetwork.load(args.checkpoint)
     index = data.load_dataset(args.data)
-    annotations = load_annotations(index.annotations_path)
-    report = pipeline.alignment_report(net, index, annotations, splits, cfg.selection)
+    report = pipeline.alignment_report(net, index, index.annotations, splits, cfg.selection)
     pipeline.write_alignment_csv(args.out, report)
     print(
         f"mean IoU {report.mean_iou:.4f} vs uniform-division {report.uniform_mean_iou:.4f} "

@@ -15,6 +15,7 @@ truth.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotations import IMAGE_HEIGHT, BoundaryAnnotation, save_annotations
+from .annotations import IMAGE_HEIGHT, BoundaryAnnotation, load_annotations, save_annotations
 
 IMAGE_WIDTH = 128
 #: The largest 8-bit pixel value, the PPM max value, and the divisor that
@@ -136,6 +137,15 @@ class DatasetIndex:
     @property
     def annotations_path(self) -> Path:
         return self.root / "annotations.csv"
+
+    @functools.cached_property
+    def annotations(self) -> dict[str, BoundaryAnnotation]:
+        """The boundary annotations keyed by image id, read on first use;
+        empty when the file does not exist, so every image trains and is
+        scored with uniform division."""
+        if not self.annotations_path.exists():
+            return {}
+        return load_annotations(self.annotations_path)
 
 
 def load_dataset(root: str | Path) -> DatasetIndex:

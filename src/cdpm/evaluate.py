@@ -96,13 +96,6 @@ def average_precision(relevance: np.ndarray) -> float | np.ndarray:
     return float(ap) if ap.ndim == 0 else ap
 
 
-def multi_query_descriptor(descriptors: list[np.ndarray]) -> np.ndarray:
-    """Pool same-identity same-camera query descriptors by elementwise mean."""
-    if not descriptors:
-        raise EvalError("multi-query pooling needs at least one descriptor")
-    return np.mean(np.stack(descriptors), axis=0)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     rank1: float
@@ -210,8 +203,9 @@ def evaluate_retrieval(
     gallery stacked once in ascending id order with its norms computed once.
     No row is sorted into an order: each relevant entry's rank is counted
     (`_relevant_ranks`), the same position the stable descending order gives.
-    Raises EvalError for a non-junk descriptor that is not finite or whose
-    norm overflows.
+    The multi protocol pools each (identity, camera)'s queries into their
+    elementwise mean. Raises EvalError for a non-junk descriptor that is
+    not finite or whose norm overflows.
     """
     if protocol not in ("single", "multi"):
         raise EvalError(f"protocol must be 'single' or 'multi', got {protocol!r}")
@@ -247,7 +241,7 @@ def evaluate_retrieval(
         for key, vec in zip(query_keys, qmat):
             groups.setdefault(key, []).append(vec)
         query_keys = sorted(groups)
-        qmat = np.stack([multi_query_descriptor(groups[key]) for key in query_keys])
+        qmat = np.stack([np.mean(np.stack(groups[key]), axis=0) for key in query_keys])
 
     rows = max(1, BLOCK_CELLS // len(gallery_ids))
     firsts, aps = [], []

@@ -73,23 +73,21 @@ class Block:
         self._children.append(block)
         return block
 
-    def parameters(self) -> list[Parameter]:
-        out = list(self._params)
+    def _blocks(self):
+        """This block, then every block below it, depth first in
+        registration order; that order fixes checkpoint tensor order."""
+        yield self
         for c in self._children:
-            out.extend(c.parameters())
-        return out
+            yield from c._blocks()
+
+    def parameters(self) -> list[Parameter]:
+        return [p for b in self._blocks() for p in b._params]
 
     def buffers(self) -> list[Parameter]:
-        out = list(self._buffers)
-        for c in self._children:
-            out.extend(c.buffers())
-        return out
+        return [p for b in self._blocks() for p in b._buffers]
 
     def norm_layers(self) -> list["BatchNorm"]:
-        out = [self] if isinstance(self, BatchNorm) else []
-        for c in self._children:
-            out.extend(c.norm_layers())
-        return out
+        return [b for b in self._blocks() if isinstance(b, BatchNorm)]
 
 
 class BatchNorm(Block):

@@ -432,8 +432,6 @@ class CdpmNetwork(Block):
     def detection_forward(self, fmap: np.ndarray):
         """Window scores and offsets for a feature-map batch, and the ctx
         `heads.backward` takes."""
-        if self.heads is None:
-            raise NotInitializedError("detection heads are disabled in this configuration")
         return self.heads.forward(self.window_vectors(fmap))
 
     # -- selection and inference ----------------------------------------------

@@ -260,8 +260,6 @@ def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
     Source coordinate of output index i is (i + 0.5) * n_in / n_out - 0.5,
     clamped to [0, n_in - 1]. Equal sizes yield the identity matrix.
     """
-    if n_in == n_out:
-        return np.eye(n_in)
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1)
     lo = np.floor(src).astype(np.int64)
@@ -278,8 +276,6 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     _require(x.ndim >= 3, f"bilinear_resize expects (...,H,W,C), got {x.shape}")
     _require(out_h >= 1 and out_w >= 1, "target extents must be >= 1")
     h, w = x.shape[-3], x.shape[-2]
-    if (h, w) == (out_h, out_w):
-        return x.copy()
     mh = _resize_weights(h, out_h)
     mw = _resize_weights(w, out_w)
     return np.einsum("ip,...pqc,jq->...ijc", mh, x, mw, optimize=True)
@@ -290,8 +286,6 @@ def bilinear_resize_backward(
 ) -> np.ndarray:
     h, w = x_shape[-3], x_shape[-2]
     out_h, out_w = grad_out.shape[-3], grad_out.shape[-2]
-    if (h, w) == (out_h, out_w):
-        return grad_out.copy()
     mh = _resize_weights(h, out_h)
     mw = _resize_weights(w, out_w)
     return np.einsum("ip,...ijc,jq->...pqc", mh, grad_out, mw, optimize=True)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, data, evaluate
-from .annotations import BoundaryAnnotation, body_rows, load_annotations
+from .annotations import BoundaryAnnotation, body_rows
 from .config import Config
 from .model import WINDOW_HEIGHT, CdpmNetwork
 from .training import run_training
@@ -110,7 +110,9 @@ def alignment_report(
                 rows.append(AlignmentRow(record.image_id, k + 1, window, float(tops[i, k]),
                                          float(iou[i, k]), float(uniform_iou[i, k])))
     if not rows:
-        raise data.DataError("no image offers aligned ground truth to score")
+        raise data.DataError(
+            f"no image offers aligned ground truth to score in {index.annotations_path}"
+        )
     return AlignmentReport(
         rows=rows,
         mean_iou=float(np.mean([r.iou for r in rows])),
@@ -126,16 +128,6 @@ def write_alignment_csv(path: str | Path, report: AlignmentReport) -> None:
             writer.writerow(
                 [r.image_id, r.part, r.window, f"{r.top:g}", f"{r.iou:.6f}", f"{r.uniform_iou:.6f}"]
             )
-
-
-# ---------------------------------------------------------------------------
-# single training run from a Config
-
-
-def train_from_config(cfg: Config, out_dir: str | Path):
-    index = data.load_dataset(cfg.data_root)
-    model_cfg = cfg.model_config(classes=index.class_count)
-    return index, run_training(index, model_cfg, cfg.train, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +152,17 @@ class AblationRow:
 def run_ablation(base_cfg: Config, out_dir: str | Path) -> list[AblationRow]:
     """Train and evaluate the four configurations on one dataset and seed.
 
-    The dataset and its annotations load once, before any training, and a
-    dataset whose query and gallery images offer no aligned ground truth
-    is a data error.
+    The dataset and its annotations load once, before any training; the
+    four runs read the same cached `index.annotations`. A dataset whose
+    query and gallery images offer no aligned ground truth is a data error.
     """
     out_dir = Path(out_dir)
     index = data.load_dataset(base_cfg.data_root)
-    annotations = load_annotations(index.annotations_path)
+    annotations = index.annotations
     scored = [r for split in ("query", "gallery") for r in index.split(split)]
     if all(body_rows(annotations.get(r.image_id)) is None for r in scored):
-        raise data.DataError("no query or gallery image offers aligned ground truth to score")
+        raise data.DataError("no query or gallery image offers aligned ground truth to "
+                             f"score in {index.annotations_path}")
     rows = []
     for name, flags in ABLATION_CONFIGS:
         cfg = replace(base_cfg, model=replace(base_cfg.model, with_mgf=False, **flags))

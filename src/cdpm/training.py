@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, augment, data, losses
-from .annotations import BoundaryAnnotation, body_rows, load_annotations
+from .annotations import BoundaryAnnotation, body_rows
 from .augment import AugmentationConfig
 from .losses import LossWeights, TripletConfig
 from .model import CdpmNetwork, ModelConfig, gather_windows, scatter_window_grad
@@ -181,7 +181,6 @@ class Batch:
     aligned_idx: np.ndarray  # batch positions with detection targets
     bounds: np.ndarray  # (Na, K + 1) part boundaries of the aligned positions
     rows: np.ndarray  # (B,) rows of the train set
-    triplet_composed: bool = False  # exactly P identities x A images
 
 
 def load_copy(train: TrainSet, row: int, store: ImageStore) -> np.ndarray:
@@ -234,7 +233,6 @@ def compose_batch(
         aligned_idx=aligned_idx,
         bounds=train.bounds[rows[aligned_idx]],
         rows=rows,
-        triplet_composed=triplet is not None,
     )
 
 
@@ -267,7 +265,8 @@ def train_step(
     step that trains the backbone computes them from `batch.images`. Each
     input is built on the path that reads it: detection targets from
     `batch.bounds` when detection is on, the window-vector gradient only
-    when the backbone trains.
+    when the backbone trains. An mgf step adds the triplet term, so its
+    batch must be P identities x A images (`triplet`).
     """
     if (fmap is not None) == flags.backbone_grad:
         raise ValueError("fmap must be given exactly when the backbone is frozen")
@@ -311,7 +310,7 @@ def train_step(
     terms["loss_r"] = loss_r
 
     loss_g = 0.0
-    if flags.mgf and batch.triplet_composed:
+    if flags.mgf:
         emb, hctx = net.holistic.forward(fmap)
         loss_g, gemb = losses.batch_hard_triplet_loss_with_grad(
             emb, batch.labels, triplet
@@ -417,16 +416,11 @@ def run_training(
     """Execute the full stage schedule and write per-stage checkpoints."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    annotations = (
-        load_annotations(index.annotations_path)
-        if index.annotations_path.exists()
-        else {}
-    )
     master = np.random.SeedSequence(settings.seed)
     init_seq, shift_seq, batch_seq = master.spawn(3)
     net = CdpmNetwork(model_cfg, np.random.default_rng(init_seq))
     train = build_train_set(
-        index, annotations, model_cfg, settings.augmentation,
+        index, index.annotations, model_cfg, settings.augmentation,
         np.random.default_rng(shift_seq),
     )
     store = ImageStore()

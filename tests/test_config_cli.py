@@ -589,6 +589,18 @@ def test_cli_bad_image_is_data_error(tmp_path, capsys, extract_inputs, command, 
     assert str(spoiled) in err and cause in err, err
 
 
+_QUICK_TRAIN = ["--set", "train.epoch_scale=0.02", "--set", "train.batch_size=6",
+                "--set", "augment.translation_copies=1", "--set", "model.feature_dim=16"]
+
+
+def _command_args(command, checkpoint, out, workdir):
+    return {
+        "align": ["--checkpoint", str(checkpoint), "--out", str(out)],
+        "train": ["--out", str(out), *_QUICK_TRAIN],
+        "ablate": ["--out", str(out), "--workdir", str(workdir), *_QUICK_TRAIN],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["align", "train", "ablate"])
 @pytest.mark.parametrize("line,message", [
     ("0001_c1_0000,0,384,9000,9000", "expected 6 fields, got 5"),
@@ -610,18 +622,64 @@ def test_cli_align_bad_annotation_file_exit_code(tmp_path, capsys, extract_input
     checkpoint = tmp_path / "net.cdpm"
     tensorio.save_tensors(checkpoint, tensors)
     out, workdir = tmp_path / "out", tmp_path / "runs"
-    args = {
-        "align": ["--checkpoint", str(checkpoint), "--out", str(out)],
-        "train": ["--out", str(out), "--set", "train.epoch_scale=0.02"],
-        "ablate": ["--out", str(out), "--workdir", str(workdir),
-                   "--set", "train.epoch_scale=0.02"],
-    }[command]
-    rc = cli.main([command, "--data", str(copy), *args])
+    rc = cli.main([command, "--data", str(copy),
+                   *_command_args(command, checkpoint, out, workdir)])
     assert rc == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error:"), err
     assert "annotations.csv:2:" in err and message in err, err
     assert not [p for root in (out, workdir) if root.exists() for p in root.rglob("*.cdpm")]
+
+
+@pytest.mark.parametrize("command", ["align", "train", "ablate"])
+def test_cli_reads_the_annotation_file_once(tmp_path, monkeypatch, extract_inputs, command):
+    """The index reads annotations.csv once and caches it: ablate's four
+    training runs and its alignment scoring share that one read."""
+    bench, tensors = extract_inputs
+    checkpoint = tmp_path / "net.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    reads = []
+    read_text = Path.read_text
+
+    def counted(path, *args, **kwargs):
+        if path.name == "annotations.csv":
+            reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    args = _command_args(command, checkpoint, tmp_path / "out", tmp_path / "runs")
+    assert cli.main([command, "--data", str(bench), *args]) == cli.EXIT_OK
+    assert reads == [bench / "annotations.csv"]
+
+
+@pytest.mark.parametrize("command", ["align", "train", "ablate"])
+def test_cli_missing_annotation_file(tmp_path, capsys, extract_inputs, command):
+    """One rule for a missing annotation file: every image trains and is
+    scored with uniform division, so `train` runs, while `align` and `ablate`,
+    which have nothing to score, fail with one data error naming the file and
+    write nothing."""
+    bench, tensors = extract_inputs
+    copy = tmp_path / "bench"
+    shutil.copytree(bench, copy)
+    (copy / "annotations.csv").unlink()
+    checkpoint = tmp_path / "net.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    out, workdir = tmp_path / "out", tmp_path / "runs"
+    rc = cli.main([command, "--data", str(copy),
+                   *_command_args(command, checkpoint, out, workdir)])
+    err = capsys.readouterr().err
+    if command == "train":
+        assert rc == cli.EXIT_OK, err
+        with open(out / "train_log.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(float(r["loss_c"]) == float(r["loss_r"]) == 0.0 for r in rows)
+        assert (out / "final.cdpm").exists()
+        return
+    assert rc == cli.EXIT_DATA
+    assert err.count("\n") == 1 and err.startswith("data error:"), err
+    assert str(copy / "annotations.csv") in err, err
+    assert not out.exists()
+    assert not (workdir.exists() and list(workdir.rglob("*.cdpm")))
 
 
 def test_cli_non_utf8_annotation_file_exit_code(tmp_path, capsys, extract_inputs):

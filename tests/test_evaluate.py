@@ -89,13 +89,6 @@ def test_cosine_rank_deterministic_tie_break():
     assert ranking.gallery_ids == ("0001_c2_0000", "0002_c2_0000")
 
 
-def test_multi_query_descriptor():
-    a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    np.testing.assert_allclose(evaluate.multi_query_descriptor([a]), a)
-    np.testing.assert_allclose(evaluate.multi_query_descriptor([a, a]), a)
-    np.testing.assert_allclose(evaluate.multi_query_descriptor([a, b]), [0.5, 0.5])
-
-
 def toy_setup():
     """Two identities, two cameras; descriptors cluster by identity."""
     rng = np.random.default_rng(5)

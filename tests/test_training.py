@@ -310,7 +310,6 @@ def test_compose_batch_classification(tiny_bench):
     batch = compose_batch(train, store, np.random.default_rng(3), aug, batch_size=8)
     assert batch.images.shape == (8, 384, 128, 3)
     assert batch.labels.shape == (8,)
-    assert not batch.triplet_composed
     assert batch.bounds.shape == (batch.aligned_idx.size, 7)
 
 
@@ -322,7 +321,6 @@ def test_compose_batch_triplet_structure(tiny_bench):
     store = training.ImageStore()
     tri = TripletConfig(identities_per_batch=3, images_per_identity=4)
     batch = compose_batch(train, store, np.random.default_rng(3), aug, 12, tri)
-    assert batch.triplet_composed
     uniq, counts = np.unique(batch.labels, return_counts=True)
     assert len(uniq) == 3 and np.all(counts == 4)
     too_greedy = TripletConfig(identities_per_batch=50, images_per_identity=2)
@@ -402,13 +400,15 @@ def test_train_step_sums_loss_f_over_every_branch_group(tiny_bench):
     net = CdpmNetwork(cfg, np.random.default_rng(4))
     aug = AugmentationConfig(translation_copies=1)
     train = build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
-    batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 4)
+    tri = TripletConfig(identities_per_batch=2, images_per_identity=2)
+    batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 4,
+                          tri)
     fmap, _ = net.backbone.forward(batch.images)
     sums = {}
     for mgf in (False, True):
         net.zero_grad()
         flags = StepFlags(refinement=True, detection=False, mgf=mgf, backbone_grad=False)
-        sums[mgf] = training.train_step(net, batch, flags, LossWeights(), TripletConfig(),
+        sums[mgf] = training.train_step(net, batch, flags, LossWeights(), tri,
                                         fmap=fmap)["loss_f"]
     expected, first = 0.0, 0
     for count, height in ((6, 4), (2, 12), (3, 8), (4, 6)):  # parts, then g = 2, 3, 4
@@ -423,6 +423,24 @@ def test_train_step_sums_loss_f_over_every_branch_group(tiny_bench):
         first += count
     assert first == len(net.part_branches) == batch.tops.shape[1]
     assert sums[True] == expected > sums[False]
+
+
+def test_mgf_step_needs_a_p_by_a_batch(tiny_bench):
+    """The stage's mgf flag alone turns the triplet term on, so an mgf step
+    on a uniformly drawn batch is refused by the triplet loss rather than
+    trained without the term."""
+    index, anns = tiny_bench
+    cfg = model_cfg(index, with_mgf=True)
+    net = CdpmNetwork(cfg, np.random.default_rng(4))
+    aug = AugmentationConfig(translation_copies=1)
+    train = build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
+    batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 4)
+    tri = TripletConfig(identities_per_batch=2, images_per_identity=2)
+    assert sorted(np.unique(batch.labels, return_counts=True)[1]) != [2, 2]
+    fmap, _ = net.backbone.forward(batch.images)
+    flags = StepFlags(refinement=True, detection=True, mgf=True, backbone_grad=False)
+    with pytest.raises(ValueError, match="batch must hold 2 identities x 2 images"):
+        training.train_step(net, batch, flags, LossWeights(), tri, fmap=fmap)
 
 
 def test_train_step_takes_fmap_exactly_when_backbone_is_frozen(tiny_bench):
