@@ -73,6 +73,7 @@ class ToyBackbone(Block):
     conv's padded input. uint8 pixels are divided by `data.PIXEL_MAX` first,
     which gives the bits of standardizing `data.load_image`'s floats.
     Callers reach it as `net.backbone`: `features` for a forward-only pass,
+    `start_features` for one that overlaps the caller's other work, and
     `forward` and `backward` for a step that trains it.
     """
 
@@ -97,7 +98,7 @@ class ToyBackbone(Block):
     def _kernels(self) -> list[tuple]:
         return [(c.w.value, c.b.value, c.stride, c.padding) for c in self.convs]
 
-    def _stack(self, images, keep: bool) -> list[np.ndarray]:
+    def _stack(self, images, keep: bool, start: bool = False):
         images = np.asarray(images)
         if images.ndim != 4 or images.shape[1:] != (IMAGE_HEIGHT, IMAGE_WIDTH, 3):
             raise ops.ShapeError(
@@ -108,8 +109,8 @@ class ToyBackbone(Block):
             scale = PIXEL_MAX
         else:
             images, scale = ops.as_f64(images), 1.0
-        return ops.conv_relu_stack(images, self._kernels(), self.INPUT_MEAN, self.INPUT_STD,
-                                   keep, scale=scale)
+        run = ops.start_conv_relu_stack if start else ops.conv_relu_stack
+        return run(images, self._kernels(), self.INPUT_MEAN, self.INPUT_STD, keep, scale=scale)
 
     def features(self, images: np.ndarray) -> np.ndarray:
         """The feature map alone, for a pass with no backbone backward; no
@@ -117,6 +118,14 @@ class ToyBackbone(Block):
         intensities give the same bits, and no float copy of a uint8 batch
         is made."""
         return self._stack(images, keep=False)[0]
+
+    def start_features(self, images: np.ndarray):
+        """Start `features` on the block workers and return its wait handle,
+        which gives the feature map once every worker has ended. The caller
+        may run other work meanwhile, but must call the handle before it
+        drops the pass. With one worker the pass runs before this returns."""
+        wait = self._stack(images, keep=False, start=True)
+        return lambda: wait()[0]
 
     def forward(self, images: np.ndarray):
         """The feature map and the activations `backward` takes: the
@@ -261,10 +270,12 @@ def gather_windows(fmap: np.ndarray, tops: np.ndarray, height: int) -> np.ndarra
 
 
 def scatter_window_grad(gfmap: np.ndarray, tops: np.ndarray, gwin: np.ndarray) -> None:
-    """Accumulate window gradients back onto the feature-map gradient; each
-    (image, row) pair occurs once, so one indexed add suffices."""
-    rows = tops[:, None] + np.arange(gwin.shape[1])
-    gfmap[np.arange(len(tops))[:, None], rows] += gwin
+    """Accumulate window gradients back onto the feature-map gradient, one
+    in-place slice add per image (an indexed add gathers and scatters a
+    copy, and is slower)."""
+    h = gwin.shape[1]
+    for i, top in enumerate(tops):
+        gfmap[i, top : top + h] += gwin[i]
 
 
 class CdpmNetwork(Block):
@@ -470,9 +481,14 @@ class CdpmNetwork(Block):
     ) -> np.ndarray:
         """Concatenated image representation, shape (B, descriptor_dim), of
         uint8 pixels or [0, 1] float intensities (see `ToyBackbone.features`)."""
+        return self.feature_descriptor(self.backbone.features(images), selection)
+
+    def feature_descriptor(
+        self, fmap: np.ndarray, selection: alignment.SelectionConfig | None = None
+    ) -> np.ndarray:
+        """`descriptor` of the images whose backbone feature map is `fmap`."""
         if not self.initialized:
             raise NotInitializedError("parameters are neither initialized nor loaded")
-        fmap = self.backbone.features(images)
         part_tops = self.part_tops(fmap, selection or alignment.SelectionConfig())
         # coarser windows follow the part windows the image actually uses
         centers = part_tops + WINDOW_HEIGHT / 2.0

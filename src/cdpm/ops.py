@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import threading
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -72,18 +72,22 @@ class _Starts:
             yield i
 
 
-def _run_blocks(work, batch: int, step: int, scratch=tuple) -> None:
-    """Run `work(starts, *scratch())` on min(WORKERS, blocks) workers that
-    share out the block starts of `batch` images in blocks of `step`.
+def _run_blocks(work, batch: int, step: int, scratch=tuple, result=None):
+    """Start `work(starts, *scratch())` on min(WORKERS, blocks) workers that
+    share out the block starts of `batch` images in blocks of `step`, and
+    return a wait handle: calling it joins every worker, re-raises the first
+    exception (in worker order) and returns `result`.
 
     `scratch` makes one worker's reused buffers. It is called here, on the
     calling thread, so the buffers come from that thread's allocator arena;
     made on the workers, they would each keep a heap of their own alive.
 
-    With one worker or at most one block the work runs inline. Else the
-    workers run on the pool, and every worker has ended before the first
-    exception (in worker order) is re-raised, so no worker still writes
-    into a buffer the caller returns or drops.
+    With one worker or at most one block the work runs inline, before this
+    returns. Else the workers run on the pool, and the handle waits for
+    every worker to end before it raises, so no worker still writes into a
+    buffer the caller returns or drops. A synchronous caller calls the
+    handle at once; one that overlaps other work with the pass must call it
+    before it reads `result` or returns.
     """
     global _pool
     blocks = -(-batch // step)
@@ -92,18 +96,22 @@ def _run_blocks(work, batch: int, step: int, scratch=tuple) -> None:
     if len(tasks) <= 1:
         for task in tasks:
             task()
-        return
+        return lambda: result
     if _pool is None:
         # imported here: importing it with this module shifted the allocator
         # state of processes that never convolve and slowed their retrieval
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="cdpm-ops")
-    futures = [_pool.submit(task) for task in tasks]
+    return partial(_join, [_pool.submit(task) for task in tasks], result)
+
+
+def _join(futures, result):
     for future in futures:
         future.exception()  # waits for the task; raises nothing
     for future in futures:
         future.result()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +176,13 @@ def cross_channel_avg_pool_backward(
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # min(x, -x) is -x where x >= 0 and x elsewhere (a NaN keeps its sign), so
+    # exp never overflows and the result is 1 / (1 + exp(-x)) where x >= 0,
+    # exp(x) / (1 + exp(x)) elsewhere
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    out = np.divide(e, d)
+    np.divide(1.0, d, out=out, where=x >= 0)
     return out
 
 
@@ -254,8 +263,10 @@ def batch_norm_inference_backward(
 # bilinear resize
 
 
+@lru_cache(maxsize=None)
 def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
-    """Interpolation matrix M (n_out, n_in) for half-pixel-centre bilinear resize.
+    """Interpolation matrix M (n_out, n_in) for half-pixel-centre bilinear
+    resize, made once per size pair and read-only.
 
     Source coordinate of output index i is (i + 0.5) * n_in / n_out - 0.5,
     clamped to [0, n_in - 1]. Equal sizes yield the identity matrix.
@@ -268,7 +279,22 @@ def _resize_weights(n_in: int, n_out: int) -> np.ndarray:
     m = np.zeros((n_out, n_in))
     np.add.at(m, (np.arange(n_out), lo), 1.0 - frac)
     np.add.at(m, (np.arange(n_out), hi), frac)
+    m.flags.writeable = False
     return m
+
+
+@lru_cache(maxsize=256)
+def _einsum_path(subscripts: str, *shapes) -> list:
+    """The contraction order `np.einsum(..., optimize=True)` picks for
+    operands of these shapes, searched once per shape set; passed back as
+    `optimize`, it runs the same contraction."""
+    return np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes),
+                          optimize=True)[0]
+
+
+def _resize_einsum(subscripts: str, mh: np.ndarray, x: np.ndarray, mw: np.ndarray):
+    path = _einsum_path(subscripts, mh.shape, x.shape, mw.shape)
+    return np.einsum(subscripts, mh, x, mw, optimize=path)
 
 
 def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -276,9 +302,8 @@ def bilinear_resize(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     _require(x.ndim >= 3, f"bilinear_resize expects (...,H,W,C), got {x.shape}")
     _require(out_h >= 1 and out_w >= 1, "target extents must be >= 1")
     h, w = x.shape[-3], x.shape[-2]
-    mh = _resize_weights(h, out_h)
-    mw = _resize_weights(w, out_w)
-    return np.einsum("ip,...pqc,jq->...ijc", mh, x, mw, optimize=True)
+    return _resize_einsum("ip,...pqc,jq->...ijc", _resize_weights(h, out_h), x,
+                          _resize_weights(w, out_w))
 
 
 def bilinear_resize_backward(
@@ -286,9 +311,8 @@ def bilinear_resize_backward(
 ) -> np.ndarray:
     h, w = x_shape[-3], x_shape[-2]
     out_h, out_w = grad_out.shape[-3], grad_out.shape[-2]
-    mh = _resize_weights(h, out_h)
-    mw = _resize_weights(w, out_w)
-    return np.einsum("ip,...ijc,jq->...pqc", mh, grad_out, mw, optimize=True)
+    return _resize_einsum("ip,...ijc,jq->...pqc", _resize_weights(h, out_h), grad_out,
+                          _resize_weights(w, out_w))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +354,9 @@ def bilinear_resize_backward(
 # count. Workers call only numpy and this module's private helpers, never a
 # public function: a tracer that wraps those may keep state that is not
 # thread-safe. A multi-threaded BLAS (OPENBLAS_NUM_THREADS > 1) adds its
-# threads on top of these workers.
+# threads on top of these workers. `start_conv_relu_stack` returns while its
+# workers still run, so the caller can overlap its own work with a forward
+# pass (extraction runs a chunk's heads while the next chunk's backbone runs).
 
 
 def _strided_cols(xp, kh, kw, stride, ho, wo):
@@ -382,7 +408,8 @@ def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
 
     `standardize` = (scale, mean, std) maps each block to
     (x / scale - mean) / std first, written straight into the first layer's
-    padded input, so integer `x` is converted block by block. Returns every
+    padded input, so integer `x` is converted block by block. Starts the
+    pass and returns its wait handle (see `_run_blocks`), which gives every
     layer's whole-batch input and the last output with `keep`, else only
     the last output, as a one-item list.
     """
@@ -431,12 +458,11 @@ def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
                 if k + 1 < last:
                     _interior(pads[k + 1][:n], kernels[k + 1][3])[...] = y
 
-    _run_blocks(forward, bsz, step, scratch=lambda: (
+    return _run_blocks(forward, bsz, step, scratch=lambda: (
         [_pad_buffer(step, *shape, p) for shape, (*_, p) in zip(shapes, kernels)],
         np.empty(step * max(patch_sizes)),
         np.empty(step * act_size),
-    ))
-    return [a for a in acts if a is not None]
+    ), result=[a for a in acts if a is not None])
 
 
 def _conv_stack_backward(acts, kernels, grad_out, relu: bool, need_input_grad: bool):
@@ -506,7 +532,7 @@ def _conv_stack_backward(acts, kernels, grad_out, relu: bool, need_input_grad: b
         np.empty(step * max(patch_sizes)),
         np.empty(step * max(np.prod(shape) for shape in shapes[1:])),
         np.empty(step * max(padded[lowest:], default=0)),
-    ))
+    ))()
     return gx, [(gw.sum(axis=0).reshape(w.shape), gb.sum(axis=0))
                 for gw, gb, (w, *_) in zip(gws, gbs, kernels)]
 
@@ -524,7 +550,7 @@ def conv2d(
     blocks' patches into one reused block-sized buffer; the whole-batch
     patch matrix is never built here.
     """
-    return _conv_stack(x, [(w, b, stride, padding)], relu=False)[0]
+    return _conv_stack(x, [(w, b, stride, padding)], relu=False)()[0]
 
 
 def conv_relu_stack(
@@ -540,6 +566,18 @@ def conv_relu_stack(
     output, each over the whole batch, as `conv_relu_stack_backward` takes
     them; else only the last output, as a one-item list, and no other
     whole-batch array is made.
+    """
+    return start_conv_relu_stack(x, kernels, mean, std, keep, scale=scale)()
+
+
+def start_conv_relu_stack(
+    x: np.ndarray, kernels, mean: float, std: float, keep: bool = False, *,
+    scale: float = 1.0,
+):
+    """Start `conv_relu_stack` on the block workers and return at once with
+    its wait handle; calling the handle joins the workers and returns what
+    `conv_relu_stack` returns. `x` must not change until then. With one
+    worker the pass runs before this returns.
     """
     return _conv_stack(x, kernels, relu=True, standardize=(scale, mean, std), keep=keep)
 

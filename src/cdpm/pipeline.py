@@ -4,6 +4,7 @@ ablation grid (baseline / +detection / +refinement / full).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 from dataclasses import dataclass, replace
@@ -22,9 +23,42 @@ log = logging.getLogger(__name__)
 EXTRACT_BATCH = 24
 
 
-def _batched(records, size):
-    for i in range(0, len(records), size):
-        yield records[i : i + size]
+def _chunk_features(net: CdpmNetwork, chunks):
+    """Yield (chunk, feature maps) for each chunk of records, in order.
+
+    Chunk i + 1's backbone runs on the block workers while the caller works
+    on chunk i's maps: for each chunk this reads the next chunk's pixels
+    (on this thread), joins this chunk's backbone, starts the next one and
+    then yields. On any error, or when the caller closes it early, the pass
+    in flight is joined before this returns, so no worker outlives it.
+    """
+    chunks = iter(chunks)
+    chunk = next(chunks, None)
+    if chunk is None:
+        return
+    job = net.backbone.start_features(_read_pixels(chunk))
+    try:
+        while chunk is not None:
+            following = next(chunks, None)
+            pixels = None if following is None else _read_pixels(following)
+            fmap, job = job(), None
+            if following is not None:
+                job = net.backbone.start_features(pixels)
+            yield chunk, fmap
+            chunk = following
+    finally:
+        if job is not None:
+            # the error or early stop that got here is what the caller sees
+            with contextlib.suppress(Exception):
+                job()
+
+
+def _read_pixels(records) -> np.ndarray:
+    return np.stack([data.read_person_image(r.path) for r in records])
+
+
+def _chunks(records):
+    return (records[i : i + EXTRACT_BATCH] for i in range(0, len(records), EXTRACT_BATCH))
 
 
 def extract_descriptors(
@@ -34,16 +68,17 @@ def extract_descriptors(
     selection: alignment.SelectionConfig,
 ) -> dict[str, np.ndarray]:
     """Descriptor per image of one split, in index order. The backbone reads
-    each chunk as stored uint8 pixels."""
+    each chunk as stored uint8 pixels, one chunk ahead of the heads and part
+    branches (see `_chunk_features`)."""
     records = index.split(split)
     if not records:
         raise data.DataError(f"split {split!r} is empty")
     out: dict[str, np.ndarray] = {}
-    for chunk in _batched(records, EXTRACT_BATCH):
-        images = np.stack([data.read_person_image(r.path) for r in chunk])
-        descs = net.descriptor(images, selection)
-        for record, vec in zip(chunk, descs):
-            out[record.image_id] = vec
+    with contextlib.closing(_chunk_features(net, _chunks(records))) as chunks:
+        for chunk, fmap in chunks:
+            descs = net.feature_descriptor(fmap, selection)
+            for record, vec in zip(chunk, descs):
+                out[record.image_id] = vec
     return out
 
 
@@ -93,22 +128,22 @@ def alignment_report(
     parts = net.cfg.parts
     uniform = alignment.part_bounds(0, alignment.MAP_HEIGHT, parts)
     records = [r for split in splits for r in index.split(split)]
+    bodies = {r.image_id: body for r in records
+              if (body := body_rows(annotations.get(r.image_id))) is not None}
+    usable = ([r for r in chunk if r.image_id in bodies] for chunk in _chunks(records))
     rows: list[AlignmentRow] = []
-    for chunk in _batched(records, EXTRACT_BATCH):
-        usable = [(r, body) for r in chunk
-                  if (body := body_rows(annotations.get(r.image_id))) is not None]
-        if not usable:
-            continue
-        images = np.stack([data.read_person_image(r.path) for r, _ in usable])
-        tops = net.part_tops(net.backbone.features(images), selection).astype(np.float64)
-        truth = alignment.part_bounds(*np.array([body for _, body in usable]).T, parts)
-        iou = _part_iou(tops, tops + WINDOW_HEIGHT, truth)
-        uniform_iou = _part_iou(uniform[:-1], uniform[1:], truth)
-        for i, (record, _) in enumerate(usable):
-            for k in range(parts):
-                window = int(tops[i, k]) + 1 if net.heads is not None else 0
-                rows.append(AlignmentRow(record.image_id, k + 1, window, float(tops[i, k]),
-                                         float(iou[i, k]), float(uniform_iou[i, k])))
+    with contextlib.closing(_chunk_features(net, filter(None, usable))) as chunks:
+        for chunk, fmap in chunks:
+            tops = net.part_tops(fmap, selection).astype(np.float64)
+            truth = alignment.part_bounds(*np.array([bodies[r.image_id] for r in chunk]).T,
+                                          parts)
+            iou = _part_iou(tops, tops + WINDOW_HEIGHT, truth)
+            uniform_iou = _part_iou(uniform[:-1], uniform[1:], truth)
+            for i, record in enumerate(chunk):
+                for k in range(parts):
+                    window = int(tops[i, k]) + 1 if net.heads is not None else 0
+                    rows.append(AlignmentRow(record.image_id, k + 1, window, float(tops[i, k]),
+                                             float(iou[i, k]), float(uniform_iou[i, k])))
     if not rows:
         raise data.DataError(
             f"no image offers aligned ground truth to score in {index.annotations_path}"

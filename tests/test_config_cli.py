@@ -571,22 +571,33 @@ BAD_IMAGES = {
 
 @pytest.mark.parametrize("kind", BAD_IMAGES)
 @pytest.mark.parametrize("command", ["extract", "align"])
-def test_cli_bad_image_is_data_error(tmp_path, capsys, extract_inputs, command, kind):
+def test_cli_bad_image_is_data_error(tmp_path, capsys, monkeypatch, block_passes,
+                                     extract_inputs, command, kind):
+    """A bad first image, and a bad image in a later chunk while the chunk
+    before it is on the backbone workers: each is one data error line, no
+    output file, and every backbone pass started has ended on return."""
     bench, tensors = extract_inputs
-    copy = tmp_path / "bench"
-    shutil.copytree(bench, copy)
-    spoiled = data.load_dataset(copy).split("query")[0].path
-    spoil, cause = BAD_IMAGES[kind]
-    spoil(spoiled)
     checkpoint = tmp_path / "net.cdpm"
     tensorio.save_tensors(checkpoint, tensors)
+    spoil, cause = BAD_IMAGES[kind]
     args = ["--split", "query"] if command == "extract" else []
-    rc = cli.main([command, "--checkpoint", str(checkpoint), "--data", str(copy),
-                   "--out", str(tmp_path / "out"), *args])
-    assert rc == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("data error:"), err
-    assert str(spoiled) in err and cause in err, err
+    # the query split holds 2 images: one-image chunks put the second in chunk 2
+    for position, batch in ((0, pipeline.EXTRACT_BATCH), (1, 1)):
+        monkeypatch.setattr(pipeline, "EXTRACT_BATCH", batch)
+        block_passes.clear()
+        copy = tmp_path / f"bench{position}"
+        shutil.copytree(bench, copy)
+        spoiled = data.load_dataset(copy).split("query")[position].path
+        spoil(spoiled)
+        out = tmp_path / f"out{position}"
+        rc = cli.main([command, "--checkpoint", str(checkpoint), "--data", str(copy),
+                       "--out", str(out), *args])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error:"), err
+        assert str(spoiled) in err and cause in err, err
+        assert not out.exists()
+        assert len(block_passes) == position and all(block_passes), block_passes
 
 
 _QUICK_TRAIN = ["--set", "train.epoch_scale=0.02", "--set", "train.batch_size=6",

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import conv_reference as ref
-from cdpm import ops
+from cdpm import alignment, ops
 from gradcheck import check_grad, numerical_grad, rel_error
 
 RNG = np.random.default_rng(7)
@@ -91,6 +92,28 @@ def test_activation_values_and_ranges():
     assert np.array_equal(ops.relu_backward(x, g), g * (x > 0.0))
 
 
+def _sigmoid_by_sign(x):
+    """Sigmoid split by sign with boolean-mask gathers, the bit reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_gives_the_bits_of_the_split_by_sign_form():
+    rng = np.random.default_rng(221)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e4, -1e4, 745.0, -745.0,
+                        37.0, -37.0, 1e-300, -1e-300, 5e-324, -5e-324])
+    for x in (special, rng.standard_normal(21504) * 8.0, rng.standard_normal((24, 21, 64)),
+              rng.uniform(-800.0, 800.0, (7, 3))):
+        got, want = ops.sigmoid(x), _sigmoid_by_sign(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.isnan(ops.sigmoid(special)[4])
+
+
 def test_batch_norm_inference_values():
     x = RNG.standard_normal((3, 4))
     same = ops.batch_norm_inference(x, np.zeros(4), np.ones(4), np.ones(4), np.zeros(4))
@@ -161,6 +184,26 @@ def test_bilinear_resize_gradient():
     g = RNG.standard_normal((5, 6, 2))
     gx = ops.bilinear_resize_backward(x.shape, g)
     check_grad(lambda v: float((ops.bilinear_resize(v, 5, 6) * g).sum()), x.copy(), gx)
+
+
+def test_bilinear_resize_cached_path_gives_the_bits_of_a_fresh_search():
+    """At the attention block's shapes (a stride-2 3x3 conv's (ceil(h / 2),
+    4) map resized back to each branch's (h, 8) window), the cached matrices
+    and contraction path give the bits of `einsum(..., optimize=True)`."""
+    rng = np.random.default_rng(233)
+    for batch in (16, 24, 48):
+        for h in sorted(set(alignment.branch_heights(6, alignment.GRANULARITIES))):
+            s1 = rng.standard_normal((batch, (h + 1) // 2, 4, 1))
+            g = rng.standard_normal((batch, h, 8, 1))
+            mh = ops._resize_weights.__wrapped__(s1.shape[1], h)
+            mw = ops._resize_weights.__wrapped__(4, 8)
+            want = np.einsum("ip,...pqc,jq->...ijc", mh, s1, mw, optimize=True)
+            want_g = np.einsum("ip,...ijc,jq->...pqc", mh, g, mw, optimize=True)
+            for _ in range(2):  # the second call reads the caches
+                assert np.array_equal(ops.bilinear_resize(s1, h, 8), want)
+                assert np.array_equal(ops.bilinear_resize_backward(s1.shape, g), want_g)
+    m = ops._resize_weights(3, 6)
+    assert m is ops._resize_weights(3, 6) and not m.flags.writeable
 
 
 def test_l2_normalize():
@@ -370,7 +413,7 @@ def test_blocks_reraise_only_after_every_task_has_ended(monkeypatch):
             done.append(i)
 
     with pytest.raises(ops.ShapeError, match="block 3"):
-        ops._run_blocks(work, 6, 1)
+        ops._run_blocks(work, 6, 1)()
     assert sorted(done) == [0, 1, 2, 4, 5]
 
 
@@ -388,7 +431,30 @@ def test_blocks_reraise_the_first_exception_in_task_order(monkeypatch):
             raise ValueError("second task")
 
     with pytest.raises(KeyError, match="first task"):
-        ops._run_blocks(work, 2, 1, scratch=lambda: (next(indices),))
+        ops._run_blocks(work, 2, 1, scratch=lambda: (next(indices),))()
+
+
+def test_started_blocks_run_while_the_caller_goes_on(monkeypatch):
+    """With two workers `_run_blocks` returns before any block is done; its
+    handle joins every worker and returns the result. With one worker the
+    blocks run before it returns."""
+    release = threading.Event()
+    done = []
+
+    def work(starts):
+        for i in starts:
+            release.wait(10)
+            done.append(i)
+
+    monkeypatch.setattr(ops, "WORKERS", 2)
+    wait = ops._run_blocks(work, 4, 1, result="out")
+    assert done == []
+    release.set()
+    assert wait() == "out" and sorted(done) == [0, 1, 2, 3]
+    monkeypatch.setattr(ops, "WORKERS", 1)
+    done.clear()
+    wait = ops._run_blocks(work, 3, 1, result="out")
+    assert done == [0, 1, 2] and wait() == "out"
 
 
 def test_no_thread_until_a_convolution_needs_one():

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import cdpm
-from cdpm import ops, training
+from cdpm import ops, pipeline, training
+from cdpm.alignment import SelectionConfig
 from cdpm.augment import AugmentationConfig
 from cdpm.losses import LossWeights, TripletConfig
 from cdpm.model import WINDOW_HEIGHT, CdpmNetwork, ModelConfig, gather_windows
@@ -85,10 +86,12 @@ def test_install_then_restore_gives_back_every_binding(spans):
     assert [k for k in before if after[k] is not before[k]] == []
 
 
-def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch):
+def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch, tiny_bench):
     """A two-worker backbone forward (kept and forward-only) and backward
-    over several image blocks, and a refined part branch's forward and
-    backward, call every traced function on this thread."""
+    over several image blocks, a refined part branch's forward and
+    backward, and descriptor extraction and alignment scoring over several
+    chunks, each chunk's backbone overlapping the last one's heads, call
+    every traced function on this thread."""
     threads = []
 
     class ThreadRecordingTracer(spans.Tracer):
@@ -102,6 +105,9 @@ def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch):
             return wrapper
 
     monkeypatch.setattr(ops, "WORKERS", 2)
+    monkeypatch.setattr(pipeline, "EXTRACT_BATCH", 7)
+    index, anns = tiny_bench
+    assert len(index.split("train")) >= 3 * pipeline.EXTRACT_BATCH
     net = CdpmNetwork(ModelConfig(classes=4), np.random.default_rng(0))
     images = np.random.default_rng(1).random((3, 384, 128, 3))
     with ThreadRecordingTracer(cdpm, spans.TRACE_TARGETS) as tracer:
@@ -111,8 +117,12 @@ def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch):
         branch = net.part_branches[0]
         _, scores, ctx = branch.forward(gather_windows(fmap, np.zeros(3, int), WINDOW_HEIGHT), True)
         branch.backward(ctx, np.ones_like(scores))
+        pipeline.extract_descriptors(net, index, "train", SelectionConfig())
+        pipeline.alignment_report(net, index, anns, ("train",))
     names = {span[0] for span in tracer.spans}
-    assert {"layers.Conv.bwd", "ops.conv2d_backward", "model.PartBranch.bwd"} <= names
+    assert {"layers.Conv.bwd", "ops.conv2d_backward", "model.PartBranch.bwd",
+            "pipeline.extract_descriptors", "pipeline.alignment_report", "data.read_ppm",
+            "model.DetectionHeads.fwd"} <= names
     assert len(threads) == len(tracer.spans)
     assert set(threads) == {threading.get_ident()}
 

@@ -714,6 +714,52 @@ def test_extract_peak_memory_below_one_float_chunk(tiny_bench, monkeypatch):
 
 
 @pytest.fixture(scope="module")
+def full_model(tiny_bench):
+    return calibrated_full_model(tiny_bench[0])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch", [30, 8, 7], ids=["one_chunk", "exact_multiple", "remainder"])
+def test_pipelined_chunks_give_the_bits_of_one_chunk_at_a_time(tiny_bench, full_model,
+                                                               monkeypatch, workers, batch):
+    """Descriptors and alignment rows of the pipelined chunk loop equal
+    `net.descriptor` and `net.part_tops` run on one chunk at a time."""
+    monkeypatch.setattr(ops, "WORKERS", workers)
+    monkeypatch.setattr(pipeline, "EXTRACT_BATCH", batch)
+    index, anns = tiny_bench
+    net, selection = full_model, alignment.SelectionConfig()
+    records = index.split("train")
+    assert len(records) == 24
+    got = pipeline.extract_descriptors(net, index, "train", selection)
+    report = pipeline.alignment_report(net, index, anns, ("train",), selection)
+    want_descs, want_rows = {}, []
+    for i in range(0, len(records), batch):
+        chunk = records[i : i + batch]
+        pixels = np.stack([data.read_person_image(r.path) for r in chunk])
+        want_descs.update(zip([r.image_id for r in chunk], net.descriptor(pixels, selection)))
+        usable = [j for j, r in enumerate(chunk) if body_rows(anns.get(r.image_id)) is not None]
+        tops = net.part_tops(net.backbone.features(pixels[usable]), selection)
+        want_rows += [(chunk[j].image_id, k + 1, int(t) + 1, float(t))
+                      for j, row in zip(usable, tops) for k, t in enumerate(row)]
+    assert list(got) == list(want_descs)
+    assert all(np.array_equal(got[key], want_descs[key]) for key in got)
+    assert [(r.image_id, r.part, r.window, r.top) for r in report.rows] == want_rows
+
+
+def test_stopping_early_joins_the_backbone_pass_in_flight(tiny_bench, full_model,
+                                                           block_passes):
+    """Closing the chunk loop after its first chunk joins the second chunk's
+    backbone pass, which was started before the first chunk was yielded."""
+    records = tiny_bench[0].split("train")
+    chunks = pipeline._chunk_features(full_model, [records[:4], records[4:8], records[8:12]])
+    chunk, fmap = next(chunks)
+    assert chunk == records[:4] and fmap.shape == (4, 24, 8, 64)
+    assert block_passes == [True, False]
+    chunks.close()
+    assert block_passes == [True, True]
+
+
+@pytest.fixture(scope="module")
 def tiny_run(tiny_bench, tmp_path_factory):
     index, _ = tiny_bench
     cfg = model_cfg(index)
