@@ -148,10 +148,8 @@ def cmd_train(args) -> int:
     index = data.load_dataset(cfg.data_root)
     result = run_training(index, cfg.model_config(classes=index.class_count), cfg.train,
                           args.out)
-    final = result.log_rows[-1] if result.log_rows else {}
     print(f"final checkpoint: {result.final_checkpoint}")
-    if final:
-        print(f"last epoch total loss: {final['total']:.6f}")
+    print(f"last epoch total loss: {result.log_rows[-1]['total']:.6f}")
     return EXIT_OK
 
 

@@ -98,7 +98,8 @@ class ToyBackbone(Block):
     def _kernels(self) -> list[tuple]:
         return [(c.w.value, c.b.value, c.stride, c.padding) for c in self.convs]
 
-    def _stack(self, images, keep: bool, start: bool = False):
+    def _stack(self, images, keep: bool):
+        """Start the conv stack on the block workers; returns its wait handle."""
         images = np.asarray(images)
         if images.ndim != 4 or images.shape[1:] != (IMAGE_HEIGHT, IMAGE_WIDTH, 3):
             raise ops.ShapeError(
@@ -109,28 +110,28 @@ class ToyBackbone(Block):
             scale = PIXEL_MAX
         else:
             images, scale = ops.as_f64(images), 1.0
-        run = ops.start_conv_relu_stack if start else ops.conv_relu_stack
-        return run(images, self._kernels(), self.INPUT_MEAN, self.INPUT_STD, keep, scale=scale)
+        return ops.start_conv_relu_stack(images, self._kernels(), self.INPUT_MEAN,
+                                         self.INPUT_STD, keep, scale=scale)
 
     def features(self, images: np.ndarray) -> np.ndarray:
         """The feature map alone, for a pass with no backbone backward; no
         other whole-batch activation is made. uint8 pixels and their float
         intensities give the same bits, and no float copy of a uint8 batch
         is made."""
-        return self._stack(images, keep=False)[0]
+        return self._stack(images, keep=False)()[0]
 
     def start_features(self, images: np.ndarray):
         """Start `features` on the block workers and return its wait handle,
         which gives the feature map once every worker has ended. The caller
         may run other work meanwhile, but must call the handle before it
         drops the pass. With one worker the pass runs before this returns."""
-        wait = self._stack(images, keep=False, start=True)
+        wait = self._stack(images, keep=False)
         return lambda: wait()[0]
 
     def forward(self, images: np.ndarray):
         """The feature map and the activations `backward` takes: the
         standardised input and every conv's relu output."""
-        acts = self._stack(images, keep=True)
+        acts = self._stack(images, keep=True)()
         return acts[-1], acts
 
     def backward(self, acts, grad_out: np.ndarray) -> None:
@@ -328,10 +329,6 @@ class CdpmNetwork(Block):
             if name.startswith("backbone.") or is_base_branch:
                 keep.append(p)
         return keep
-
-    def new_module_parameters(self):
-        baseline = {p.name for p in self.baseline_parameters()}
-        return [p for p in self.parameters() if p.name not in baseline]
 
     # -- checkpoints ---------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Differentiable array operators: forward passes and analytic backward passes.
 
 Every operator works on 64-bit float numpy arrays in row-major order
-(`conv_relu_stack` also reads integer pixels, given their scale). Spatial
+(`start_conv_relu_stack` also reads integer pixels, given their scale). Spatial
 tensors are laid out (height, width, channels), optionally with one leading
 batch axis. Each `*_backward` function is the exact reverse-mode counterpart
 of its forward and is validated against central finite differences in the
@@ -553,31 +553,21 @@ def conv2d(
     return _conv_stack(x, [(w, b, stride, padding)], relu=False)()[0]
 
 
-def conv_relu_stack(
-    x: np.ndarray, kernels, mean: float, std: float, keep: bool = False, *,
-    scale: float = 1.0,
-) -> list[np.ndarray]:
-    """Standardise (B, H, W, C) images as (x / scale - mean) / std (the
-    default scale 1.0 divides exactly), then apply each (w, b, stride,
-    padding) of `kernels` as conv2d followed by relu, depth first (see
-    `_conv_stack`).
-
-    With `keep`, returns the standardised input and every layer's relu
-    output, each over the whole batch, as `conv_relu_stack_backward` takes
-    them; else only the last output, as a one-item list, and no other
-    whole-batch array is made.
-    """
-    return start_conv_relu_stack(x, kernels, mean, std, keep, scale=scale)()
-
-
 def start_conv_relu_stack(
     x: np.ndarray, kernels, mean: float, std: float, keep: bool = False, *,
     scale: float = 1.0,
 ):
-    """Start `conv_relu_stack` on the block workers and return at once with
-    its wait handle; calling the handle joins the workers and returns what
-    `conv_relu_stack` returns. `x` must not change until then. With one
-    worker the pass runs before this returns.
+    """Standardise (B, H, W, C) images as (x / scale - mean) / std (the
+    default scale 1.0 divides exactly), then apply each (w, b, stride,
+    padding) of `kernels` as conv2d followed by relu, depth first (see
+    `_conv_stack`). The pass starts on the block workers and this returns at
+    once with its wait handle; `x` must not change until the handle is
+    called. With one worker the pass runs before this returns.
+
+    Calling the handle joins the workers and, with `keep`, returns the
+    standardised input and every layer's relu output, each over the whole
+    batch, as `conv_relu_stack_backward` takes them; else only the last
+    output, as a one-item list, and no other whole-batch array is made.
     """
     return _conv_stack(x, kernels, relu=True, standardize=(scale, mean, std), keep=keep)
 
@@ -607,7 +597,7 @@ def conv2d_backward(
 def conv_relu_stack_backward(
     acts: list[np.ndarray], kernels, grad_out: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's (kernel gradient, bias gradient) of `conv_relu_stack`
+    """Each layer's (kernel gradient, bias gradient) of `start_conv_relu_stack`
     over `kernels`, given the arrays it keeps (`acts`) and the gradient of
     its last output, depth first (see `_conv_stack_backward`). The
     standardised input's gradient is not computed.

@@ -2,18 +2,19 @@
 
 Three stages: the identity baseline trains first; the detection heads,
 attention masks, and any extra branches train second with the baseline
-frozen; everything fine-tunes jointly in the third stage. Epoch counts and
-lr milestones scale together by one desk-scale factor. The train split's
-offline copies are one table of arrays (`TrainSet`, one row per copy), and
-a batch is a set of its row indices. All sampling comes from generators
-seeded from one master seed, so a run is a pure function of (seed, config,
-dataset).
+frozen; everything fine-tunes jointly in the third stage. Each stage is one
+row (`Stage`) holding its lr schedule, its step flags and its parameters;
+epoch counts and lr milestones scale together by one desk-scale factor.
+The train split's offline copies are one table of arrays (`TrainSet`, one
+row per copy), and a batch is a set of its row indices. All sampling comes
+from generators seeded from one master seed, so a run is a pure function
+of (seed, config, dataset).
 """
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from . import alignment, augment, data, losses
 from .annotations import BoundaryAnnotation, body_rows
 from .augment import AugmentationConfig
+from .layers import Parameter
 from .losses import LossWeights, TripletConfig
 from .model import CdpmNetwork, ModelConfig, gather_windows, scatter_window_grad
 
@@ -42,26 +44,53 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
+class StepFlags:
+    """Which paths are active in a given stage."""
+
+    refinement: bool  # attention masks multiply the part windows
+    detection: bool  # window classification + regression losses
+    mgf: bool  # granularity branches and holistic triplet term
+    backbone_grad: bool  # propagate into and accumulate backbone gradients
+
+
+@dataclass(frozen=True)
 class Stage:
+    """One row of the stage table: its lr schedule, the paths its steps run
+    and the parameters it updates."""
+
     name: str
     epochs: int
     base_lr: float
     milestones: tuple[int, ...]  # lr multiplied by 0.1 from each of these epochs on
-    trainable: str  # baseline | new | all
+    flags: StepFlags  # the paths each of the stage's steps runs
+    params: tuple[Parameter, ...]  # what the optimizer updates; empty: the stage is skipped
 
 
 def _scaled(epochs: int, scale: float) -> int:
     return max(1, int(round(epochs * scale)))
 
 
-def stage_schedule(scale: float = 1.0) -> list[Stage]:
-    """The three stages with epoch counts and milestones scaled by one factor:
-    stages 1 and 2 decay every 20 and 15 epochs, stage 3 once at epoch 20."""
+def stage_schedule(net: CdpmNetwork, scale: float = 1.0) -> list[Stage]:
+    """The network's three stages, epoch counts and milestones scaled by one
+    factor: stages 1 and 2 decay every 20 and 15 epochs, stage 3 once at
+    epoch 20. Stage 1 trains the baseline (backbone and base part branches
+    without their attention masks) with every other path off; stage 2 trains
+    the rest with the backbone frozen; stage 3 trains everything. The same
+    `cfg.with_*` settings decide which modules exist, so a path is on only
+    where its module is, and stage 2 has no parameters when none exists."""
+    cfg = net.cfg
     e1, d1, e2, d2 = (_scaled(n, scale) for n in (50, 20, 40, 15))
+    baseline = tuple(net.baseline_parameters())
+    new = tuple(p for p in net.parameters() if p not in baseline)
+    modules = StepFlags(refinement=cfg.with_refinement, detection=cfg.with_alignment,
+                        mgf=cfg.with_mgf, backbone_grad=False)
     return [
-        Stage("stage1_baseline", e1, 0.01, tuple(range(d1, e1, d1)), "baseline"),
-        Stage("stage2_new_modules", e2, 0.01, tuple(range(d2, e2, d2)), "new"),
-        Stage("stage3_end2end", _scaled(30, scale), 0.001, (_scaled(20, scale),), "all"),
+        Stage("stage1_baseline", e1, 0.01, tuple(range(d1, e1, d1)),
+              StepFlags(refinement=False, detection=False, mgf=False, backbone_grad=True),
+              baseline),
+        Stage("stage2_new_modules", e2, 0.01, tuple(range(d2, e2, d2)), modules, new),
+        Stage("stage3_end2end", _scaled(30, scale), 0.001, (_scaled(20, scale),),
+              replace(modules, backbone_grad=True), tuple(net.parameters())),
     ]
 
 
@@ -175,7 +204,8 @@ class ImageStore:
 
 @dataclass
 class Batch:
-    images: np.ndarray | None  # (B, 384, 128, 3); None when features are cached
+    images: np.ndarray | None  # (B, 384, 128, 3); None from load_images=False,
+    # as in every frozen-backbone stage (its steps read precomputed features)
     labels: np.ndarray  # (B,) 1-based train classes
     tops: np.ndarray  # (B, branches): column k is net.part_branches[k]'s top
     aligned_idx: np.ndarray  # batch positions with detection targets
@@ -238,16 +268,6 @@ def compose_batch(
 
 # ---------------------------------------------------------------------------
 # one optimization step
-
-
-@dataclass(frozen=True)
-class StepFlags:
-    """Which paths are active in a given stage."""
-
-    refinement: bool  # attention masks multiply the part windows
-    detection: bool  # window classification + regression losses
-    mgf: bool  # granularity branches and holistic triplet term
-    backbone_grad: bool  # propagate into and accumulate backbone gradients
 
 
 def train_step(
@@ -363,28 +383,6 @@ class TrainResult:
     log_rows: list[dict] = field(default_factory=list)
 
 
-def _stage_flags(stage: Stage, cfg: ModelConfig) -> StepFlags:
-    """The step's paths; the same `cfg.with_*` settings decide which modules
-    exist, so a path is on only where its module is."""
-    if stage.trainable == "baseline":
-        return StepFlags(refinement=False, detection=False, mgf=False,
-                         backbone_grad=True)
-    return StepFlags(
-        refinement=cfg.with_refinement,
-        detection=cfg.with_alignment,
-        mgf=cfg.with_mgf,
-        backbone_grad=stage.trainable == "all",
-    )
-
-
-def _trainable(net: CdpmNetwork, stage: Stage):
-    if stage.trainable == "baseline":
-        return net.baseline_parameters()
-    if stage.trainable == "new":
-        return net.new_module_parameters()
-    return net.parameters()
-
-
 def _build_feature_cache(
     net: CdpmNetwork, train: TrainSet, rows: np.ndarray, store: ImageStore,
     batch_size: int,
@@ -427,14 +425,12 @@ def run_training(
     optimizer = SGDMomentum(settings.momentum)
     batch_rng = np.random.default_rng(batch_seq)
     result = TrainResult(network=net, final_checkpoint=out_dir / "final.cdpm")
-    for stage in stage_schedule(settings.epoch_scale):
-        params = _trainable(net, stage)
-        if not params:
+    for stage in stage_schedule(net, settings.epoch_scale):
+        if not stage.params:
             log.info("skipping %s: no trainable parameters in this configuration",
                      stage.name)
             continue
-        flags = _stage_flags(stage, model_cfg)
-        use_triplet = settings.triplet if flags.mgf else None
+        use_triplet = settings.triplet if stage.flags.mgf else None
         batches = max(1, len(train) // settings.batch_size)
         calib = compose_batch(
             train, store, batch_rng, settings.augmentation,
@@ -445,7 +441,7 @@ def run_training(
         # features are a fixed function of each row: precomputed once when
         # the train set fits under the limit, else computed per batch. The
         # limit only decides memory; the features are the same bits either way.
-        frozen = not flags.backbone_grad
+        frozen = not stage.flags.backbone_grad
         feature_cache = None
         if frozen and len(train) <= FEATURE_CACHE_LIMIT:
             log.info("%s: caching frozen-backbone features for %d copies",
@@ -466,14 +462,14 @@ def run_training(
                 elif frozen:
                     fmap = _build_feature_cache(net, train, batch.rows, store,
                                                 len(batch.rows))
-                terms = train_step(net, batch, flags, settings.weights,
+                terms = train_step(net, batch, stage.flags, settings.weights,
                                    settings.triplet, fmap=fmap)
                 if not np.isfinite(terms["total"]):
                     net.save(out_dir / "diverged.cdpm")
                     raise TrainingDiverged(stage.name, epoch, b, terms)
                 for k, v in terms.items():
                     sums[k] = sums.get(k, 0.0) + v
-                optimizer.step(params, lr)
+                optimizer.step(stage.params, lr)
                 net.zero_grad()
             row = {k: v / batches for k, v in sums.items()}
             row.update(stage=stage.name, epoch=epoch, lr=lr)

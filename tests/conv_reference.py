@@ -119,9 +119,9 @@ def conv2d_backward(
 
 
 def conv_relu_stack(x, kernels, mean, std, keep=False, *, scale=1.0):
-    """Whole-batch, layer-by-layer counterpart of `cdpm.ops.conv_relu_stack`:
-    standardise, then conv2d and relu per layer, as the backbone's forward
-    did before it ran depth first."""
+    """Whole-batch, layer-by-layer counterpart of what the wait handle of
+    `cdpm.ops.start_conv_relu_stack` returns: standardise, then conv2d and
+    relu per layer, as the backbone's forward did before it ran depth first."""
     a = x / scale - mean
     a /= std
     acts = [a]

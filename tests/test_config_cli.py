@@ -318,6 +318,7 @@ def test_cli_train_extract_align_evaluate_pipeline(tmp_path, capsys):
         "--set", "model.holistic_dim=16",
     ])
     assert rc == cli.EXIT_OK
+    assert "last epoch total loss:" in capsys.readouterr().out
     final = run / "final.cdpm"
     assert final.exists() and (run / "config.used").exists()
 

@@ -17,6 +17,7 @@ from cdpm.model import (
     gather_windows,
     scatter_window_grad,
 )
+from cdpm.training import stage_schedule
 from gradcheck import check_grad
 
 RNG = np.random.default_rng(51)
@@ -225,7 +226,7 @@ def test_descriptor_requires_initialization():
 def test_parameter_groups_partition(net):
     all_names = {p.name for p in net.parameters()}
     baseline = {p.name for p in net.baseline_parameters()}
-    new = {p.name for p in net.new_module_parameters()}
+    new = {p.name for p in stage_schedule(net)[1].params}
     assert baseline | new == all_names
     assert not baseline & new
     assert any(n.startswith("backbone.") for n in baseline)

@@ -352,7 +352,7 @@ def test_conv_relu_stack_bit_identical_to_reference(monkeypatch):
         for images_per_block in (1, 3, 5):  # the last block short, one block
             monkeypatch.setattr(ops, "BLOCK_BYTES", images_per_block * BACKBONE_PATCH_BYTES)
             for keep in (True, False):
-                got = ops.conv_relu_stack(x, kernels, 0.45, 0.225, keep)
+                got = ops.start_conv_relu_stack(x, kernels, 0.45, 0.225, keep)()
                 expected = want if keep else want[-1:]
                 assert len(got) == len(expected)
                 for g, w in zip(got, expected):

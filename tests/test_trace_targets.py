@@ -132,8 +132,8 @@ def test_each_stage_of_the_full_model_has_its_own_step_span(spans):
     the step's flags; on the full model the schedule's three stages map to
     stages 1, 2 and 3, so every per-stage step rate gets samples."""
     full_cfg = ModelConfig(classes=4, with_refinement=True, with_alignment=True, with_mgf=True)
-    stages = [spans.stage_of(training._stage_flags(s, full_cfg))
-              for s in training.stage_schedule()]
+    stages = [spans.stage_of(s.flags)
+              for s in training.stage_schedule(CdpmNetwork(full_cfg))]
     assert stages == [1, 2, 3]
 
 
@@ -151,7 +151,7 @@ def test_heads_and_window_gradient_spans_follow_the_stage(spans, tiny_bench):
     batch = training.compose_batch(train, training.ImageStore(), np.random.default_rng(5),
                                    aug, 6, tri)
     assert batch.aligned_idx.size
-    _, stage2, stage3 = (training._stage_flags(s, cfg) for s in training.stage_schedule())
+    _, stage2, stage3 = (s.flags for s in training.stage_schedule(net))
     recorded = {}
     for stage, flags, fmap in ((2, stage2, net.backbone.features(batch.images)),
                                (3, stage3, None)):

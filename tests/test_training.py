@@ -30,16 +30,27 @@ RNG = np.random.default_rng(81)
 # schedule
 
 
+def blank_net(**kw):
+    """An uninitialised small network: the stage table reads only its
+    config and its parameters."""
+    return CdpmNetwork(ModelConfig(classes=4, backbone_channels=(4, 8, 8, 8, 8),
+                                   feature_dim=16, holistic_dim=16,
+                                   attention_reduction=4, **kw))
+
+
 def test_stage_schedule_full_scale():
-    s1, s2, s3 = stage_schedule(1.0)
+    net = blank_net()
+    s1, s2, s3 = stage_schedule(net, 1.0)
     assert (s1.epochs, s1.base_lr, s1.milestones) == (50, 0.01, (20, 40))
     assert (s2.epochs, s2.base_lr, s2.milestones) == (40, 0.01, (15, 30))
     assert (s3.epochs, s3.base_lr, s3.milestones) == (30, 0.001, (20,))
-    assert (s1.trainable, s2.trainable, s3.trainable) == ("baseline", "new", "all")
+    assert s1.params == tuple(net.baseline_parameters())
+    assert set(s2.params) == set(net.parameters()) - set(s1.params)
+    assert s3.params == tuple(net.parameters())
 
 
 def test_learning_rate_piecewise_sequences():
-    s1, s2, s3 = stage_schedule(1.0)
+    s1, s2, s3 = stage_schedule(blank_net(), 1.0)
     lr1 = [learning_rate(s1, e) for e in range(50)]
     assert lr1[:20] == [0.01] * 20
     assert lr1[20:40] == pytest.approx([0.001] * 20)
@@ -54,11 +65,57 @@ def test_learning_rate_piecewise_sequences():
 
 
 def test_stage_schedule_scaling():
-    s1, s2, s3 = stage_schedule(0.2)
+    net = blank_net()
+    s1, s2, s3 = stage_schedule(net, 0.2)
     assert [s.epochs for s in (s1, s2, s3)] == [10, 8, 6]
     assert (s1.milestones, s2.milestones, s3.milestones) == ((4, 8), (3, 6), (4,))
-    tiny = stage_schedule(0.01)
+    # the decay step is scaled, not each milestone: 0.125 * (20, 40) would give (2, 5)
+    s1, s2, s3 = stage_schedule(net, 0.125)
+    assert [s.epochs for s in (s1, s2, s3)] == [6, 5, 4]
+    assert (s1.milestones, s2.milestones, s3.milestones) == ((2, 4), (2, 4), (2,))
+    tiny = stage_schedule(net, 0.01)
     assert all(s.epochs >= 1 for s in tiny)
+
+
+#: stage 2's and stage 3's (refinement, detection, mgf) per configuration
+STAGE_PATHS = {
+    "baseline": (False, False, False),
+    "baseline_v": (False, True, False),
+    "baseline_h": (True, False, False),
+    "cdpm": (True, True, False),
+    "mgf": (True, True, True),
+}
+
+
+@pytest.mark.parametrize("name", list(STAGE_PATHS))
+def test_stage_table_rows(name):
+    """Each row's flags and parameter group, for the ablation grid's four
+    configurations and the full model: stage 1 trains the backbone and the
+    K base part branches without their attention masks with every path off;
+    stage 2 the rest with the backbone frozen (none in `baseline`); stage 3
+    everything, with stage 2's paths on."""
+    configs = dict(pipeline.ABLATION_CONFIGS)
+    assert list(configs) == list(STAGE_PATHS)[:4]
+    modules = configs.get(name, dict(with_refinement=True, with_alignment=True,
+                                     with_mgf=True))
+    net = blank_net(**modules)
+    names = [p.name for p in net.parameters()]
+    base_owners = {"backbone"} | {f"part{k}" for k in range(1, net.cfg.parts + 1)}
+    first = {n for n in names if n.split(".")[0] in base_owners and ".sca." not in n}
+    assert {n.split(".")[1] for n in first if n.startswith("part")} == {"reduce", "classifier"}
+    rest = set(names) - first
+    assert bool(rest) == (name != "baseline")
+    refinement, detection, mgf = STAGE_PATHS[name]
+    s1, s2, s3 = stage_schedule(net)
+    assert [s.name for s in (s1, s2, s3)] == [
+        "stage1_baseline", "stage2_new_modules", "stage3_end2end"]
+    assert s1.flags == StepFlags(refinement=False, detection=False, mgf=False,
+                                 backbone_grad=True)
+    assert s2.flags == StepFlags(refinement, detection, mgf, backbone_grad=False)
+    assert s3.flags == StepFlags(refinement, detection, mgf, backbone_grad=True)
+    assert {p.name for p in s1.params} == first
+    assert {p.name for p in s2.params} == rest
+    assert [p.name for p in s3.params] == names
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +548,7 @@ def test_detection_targets_and_window_gradient_are_built_only_where_read(
     batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 6, tri)
     assert batch.aligned_idx.size and counts() == (0, 0, 0)
     fmap = net.backbone.features(batch.images)
-    stage1, stage2, stage3 = (training._stage_flags(s, cfg) for s in stage_schedule())
+    stage1, stage2, stage3 = (s.flags for s in stage_schedule(net))
     for flags, given, want in ((stage1, None, (0, 0, 0)), (stage2, fmap, (1, 1, 0)),
                                (stage3, None, (1, 1, 1))):
         calls.clear()
@@ -584,9 +641,10 @@ def test_train_step_and_descriptor_bit_identical_with_reference_convs(
 
     def reference_stack(*args, **kwargs):
         stacks.append(args[-1])
-        return conv_reference.conv_relu_stack(*args, **kwargs)
+        acts = conv_reference.conv_relu_stack(*args, **kwargs)
+        return lambda: acts
 
-    monkeypatch.setattr(ops, "conv_relu_stack", reference_stack)
+    monkeypatch.setattr(ops, "start_conv_relu_stack", reference_stack)
     monkeypatch.setattr(ops, "conv_relu_stack_backward", conv_reference.conv_relu_stack_backward)
     monkeypatch.setattr(
         ops, "conv2d_backward",
@@ -804,8 +862,8 @@ def test_stage1_leaves_new_modules_at_init(tiny_run):
         np.random.SeedSequence(settings.seed).spawn(3)[0]
     ))
     stage1 = CdpmNetwork.load(out / "stage1_baseline.cdpm")
-    init_params = {p.name: p.value for p in init_net.new_module_parameters()}
-    for p in stage1.new_module_parameters():
+    init_params = {p.name: p.value for p in stage_schedule(init_net)[1].params}
+    for p in stage_schedule(stage1)[1].params:
         np.testing.assert_array_equal(p.value, init_params[p.name])
 
 
