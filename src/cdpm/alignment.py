@@ -47,21 +47,16 @@ def part_bounds(upper, lower, parts: int) -> np.ndarray:
     return bounds
 
 
-def _window_tops(height: int) -> np.ndarray:
-    """Top rows of the stride-1 windows of `height` rows, as floats, (R,)."""
-    return np.arange(MAP_HEIGHT - height + 1, dtype=np.float64)
-
-
 def overlaps(lo, hi, other_lo, other_hi) -> np.ndarray:
     """Length of the intersection of [lo, hi) and [other_lo, other_hi),
     broadcast."""
     return np.maximum(np.minimum(hi, other_hi) - np.maximum(lo, other_lo), 0.0)
 
 
-def _overlap(bounds: np.ndarray, height: int) -> np.ndarray:
-    """Rows each window of `height` rows shares with each part, (..., R, K)."""
-    tops = _window_tops(height)[:, None]
-    return overlaps(bounds[..., None, :-1], bounds[..., None, 1:], tops, tops + height)
+def _overlap(bounds: np.ndarray) -> np.ndarray:
+    """Rows each detection window shares with each part, (..., R, K)."""
+    tops = np.arange(WINDOW_COUNT, dtype=np.float64)[:, None]
+    return overlaps(bounds[..., None, :-1], bounds[..., None, 1:], tops, tops + WINDOW_HEIGHT)
 
 
 def soft_label_matrix(bounds: np.ndarray) -> np.ndarray:
@@ -71,7 +66,7 @@ def soft_label_matrix(bounds: np.ndarray) -> np.ndarray:
     column is the uncovered remainder (background). Entries are in [0, 1]
     and each row sums to 1.
     """
-    y = _overlap(bounds, WINDOW_HEIGHT) / WINDOW_HEIGHT
+    y = _overlap(bounds) / WINDOW_HEIGHT
     background = np.maximum(1.0 - y.sum(axis=-1, keepdims=True), 0.0)
     return np.concatenate([y, background], axis=-1)
 
@@ -83,16 +78,16 @@ def offset_targets(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k+1's center, in window heights. The mask is 1 where |offset| < 1; only
     those entries contribute to the regression loss.
     """
-    window_centers = _window_tops(WINDOW_HEIGHT) + WINDOW_HEIGHT / 2.0
+    window_centers = np.arange(WINDOW_COUNT) + WINDOW_HEIGHT / 2.0
     centers = (bounds[..., :-1] + bounds[..., 1:]) / 2.0
     offsets = (centers[..., None, :] - window_centers[:, None]) / WINDOW_HEIGHT
     return offsets, (np.abs(offsets) < 1.0).astype(np.float64)
 
 
-def layout_tops(bounds: np.ndarray, height: int) -> np.ndarray:
-    """Top row of each part's window of `height` rows, (..., K): the window
-    that overlaps the part most, the smaller top on a tie."""
-    return np.argmax(_overlap(bounds, height), axis=-2)
+def layout_tops(bounds: np.ndarray) -> np.ndarray:
+    """Top row of each part's detection window, (..., K): the window that
+    overlaps the part most, the smaller top on a tie."""
+    return np.argmax(_overlap(bounds), axis=-2)
 
 
 def branch_heights(parts: int, granularities: tuple[int, ...]) -> tuple[int, ...]:
@@ -103,14 +98,17 @@ def branch_heights(parts: int, granularities: tuple[int, ...]) -> tuple[int, ...
     )
 
 
-def branch_tops(upper, lower, parts: int, granularities: tuple[int, ...]) -> np.ndarray:
-    """Window top of every part branch (`branch_heights` order) for bodies
-    spanning [upper, lower), (..., branches); the span [0, MAP_HEIGHT) gives
-    the uniform division."""
-    groups = [(parts, WINDOW_HEIGHT)] + [(g, granularity_height(g)) for g in granularities]
-    return np.concatenate(
-        [layout_tops(part_bounds(upper, lower, n), h) for n, h in groups], axis=-1
+def branch_tops(part_tops, granularities: tuple[int, ...]) -> np.ndarray:
+    """Window top of every part branch (`branch_heights` order) from the K
+    part windows' tops, (..., K) -> (..., branches): the part tops, then
+    each granularity's tops placed by `infer_granularity_layout`. Training,
+    calibration and descriptors all place their windows by this one rule."""
+    part_tops = np.asarray(part_tops)
+    rows = part_tops.reshape(-1, part_tops.shape[-1])
+    tops = np.concatenate(
+        [rows, *(infer_granularity_layout(rows, g) for g in granularities)], axis=1
     )
+    return tops.reshape(part_tops.shape[:-1] + tops.shape[-1:])
 
 
 @dataclass(frozen=True)
@@ -145,29 +143,31 @@ def select_window(
     return best + 1
 
 
-def infer_granularity_layout(centers: np.ndarray, granularity: int) -> np.ndarray:
-    """Window tops of a coarser granularity from K = 6 detected part
-    centers per image: (B, 6) -> (B, granularity) integer rows.
+def infer_granularity_layout(part_tops: np.ndarray, granularity: int) -> np.ndarray:
+    """Window tops of a coarser granularity from the K = 6 part windows'
+    tops per image: (B, 6) -> (B, granularity) integer rows.
 
-    Part j of granularity g covers the base-part index range
-    [(j-1) * 6/g, j * 6/g); its center is the mean of the base centers
-    weighted by each base part's (possibly fractional) share of that range.
-    Heights are fixed per granularity (24/g rows). Windows are rounded to
-    integer rows and shifted minimally to fit inside the map.
+    Each part window's center is its top plus WINDOW_HEIGHT / 2. Part j of
+    granularity g covers the base-part index range [(j-1) * 6/g, j * 6/g);
+    its center is the mean of the base centers weighted by each base part's
+    (possibly fractional) share of that range. Heights are fixed per
+    granularity (24/g rows). Windows are rounded to integer rows and
+    shifted minimally to fit inside the map.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity {granularity} not in {GRANULARITIES}")
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[1] != NUM_PARTS:
-        raise ValueError(f"expected (B, {NUM_PARTS}) centers, got shape {centers.shape}")
-    if np.any(centers < 0) or np.any(centers >= MAP_HEIGHT):
-        raise ValueError(f"centers must lie in [0, {MAP_HEIGHT})")
+    part_tops = np.asarray(part_tops, dtype=np.float64)
+    if part_tops.ndim != 2 or part_tops.shape[1] != NUM_PARTS:
+        raise ValueError(f"expected (B, {NUM_PARTS}) part tops, got shape {part_tops.shape}")
+    if np.any(part_tops < 0) or np.any(part_tops >= WINDOW_COUNT):
+        raise ValueError(f"part tops must lie in [0, {WINDOW_COUNT})")
+    centers = part_tops + WINDOW_HEIGHT / 2.0
     height = granularity_height(granularity)
     span = NUM_PARTS / granularity
     j = np.arange(granularity)[:, None]
     base = np.arange(NUM_PARTS, dtype=np.float64)  # base part i spans [i, i + 1)
     weights = overlaps(j * span, (j + 1) * span, base, base + 1.0)
-    # detected centers are integer tops + 2 and the weights 1 or 0.5, so the
+    # the centers are integer tops + 2 and the weights 1 or 0.5, so the
     # weighted sums are exact whatever order the product adds them in
     center = centers @ weights.T / weights.sum(axis=1)
     tops = np.floor(center - height / 2.0 + 0.5).astype(np.int64)

@@ -143,9 +143,10 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, data_root=str(args.data))
     if not cfg.data_root:
         raise UsageError("train needs --data or data.root in the config")
+    index = data.load_dataset(cfg.data_root)
+    index.annotations  # a bad data set fails here, before --out is made
     args.out.mkdir(parents=True, exist_ok=True)
     save_config(args.out / "config.used", cfg)
-    index = data.load_dataset(cfg.data_root)
     result = run_training(index, cfg.model_config(classes=index.class_count), cfg.train,
                           args.out)
     print(f"final checkpoint: {result.final_checkpoint}")
@@ -167,9 +168,9 @@ def cmd_extract(args) -> int:
 def cmd_align(args) -> int:
     cfg = _config_from(args)
     splits = tuple(s.strip() for s in args.splits.split(",") if s.strip())
-    if not splits or not set(splits) <= set(data.SPLITS):
+    if not splits or not set(splits) <= set(data.SPLITS) or len(set(splits)) < len(splits):
         raise UsageError(f"--splits expects a comma-separated subset of "
-                         f"{','.join(data.SPLITS)}, got {args.splits!r}")
+                         f"{','.join(data.SPLITS)}, each at most once, got {args.splits!r}")
     net = CdpmNetwork.load(args.checkpoint)
     index = data.load_dataset(args.data)
     report = pipeline.alignment_report(net, index, index.annotations, splits, cfg.selection)

@@ -308,6 +308,8 @@ class CdpmNetwork(Block):
             for j in range(1, g + 1)
         ]
         self.heights = alignment.branch_heights(cfg.parts, cfg.granularities)
+        # the part tops of uniform division, (K,)
+        self.uniform_tops = alignment.layout_tops(alignment.part_bounds(0, MAP_HEIGHT, cfg.parts))
         names = [p.name for p in self.parameters()]
         if len(names) != len(set(names)):
             raise ValueError("parameter names must be unique")
@@ -417,8 +419,8 @@ class CdpmNetwork(Block):
             n.calibrating = True
         try:
             fmap = self.backbone.features(images)
-            uniform = alignment.branch_tops(0, MAP_HEIGHT, self.cfg.parts, self.cfg.granularities)
-            self._branch_features(fmap, np.tile(uniform, (len(fmap), 1)))
+            uniform = np.tile(self.uniform_tops, (len(fmap), 1))
+            self._branch_features(fmap, alignment.branch_tops(uniform, self.cfg.granularities))
             if self.heads is not None:
                 self.detection_forward(fmap)
         finally:
@@ -460,8 +462,7 @@ class CdpmNetwork(Block):
         """Window top of each part per image, (B, K): the detected windows, or
         uniform division when the network has no detection heads."""
         if self.heads is None:
-            uniform = alignment.branch_tops(0, MAP_HEIGHT, self.cfg.parts, ())
-            return np.tile(uniform, (len(fmap), 1))
+            return np.tile(self.uniform_tops, (len(fmap), 1))
         scores, offsets, _ = self.detection_forward(fmap)
         return self.select_part_windows(scores, offsets, selection) - 1
 
@@ -487,14 +488,9 @@ class CdpmNetwork(Block):
         if not self.initialized:
             raise NotInitializedError("parameters are neither initialized nor loaded")
         part_tops = self.part_tops(fmap, selection or alignment.SelectionConfig())
-        # coarser windows follow the part windows the image actually uses
-        centers = part_tops + WINDOW_HEIGHT / 2.0
-        tops = np.concatenate(
-            [part_tops, *(alignment.infer_granularity_layout(centers, g)
-                          for g in self.cfg.granularities)],
-            axis=1,
+        pieces = self._branch_features(
+            fmap, alignment.branch_tops(part_tops, self.cfg.granularities)
         )
-        pieces = self._branch_features(fmap, tops)
         if self.holistic is not None:
             emb, _ = self.holistic.forward(fmap)
             pieces.append(emb)

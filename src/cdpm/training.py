@@ -166,13 +166,14 @@ def build_train_set(
     upper, lower = np.array(
         [span or (0, alignment.MAP_HEIGHT) for span in spans], dtype=np.float64
     ).reshape(-1, 2).T
+    bounds = alignment.part_bounds(upper, lower, model_cfg.parts)
     return TrainSet(
         records=records,
         shifts=np.array(shifts, dtype=np.int64).reshape(-1, 2),
         labels=np.array([r.label for r in records], dtype=np.int64),
         aligned=np.array([span is not None for span in spans], dtype=bool),
-        tops=alignment.branch_tops(upper, lower, model_cfg.parts, model_cfg.granularities),
-        bounds=alignment.part_bounds(upper, lower, model_cfg.parts),
+        tops=alignment.branch_tops(alignment.layout_tops(bounds), model_cfg.granularities),
+        bounds=bounds,
     )
 
 
@@ -412,8 +413,6 @@ def run_training(
     out_dir: str | Path,
 ) -> TrainResult:
     """Execute the full stage schedule and write per-stage checkpoints."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     master = np.random.SeedSequence(settings.seed)
     init_seq, shift_seq, batch_seq = master.spawn(3)
     net = CdpmNetwork(model_cfg, np.random.default_rng(init_seq))
@@ -421,6 +420,8 @@ def run_training(
         index, index.annotations, model_cfg, settings.augmentation,
         np.random.default_rng(shift_seq),
     )
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     store = ImageStore()
     optimizer = SGDMomentum(settings.momentum)
     batch_rng = np.random.default_rng(batch_seq)

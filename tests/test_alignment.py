@@ -41,11 +41,6 @@ def test_enumerate_windows_full_model_geometry():
     np.testing.assert_array_equal(window_centers, np.arange(21) + 2.0)
 
 
-def test_enumerate_windows_rejects_oversized_window():
-    with pytest.raises(ValueError):
-        al.layout_tops(al.part_bounds(0, 24, 2), 25)
-
-
 # ---------------------------------------------------------------------------
 # part layouts
 
@@ -273,7 +268,7 @@ def test_best_overlap_window_exhaustive():
     for _ in range(300):
         u = rng.uniform(0, 20)
         l = rng.uniform(u + 0.5, 24)
-        got = al.layout_tops(al.part_bounds(u, l, 1), 4)[0]
+        got = al.layout_tops(al.part_bounds(u, l, 1))[0]
         overlaps = [exact_overlap((u, l), (t, t + 4)) for t in range(21)]
         best = max(overlaps)
         assert overlaps[got] == best
@@ -282,12 +277,11 @@ def test_best_overlap_window_exhaustive():
 
 def test_best_overlap_window_tie_goes_to_smaller_index():
     # part [2, 5): windows with tops 1 and 2 both overlap by 3
-    assert al.layout_tops(al.part_bounds(2.0, 5.0, 1), 4)[0] == 1
+    assert al.layout_tops(al.part_bounds(2.0, 5.0, 1))[0] == 1
 
 
 def _part_tops(ann):
-    layout = al.part_bounds(*body_rows(ann), al.NUM_PARTS)
-    return al.layout_tops(layout, al.WINDOW_HEIGHT)
+    return al.layout_tops(al.part_bounds(*body_rows(ann), al.NUM_PARTS))
 
 
 def test_layout_tops_match_soft_label_argmax(tiny_bench):
@@ -296,7 +290,7 @@ def test_layout_tops_match_soft_label_argmax(tiny_bench):
         ann = anns[record.image_id]
         layout = al.part_bounds(*body_rows(ann), 6)
         labels = al.soft_label_matrix(layout)
-        tops = al.layout_tops(layout, 4)
+        tops = al.layout_tops(layout)
         for k in range(1, 7):
             assert labels[tops[k - 1], k - 1] == labels[:, k - 1].max()
 
@@ -308,11 +302,12 @@ def test_layout_tops_spec_cases():
     assert _part_tops(off)[0] == 1  # window 2
     missing = BoundaryAnnotation("m", 0, 384, 10, 9000, "manual")
     assert body_rows(missing) is None
-    np.testing.assert_array_equal(al.branch_tops(0, 24, 6, ()), [0, 4, 8, 12, 16, 20])
-    np.testing.assert_array_equal(al.branch_tops(0, 24, 6, (4,))[6:], [0, 6, 12, 18])
+    uniform = al.layout_tops(al.part_bounds(0, 24, 6))
+    np.testing.assert_array_equal(al.branch_tops(uniform, ()), [0, 4, 8, 12, 16, 20])
+    np.testing.assert_array_equal(al.branch_tops(uniform, (4,))[6:], [0, 6, 12, 18])
     assert al.branch_heights(6, (4,)) == (4,) * 6 + (6,) * 4
     np.testing.assert_array_equal(
-        al.branch_tops(0, 24, 6, al.GRANULARITIES),
+        al.branch_tops(uniform, al.GRANULARITIES),
         [0, 4, 8, 12, 16, 20, 0, 12, 0, 8, 16, 0, 6, 12, 18],
     )
     assert al.branch_heights(6, al.GRANULARITIES) == (4,) * 6 + (12,) * 2 + (8,) * 3 + (6,) * 4
@@ -357,67 +352,71 @@ def test_alignment_report_hand_computed_ious(tiny_bench, monkeypatch):
 # granularity layouts
 
 
-def uniform_centers():
-    return np.array([[4 * k - 2 for k in range(1, 7)]], dtype=np.float64)
+def uniform_tops():
+    return np.array([[4 * k for k in range(6)]])
 
 
 def test_granularity_two_from_uniform_centers():
-    # halves centered on rows 6 and 18; one row lower, on 7 and 19
-    centers = np.concatenate([uniform_centers(), uniform_centers() + 1.0])
-    tops = al.infer_granularity_layout(centers, 2)
+    # part centers are tops + 2: halves centered on rows 6 and 18; each
+    # window one row lower but the last, which ends at the map's foot, on 7
+    # and 18 2/3
+    lower = np.minimum(uniform_tops() + 1, al.WINDOW_COUNT - 1)
+    tops = al.infer_granularity_layout(np.concatenate([uniform_tops(), lower]), 2)
     np.testing.assert_array_equal(tops, [[0, 12], [1, 12]])
 
 
 def test_granularity_three_pairs_adjacent_parts():
-    np.testing.assert_array_equal(al.infer_granularity_layout(uniform_centers(), 3),
+    np.testing.assert_array_equal(al.infer_granularity_layout(uniform_tops(), 3),
                                   [[0, 8, 16]])
-    # pair means 6, 12, 18 -> tops floor(mean - 4 + 0.5)
-    centers = np.array([[5.0, 7.0, 10.0, 14.0, 17.0, 19.0]])
-    np.testing.assert_array_equal(al.infer_granularity_layout(centers, 3), [[2, 8, 14]])
+    # centers 5, 7, 10, 14, 17, 19: pair means 6, 12, 18 -> tops floor(mean - 4 + 0.5)
+    part_tops = np.array([[3, 5, 8, 12, 15, 17]])
+    np.testing.assert_array_equal(al.infer_granularity_layout(part_tops, 3), [[2, 8, 14]])
 
 
 def test_granularity_four_fractional_weights():
-    np.testing.assert_array_equal(al.infer_granularity_layout(uniform_centers(), 4),
+    np.testing.assert_array_equal(al.infer_granularity_layout(uniform_tops(), 4),
                                   [[0, 6, 12, 18]])
-    # first group: all of part 1 plus half of part 2 -> (2 + 0.5 * 14) / 1.5 = 6
-    centers = np.array([[2.0, 14.0, 14.0, 16.0, 18.0, 20.0]])
-    assert al.infer_granularity_layout(centers, 4)[0, 0] == 3
+    # centers 2, 14, 14, 16, 18, 20; first group: all of part 1 plus half of
+    # part 2 -> (2 + 0.5 * 14) / 1.5 = 6
+    part_tops = np.array([[0, 12, 12, 14, 16, 18]])
+    assert al.infer_granularity_layout(part_tops, 4)[0, 0] == 3
 
 
 def test_granularity_windows_reproduce_uniform_division():
+    want = {2: [0, 12], 3: [0, 8, 16], 4: [0, 6, 12, 18]}
     for g in (2, 3, 4):
-        tops = al.infer_granularity_layout(uniform_centers(), g)
-        np.testing.assert_array_equal(tops[0], al.branch_tops(0, 24, 6, (g,))[6:])
+        tops = al.infer_granularity_layout(uniform_tops(), g)
+        np.testing.assert_array_equal(tops[0], want[g])
         layout = al.part_bounds(0, al.MAP_HEIGHT, g)
         for j, top in enumerate(tops[0], start=1):
             assert (float(top), float(top + 24 // g)) == interval(layout, j)
 
 
 def test_granularity_windows_clamped_into_map():
-    centers = np.array([[0.5, 0.5, 0.5, 23.5, 23.5, 23.5], [0.0] * 6, [23.9] * 6])
+    part_tops = np.array([[0, 0, 0, 20, 20, 20], [0] * 6, [20] * 6])
     for g in (2, 3, 4):
-        tops = al.infer_granularity_layout(centers, g)
+        tops = al.infer_granularity_layout(part_tops, g)
         assert tops.shape == (3, g) and tops.dtype == np.int64
         assert np.all(tops >= 0) and np.all(tops + 24 // g <= 24)
 
 
 def test_granularity_rows_are_independent():
     rng = np.random.default_rng(29)
-    centers = rng.integers(0, 21, (32, 6)) + 2.0
+    part_tops = rng.integers(0, 21, (32, 6))
     for g in (2, 3, 4):
-        tops = al.infer_granularity_layout(centers, g)
+        tops = al.infer_granularity_layout(part_tops, g)
         for i in range(32):
-            one = al.infer_granularity_layout(centers[i : i + 1], g)
+            one = al.infer_granularity_layout(part_tops[i : i + 1], g)
             np.testing.assert_array_equal(tops[i : i + 1], one)
 
 
 def test_granularity_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        al.infer_granularity_layout(uniform_centers(), 5)
+        al.infer_granularity_layout(uniform_tops(), 5)
     with pytest.raises(ValueError):
-        al.infer_granularity_layout(np.full((1, 6), 25.0), 2)
+        al.infer_granularity_layout(np.full((1, 6), 25), 2)
     with pytest.raises(ValueError):
-        al.infer_granularity_layout(uniform_centers()[0], 2)  # one image still needs (1, 6)
+        al.infer_granularity_layout(uniform_tops()[0], 2)  # one image still needs (1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -437,33 +436,41 @@ def _digest(arrays) -> str:
 
 
 def test_outputs_keep_the_bits_of_the_per_window_implementation():
-    """Soft labels, offsets, masks and tops for 1..24 parts on fixed spans,
-    granularity tops and part picks on a seeded set, and every branch's tops
-    on fixed and seeded spans, hash to the digests the per-window, per-image,
-    per-group implementation gave: from one call per span and from one
-    batched call over all spans."""
+    """Soft labels, offsets, masks and part tops for 1..24 parts on fixed
+    spans, granularity tops and part picks on a seeded set, and every
+    branch's tops from seeded part tops and from the part tops of fixed and
+    seeded spans, hash to the digests the per-window, per-image, per-group
+    implementation gave: from one call per span and from one batched call
+    over all spans. The branch digests are those of the part tops followed
+    by `infer_granularity_layout` of their centers, the descriptor rule."""
     upper, lower = np.array(PIN_SPANS).T
     labels, tops, batched_labels, batched_tops = [], [], [], []
     for k in range(1, 25):
         for u, v in PIN_SPANS:
             layout = al.part_bounds(u, v, k)
             labels += [al.soft_label_matrix(layout), *al.offset_targets(layout)]
-            tops += [al.layout_tops(layout, h) for h in (4, 6, 8, 12)]
+            tops.append(al.layout_tops(layout))
         layouts = al.part_bounds(upper, lower, k)
         per_span = [al.soft_label_matrix(layouts), *al.offset_targets(layouts)]
-        per_height = [al.layout_tops(layouts, h) for h in (4, 6, 8, 12)]
+        per_span_tops = al.layout_tops(layouts)
         for i in range(len(PIN_SPANS)):
             batched_labels += [a[i] for a in per_span]
-            batched_tops += [a[i] for a in per_height]
+            batched_tops.append(per_span_tops[i])
     for digest in (_digest(labels), _digest(batched_labels)):
         assert digest == "f24cc3de60b29bd4e3c568999861deea2a01b5bc101c1c3b0e5fb63352afc003"
     for digest in (_digest(tops), _digest(batched_tops)):
-        assert digest == "245c40be97749630c9aab86da2d40f4fc2ad2ec16dc2287f39e4273d3b85dba2"
+        assert digest == "232db821622f3ea773624d5cf256e6bd12a14602b4e637507cdcaffc4df2eb70"
 
     rng = np.random.default_rng(1906)
-    centers = rng.integers(0, 21, (64, 6)) + 2.0
-    gran = [al.infer_granularity_layout(centers, g) for g in (2, 3, 4)]
+    part_tops = rng.integers(0, 21, (64, 6))
+    gran = [al.infer_granularity_layout(part_tops, g) for g in (2, 3, 4)]
     assert _digest(gran) == "fa634449cf7edc09bb3032c1b47074950445905907b8c71bbcc20ecefbf632e6"
+    branch = al.branch_tops(part_tops, al.GRANULARITIES)
+    assert _digest([branch]) == (
+        "c80af759706fb4e27201d2db555dc24970d6d9eedb109f0819eada429e175079")
+    per_image = [al.branch_tops(row, al.GRANULARITIES) for row in part_tops]
+    assert _digest(per_image) == (
+        "4051b070645f3ba0514eeccb1880d25e0f6986bcbf7b4b283b04a29c09e938da")
 
     net = CdpmNetwork(ModelConfig(classes=2))
     scores = rng.integers(0, 6, (16, 21, 7)) / 5.0
@@ -474,12 +481,7 @@ def test_outputs_keep_the_bits_of_the_per_window_implementation():
 
     rng = np.random.default_rng(16)
     lo = rng.uniform(-2.0, 18.0, 8)
-    spans = PIN_SPANS + list(zip(lo, lo + rng.uniform(2.0, 12.0, 8)))
-    branch = [al.branch_tops(u, v, k, grans) for k in range(1, 25) for u, v in spans
-              for grans in ((), al.GRANULARITIES)]
-    upper, lower = np.array(spans).T
-    batched = [[al.branch_tops(upper, lower, k, grans) for grans in ((), al.GRANULARITIES)]
-               for k in range(1, 25)]
-    batched = [tops[i] for per_k in batched for i in range(len(spans)) for tops in per_k]
-    for digest in (_digest(branch), _digest(batched)):
-        assert digest == "6d41daf1b7bc55af24d4c800de86f303761072cf95a84414c63a16fc39310048"
+    upper, lower = np.array(PIN_SPANS + list(zip(lo, lo + rng.uniform(2.0, 12.0, 8)))).T
+    branch = al.branch_tops(al.layout_tops(al.part_bounds(upper, lower, 6)), al.GRANULARITIES)
+    assert _digest([branch]) == (
+        "ab7026d653ffed874b8f11a3b635ec6c8f53372afbe38aef4d9c85e39590fca5")

@@ -606,10 +606,14 @@ _QUICK_TRAIN = ["--set", "train.epoch_scale=0.02", "--set", "train.batch_size=6"
 
 
 def _command_args(command, checkpoint, out, workdir):
+    """`command`'s arguments but `--data`, writing to `out` (and `workdir`)."""
     return {
+        "synth-data": ["--out", str(out)],
+        "extract": ["--checkpoint", str(checkpoint), "--split", "query", "--out", str(out)],
         "align": ["--checkpoint", str(checkpoint), "--out", str(out)],
         "train": ["--out", str(out), *_QUICK_TRAIN],
         "ablate": ["--out", str(out), "--workdir", str(workdir), *_QUICK_TRAIN],
+        "evaluate": ["--query", "q.bin", "--gallery", "g.bin", "--out", str(out)],
     }[command]
 
 
@@ -626,7 +630,7 @@ def _command_args(command, checkpoint, out, workdir):
 def test_cli_align_bad_annotation_file_exit_code(tmp_path, capsys, extract_inputs,
                                                   line, message, command):
     """A bad annotation line is one data error naming file:line, before any
-    checkpoint is written, in every command that reads the file."""
+    output file or directory is made, in every command that reads the file."""
     bench, tensors = extract_inputs
     copy = tmp_path / "bench"
     shutil.copytree(bench, copy)
@@ -640,7 +644,16 @@ def test_cli_align_bad_annotation_file_exit_code(tmp_path, capsys, extract_input
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error:"), err
     assert "annotations.csv:2:" in err and message in err, err
-    assert not [p for root in (out, workdir) if root.exists() for p in root.rglob("*.cdpm")]
+    assert not out.exists() and not workdir.exists()
+
+
+def test_cli_train_bad_data_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--data", str(tmp_path / "nope"), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error:"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["align", "train", "ablate"])
@@ -707,7 +720,7 @@ def test_cli_non_utf8_annotation_file_exit_code(tmp_path, capsys, extract_inputs
     assert "not UTF-8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("splits", ["bogus", ",", "query,bogus"])
+@pytest.mark.parametrize("splits", ["bogus", ",", "query,bogus", "query,query"])
 def test_cli_align_bad_splits_is_usage_error(tmp_path, capsys, extract_inputs, splits):
     bench, tensors = extract_inputs
     checkpoint = tmp_path / "net.cdpm"
@@ -747,6 +760,8 @@ def test_cli_internal_error_is_one_line_exit_4(monkeypatch, capsys):
                    "input 3 vs kernel 4 second line\n")
 
 
+@pytest.mark.parametrize("command", ["synth-data", "train", "extract", "align", "ablate",
+                                     "evaluate"])
 @pytest.mark.parametrize("assignment", [
     "select.threshold=2", "select.threshold=-0.5", "data.profile=other",
     "augment.flip_probability=-0.5", "loss.lambda1=-1",
@@ -758,11 +773,20 @@ def test_cli_internal_error_is_one_line_exit_4(monkeypatch, capsys):
     "loss.margin=-1", "loss.margin=inf", "loss.margin=nan",
     "train.momentum=-3", "train.momentum=1.5", "train.momentum=1",
 ])
-def test_cli_out_of_range_config_value_is_usage_error(tmp_path, capsys, assignment):
-    rc = cli.main(["evaluate", "--query", "q.bin", "--gallery", "g.bin",
-                   "--out", str(tmp_path / "r.csv"), "--set", assignment])
+def test_cli_out_of_range_config_value_is_usage_error(tmp_path, capsys, extract_inputs,
+                                                    assignment, command):
+    """Every command checks the config before it reads or writes anything."""
+    bench, tensors = extract_inputs
+    checkpoint = tmp_path / "net.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    data_args = [] if command in ("synth-data", "evaluate") else ["--data", str(bench)]
+    rc = cli.main([command, *data_args,
+                   *_command_args(command, checkpoint, tmp_path / "out", tmp_path / "runs"),
+                   "--set", assignment])
     assert rc == cli.EXIT_USAGE
-    assert capsys.readouterr().err.startswith("usage error:")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error:"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.cdpm"]
 
 
 def test_non_utf8_config_file_rejected(tmp_path):

@@ -297,11 +297,10 @@ def test_every_part_count_reads_the_training_windows(tiny_bench, monkeypatch, pa
     cfg = model_cfg(index, parts=parts, with_alignment=False, with_mgf=mgf)
     net = CdpmNetwork(cfg, np.random.default_rng(parts))
     # the uniform division of the parts, then of each granularity ascending
-    groups = [(parts, alignment.WINDOW_HEIGHT)]
-    groups += [(g, alignment.MAP_HEIGHT // g) for g in (alignment.GRANULARITIES if mgf else ())]
-    heights = [h for n, h in groups for _ in range(n)]
-    uniform = np.concatenate([alignment.layout_tops(alignment.part_bounds(0, 24, n), h)
-                              for n, h in groups])
+    grans = alignment.GRANULARITIES if mgf else ()
+    heights = [alignment.WINDOW_HEIGHT] * parts + [24 // g for g in grans for _ in range(g)]
+    uniform = np.concatenate([alignment.layout_tops(alignment.part_bounds(0, 24, parts)),
+                              *(np.arange(g) * (24 // g) for g in grans)])
     assert list(net.heights) == heights and len(net.part_branches) == len(heights)
     train = build_train_set(index, anns, cfg, AugmentationConfig(translation_copies=1),
                             np.random.default_rng(0))
@@ -408,8 +407,10 @@ def _feed(h, *arrays):
 def test_train_copies_and_batch_draws_keep_their_bits(tiny_bench):
     """The offline copies' shifts, alignment, tops and detection targets, and
     16 uniform and triplet batches drawn with and without images, hash to
-    the digest of the one-object-per-copy implementation. One train image
-    has no annotation, so some copies and drawn rows are not aligned."""
+    the digest of the one-object-per-copy implementation with its
+    granularity tops placed by the descriptors' rule from the part tops. One
+    train image has no annotation, so some copies and drawn rows are not
+    aligned."""
     index, anns = tiny_bench
     anns = dict(anns)
     del anns[index.split("train")[5].image_id]
@@ -433,7 +434,7 @@ def test_train_copies_and_batch_draws_keep_their_bits(tiny_bench):
                       alignment.soft_label_matrix(batch.bounds),
                       *alignment.offset_targets(batch.bounds), batch.images)
     assert unaligned > 0
-    assert h.hexdigest() == "1f733fde08ed8362fbf29f296cfc42129e598b606e6a28449c8f0d88cec52248"
+    assert h.hexdigest() == "97c7a099e19e6b1cbf85ee89af6f35ffc4c0b5e3152cbfd5d9e307ea5cbaa023"
 
 
 def test_compose_batch_rejects_empty(tmp_path):
@@ -498,6 +499,45 @@ def test_mgf_step_needs_a_p_by_a_batch(tiny_bench):
     flags = StepFlags(refinement=True, detection=True, mgf=True, backbone_grad=False)
     with pytest.raises(ValueError, match="batch must hold 2 identities x 2 images"):
         training.train_step(net, batch, flags, LossWeights(), tri, fmap=fmap)
+
+
+def test_granularity_windows_follow_the_part_windows_in_training_as_in_descriptors(
+    tiny_bench, monkeypatch
+):
+    """One window rule: each aligned train row's granularity tops are
+    `branch_tops` of its part tops, and given those part tops,
+    `feature_descriptor` gathers the (height, top) windows a train step
+    gathers for the same rows."""
+    index, anns = tiny_bench
+    cfg = model_cfg(index, with_mgf=True)
+    parts = cfg.parts
+    aug = AugmentationConfig(translation_copies=2)
+    train = build_train_set(index, anns, cfg, aug, np.random.default_rng(0))
+    assert train.aligned.all()
+    np.testing.assert_array_equal(
+        train.tops[:, parts:],
+        alignment.branch_tops(train.tops[:, :parts], alignment.GRANULARITIES)[:, parts:],
+    )
+
+    gathered = []
+
+    def recording_gather(fmap, tops, height):
+        gathered.append((height, tops.tolist()))
+        return gather_windows(fmap, tops, height)
+
+    monkeypatch.setattr(training, "gather_windows", recording_gather)
+    monkeypatch.setattr(model, "gather_windows", recording_gather)
+    net = CdpmNetwork(cfg, np.random.default_rng(4))
+    tri = TripletConfig(identities_per_batch=2, images_per_identity=2)
+    batch = compose_batch(train, training.ImageStore(), np.random.default_rng(5), aug, 4,
+                          tri)
+    fmap = net.backbone.features(batch.images)
+    flags = StepFlags(refinement=True, detection=False, mgf=True, backbone_grad=False)
+    training.train_step(net, batch, flags, LossWeights(), tri, fmap=fmap)
+    stepped, gathered[:] = list(gathered), []
+    monkeypatch.setattr(net, "part_tops", lambda fmap, selection: batch.tops[:, :parts])
+    net.feature_descriptor(fmap)
+    assert len(stepped) == len(net.part_branches) and gathered == stepped
 
 
 def test_train_step_takes_fmap_exactly_when_backbone_is_frozen(tiny_bench):
