@@ -65,6 +65,13 @@ def _config_from(args) -> "Config":
     return load_config(args.config, overrides, args.seed)
 
 
+def _out_file(path: Path) -> Path:
+    """`path`, once its missing parent directories are made; called right
+    before the one write of a command, so a failed run leaves none behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="cdpm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -121,6 +128,8 @@ def build_parser() -> _Parser:
 
 def cmd_synth_data(args) -> int:
     cfg = _config_from(args)
+    if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
+        raise UsageError(f"--out {args.out} must be a missing or empty directory")
     index = data.generate_benchmark(
         args.out,
         train_identities=args.identities,
@@ -159,7 +168,7 @@ def cmd_extract(args) -> int:
     net = CdpmNetwork.load(args.checkpoint)
     index = data.load_dataset(args.data)
     descs = pipeline.extract_descriptors(net, index, args.split, cfg.selection)
-    tensorio.write_descriptors(args.out, descs)
+    tensorio.write_descriptors(_out_file(args.out), descs)
     dim = next(iter(descs.values())).size
     print(f"wrote {len(descs)} descriptors of dim {dim} to {args.out}")
     return EXIT_OK
@@ -174,7 +183,7 @@ def cmd_align(args) -> int:
     net = CdpmNetwork.load(args.checkpoint)
     index = data.load_dataset(args.data)
     report = pipeline.alignment_report(net, index, index.annotations, splits, cfg.selection)
-    pipeline.write_alignment_csv(args.out, report)
+    pipeline.write_alignment_csv(_out_file(args.out), report)
     print(
         f"mean IoU {report.mean_iou:.4f} vs uniform-division {report.uniform_mean_iou:.4f} "
         f"over {len(report.rows)} (image, part) pairs"
@@ -187,7 +196,7 @@ def cmd_evaluate(args) -> int:
     queries = tensorio.read_descriptors(args.query)
     gallery = tensorio.read_descriptors(args.gallery)
     report = evaluate.evaluate_retrieval(queries, gallery, args.protocol)
-    evaluate.write_report_csv(args.out, report)
+    evaluate.write_report_csv(_out_file(args.out), report)
     print(report.text())
     return EXIT_OK
 
@@ -200,7 +209,7 @@ def cmd_ablate(args) -> int:
         raise UsageError("ablate needs --data or data.root in the config")
     workdir = args.workdir or args.out.parent / "ablation_runs"
     rows = pipeline.run_ablation(cfg, workdir)
-    pipeline.write_ablation_csv(args.out, rows)
+    pipeline.write_ablation_csv(_out_file(args.out), rows)
     for r in rows:
         print(f"{r.name}: rank1 {r.rank1:.4f} mAP {r.mean_ap:.4f} meanIoU {r.mean_iou:.4f}")
     return EXIT_OK

@@ -10,6 +10,7 @@ fixed order: parts 1..K, then granularities ascending, then holistic.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .annotations import IMAGE_HEIGHT
 from .data import IMAGE_WIDTH, PIXEL_MAX
 from .layers import (Block, ChannelAttention, Conv, Dense, SpatialChannelAttention,
                      init_weights)
+
+#: images per chunk of a forward-only pass over many images (`chunk_features`)
+FEATURE_CHUNK = 24
 
 
 class NotInitializedError(RuntimeError):
@@ -73,8 +77,9 @@ class ToyBackbone(Block):
     conv's padded input. uint8 pixels are divided by `data.PIXEL_MAX` first,
     which gives the bits of standardizing `data.load_image`'s floats.
     Callers reach it as `net.backbone`: `features` for a forward-only pass,
-    `start_features` for one that overlaps the caller's other work, and
-    `forward` and `backward` for a step that trains it.
+    `chunk_features` for one over many images that overlaps the caller's
+    work on each chunk, and `forward` and `backward` for a step that trains
+    it.
     """
 
     STRIDES = (2, 2, 2, 2, 1)
@@ -120,13 +125,33 @@ class ToyBackbone(Block):
         is made."""
         return self._stack(images, keep=False)()[0]
 
-    def start_features(self, images: np.ndarray):
-        """Start `features` on the block workers and return its wait handle,
-        which gives the feature map once every worker has ended. The caller
-        may run other work meanwhile, but must call the handle before it
-        drops the pass. With one worker the pass runs before this returns."""
-        wait = self._stack(images, keep=False)
-        return lambda: wait()[0]
+    def chunk_features(self, items, read):
+        """Yield (chunk, feature map) for consecutive `FEATURE_CHUNK`-item
+        slices of `items`, in order; `read(chunk)` gives a chunk's images.
+
+        Chunk i + 1's pass runs on the block workers while the caller works
+        on chunk i's map: for each chunk this reads the next chunk (on the
+        calling thread), joins this chunk's pass, starts the next one and
+        then yields. On any error, or when the caller closes it early, the
+        pass in flight is joined before this returns, so no worker outlives
+        it. With one worker each pass runs when it starts.
+        """
+        chunks = [items[i : i + FEATURE_CHUNK] for i in range(0, len(items), FEATURE_CHUNK)]
+        if not chunks:
+            return
+        wait = self._stack(read(chunks[0]), keep=False)
+        try:
+            for chunk, following in zip(chunks, [*chunks[1:], None]):
+                images = None if following is None else read(following)
+                fmap, wait = wait()[0], None
+                if following is not None:
+                    wait = self._stack(images, keep=False)
+                yield chunk, fmap
+        finally:
+            if wait is not None:
+                # the error or early stop that got here is what the caller sees
+                with contextlib.suppress(Exception):
+                    wait()
 
     def forward(self, images: np.ndarray):
         """The feature map and the activations `backward` takes: the

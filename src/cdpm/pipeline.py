@@ -20,45 +20,8 @@ from .training import run_training
 
 log = logging.getLogger(__name__)
 
-EXTRACT_BATCH = 24
-
-
-def _chunk_features(net: CdpmNetwork, chunks):
-    """Yield (chunk, feature maps) for each chunk of records, in order.
-
-    Chunk i + 1's backbone runs on the block workers while the caller works
-    on chunk i's maps: for each chunk this reads the next chunk's pixels
-    (on this thread), joins this chunk's backbone, starts the next one and
-    then yields. On any error, or when the caller closes it early, the pass
-    in flight is joined before this returns, so no worker outlives it.
-    """
-    chunks = iter(chunks)
-    chunk = next(chunks, None)
-    if chunk is None:
-        return
-    job = net.backbone.start_features(_read_pixels(chunk))
-    try:
-        while chunk is not None:
-            following = next(chunks, None)
-            pixels = None if following is None else _read_pixels(following)
-            fmap, job = job(), None
-            if following is not None:
-                job = net.backbone.start_features(pixels)
-            yield chunk, fmap
-            chunk = following
-    finally:
-        if job is not None:
-            # the error or early stop that got here is what the caller sees
-            with contextlib.suppress(Exception):
-                job()
-
-
 def _read_pixels(records) -> np.ndarray:
     return np.stack([data.read_person_image(r.path) for r in records])
-
-
-def _chunks(records):
-    return (records[i : i + EXTRACT_BATCH] for i in range(0, len(records), EXTRACT_BATCH))
 
 
 def extract_descriptors(
@@ -69,12 +32,12 @@ def extract_descriptors(
 ) -> dict[str, np.ndarray]:
     """Descriptor per image of one split, in index order. The backbone reads
     each chunk as stored uint8 pixels, one chunk ahead of the heads and part
-    branches (see `_chunk_features`)."""
+    branches (see `ToyBackbone.chunk_features`)."""
     records = index.split(split)
     if not records:
         raise data.DataError(f"split {split!r} is empty")
     out: dict[str, np.ndarray] = {}
-    with contextlib.closing(_chunk_features(net, _chunks(records))) as chunks:
+    with contextlib.closing(net.backbone.chunk_features(records, _read_pixels)) as chunks:
         for chunk, fmap in chunks:
             descs = net.feature_descriptor(fmap, selection)
             for record, vec in zip(chunk, descs):
@@ -130,9 +93,9 @@ def alignment_report(
     records = [r for split in splits for r in index.split(split)]
     bodies = {r.image_id: body for r in records
               if (body := body_rows(annotations.get(r.image_id))) is not None}
-    usable = ([r for r in chunk if r.image_id in bodies] for chunk in _chunks(records))
+    usable = [r for r in records if r.image_id in bodies]
     rows: list[AlignmentRow] = []
-    with contextlib.closing(_chunk_features(net, filter(None, usable))) as chunks:
+    with contextlib.closing(net.backbone.chunk_features(usable, _read_pixels)) as chunks:
         for chunk, fmap in chunks:
             tops = net.part_tops(fmap, selection).astype(np.float64)
             truth = alignment.part_bounds(*np.array([bodies[r.image_id] for r in chunk]).T,

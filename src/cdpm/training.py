@@ -385,16 +385,15 @@ class TrainResult:
 
 
 def _build_feature_cache(
-    net: CdpmNetwork, train: TrainSet, rows: np.ndarray, store: ImageStore,
-    batch_size: int,
+    net: CdpmNetwork, train: TrainSet, rows: np.ndarray, store: ImageStore
 ) -> np.ndarray:
     """Frozen-backbone feature maps of the given rows, without online
-    augmentation, so the backbone reads each copy's uint8 pixels."""
-    return np.concatenate([
-        net.backbone.features(np.stack([load_copy(train, r, store)
-                                        for r in rows[start : start + batch_size]]))
-        for start in range(0, len(rows), batch_size)
-    ], axis=0)
+    augmentation, so the backbone reads each copy's uint8 pixels; a chunk's
+    copies are read while the chunk before it runs on the backbone."""
+    def read(chunk):
+        return np.stack([load_copy(train, r, store) for r in chunk])
+
+    return np.concatenate([fmap for _, fmap in net.backbone.chunk_features(rows, read)])
 
 
 def write_train_log(path: Path, rows: list[dict]) -> None:
@@ -447,8 +446,7 @@ def run_training(
         if frozen and len(train) <= FEATURE_CACHE_LIMIT:
             log.info("%s: caching frozen-backbone features for %d copies",
                      stage.name, len(train))
-            feature_cache = _build_feature_cache(net, train, np.arange(len(train)), store,
-                                                 settings.batch_size)
+            feature_cache = _build_feature_cache(net, train, np.arange(len(train)), store)
         for epoch in range(stage.epochs):
             lr = learning_rate(stage, epoch)
             sums: dict[str, float] = {}
@@ -461,8 +459,7 @@ def run_training(
                 if feature_cache is not None:
                     fmap = feature_cache[batch.rows]
                 elif frozen:
-                    fmap = _build_feature_cache(net, train, batch.rows, store,
-                                                len(batch.rows))
+                    fmap = _build_feature_cache(net, train, batch.rows, store)
                 terms = train_step(net, batch, stage.flags, settings.weights,
                                    settings.triplet, fmap=fmap)
                 if not np.isfinite(terms["total"]):

@@ -263,42 +263,56 @@ def test_cli_evaluate_on_descriptor_dumps(tmp_path, capsys):
     assert "rank-1 1.0000" in capsys.readouterr().out
 
 
-def test_cli_evaluate_data_error_exit_code(tmp_path):
-    missing = tmp_path / "nope.bin"
-    rc = cli.main(["evaluate", "--query", str(missing), "--gallery", str(missing),
-                   "--out", str(tmp_path / "r.csv")])
-    assert rc == cli.EXIT_DATA
+def _missing(path):
+    path.unlink()
+    yield str(path)
 
 
-def test_cli_evaluate_non_finite_descriptor_exit_code(tmp_path, capsys):
-    gallery = {f"{i:04d}_c2_0000": np.full(4, float(i)) for i in (1, 2)}
-    queries = {"0001_c1_0000": np.array([1.0, np.nan, 0.0, 0.0])}
-    qpath, gpath = tmp_path / "q.bin", tmp_path / "g.bin"
-    tensorio.write_descriptors(qpath, queries)
-    tensorio.write_descriptors(gpath, gallery)
-    rc = cli.main(["evaluate", "--query", str(qpath), "--gallery", str(gpath),
-                   "--out", str(tmp_path / "r.csv")])
-    assert rc == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "'0001_c1_0000' is not finite" in err
-    assert not (tmp_path / "r.csv").exists()
-
-
-def test_cli_evaluate_truncated_dump_exit_code(tmp_path, capsys):
-    rng = np.random.default_rng(1)
-    gallery = {f"{i:04d}_c2_0000": rng.standard_normal(4) for i in (1, 2)}
-    gpath, qpath = tmp_path / "g.bin", tmp_path / "q.bin"
-    tensorio.write_descriptors(gpath, gallery)
-    tensorio.write_descriptors(qpath, {"0001_c1_0000": rng.standard_normal(4),
-                                       "0002_c1_0000": rng.standard_normal(4)})
-    blob = qpath.read_bytes()
+def _every_cut(path):
+    blob = path.read_bytes()
     assert len(blob) == 110
     for cut in range(len(blob)):  # a cut at the record boundary (byte 60) too
-        qpath.write_bytes(blob[:cut])
-        rc = cli.main(["evaluate", "--query", str(qpath), "--gallery", str(gpath),
-                       "--out", str(tmp_path / "r.csv")])
-        assert rc == cli.EXIT_DATA, cut
-        assert "truncated" in capsys.readouterr().err
+        path.write_bytes(blob[:cut])
+        yield f"{path}: truncated"
+
+
+def _every_entry(change):
+    def spoil(path):
+        descs = tensorio.read_descriptors(path)
+        tensorio.write_descriptors(path, {k: change(v) for k, v in descs.items()})
+        yield repr(next(iter(descs)))
+    return spoil
+
+
+#: bad dump kind -> a generator that spoils a good dump in place, once per
+#: case, and yields what the error must name: the file, or its first entry
+BAD_DUMPS = {
+    "missing": _missing,
+    "truncated": _every_cut,
+    "non_finite": _every_entry(lambda v: np.where(np.arange(v.size) == 1, np.nan, v)),
+    "zero_length": _every_entry(lambda v: v[:0]),
+}
+
+
+@pytest.mark.parametrize("side", ["query", "gallery"])
+@pytest.mark.parametrize("kind", BAD_DUMPS)
+def test_cli_evaluate_bad_dump_is_data_error(tmp_path, capsys, kind, side):
+    """A missing, truncated (at every byte), non-finite or zero-length query
+    or gallery dump is one data error line naming it, and no report."""
+    rng = np.random.default_rng(1)
+    paths = {s: tmp_path / f"{s}.bin" for s in ("query", "gallery")}
+    tensorio.write_descriptors(paths["query"], {f"{i:04d}_c1_0000": rng.standard_normal(4)
+                                                for i in (1, 2)})
+    tensorio.write_descriptors(paths["gallery"], {f"{i:04d}_c2_0000": rng.standard_normal(4)
+                                                  for i in (1, 2)})
+    report = tmp_path / "r.csv"
+    for named in BAD_DUMPS[kind](paths[side]):
+        rc = cli.main(["evaluate", "--query", str(paths["query"]),
+                       "--gallery", str(paths["gallery"]), "--out", str(report)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.count("\n") == 1 and err.startswith("data error:") and named in err, err
+        assert "Traceback" not in err and not report.exists()
 
 
 def test_cli_train_extract_align_evaluate_pipeline(tmp_path, capsys):
@@ -445,20 +459,6 @@ def _set_channel(i, value):
     return edit
 
 
-def test_cli_evaluate_zero_length_descriptors_exit_code(tmp_path, capsys):
-    gallery = {f"{i:04d}_c2_0000": np.zeros(0) for i in (1, 2)}
-    queries = {"0001_c1_0000": np.zeros(0)}
-    qpath, gpath = tmp_path / "q.bin", tmp_path / "g.bin"
-    tensorio.write_descriptors(qpath, queries)
-    tensorio.write_descriptors(gpath, gallery)
-    rc = cli.main(["evaluate", "--query", str(qpath), "--gallery", str(gpath),
-                   "--out", str(tmp_path / "r.csv")])
-    assert rc == cli.EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("data error:") and "is empty" in err, err
-    assert "Traceback" not in err
-
-
 @pytest.fixture(scope="module")
 def extract_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("meta")
@@ -583,8 +583,8 @@ def test_cli_bad_image_is_data_error(tmp_path, capsys, monkeypatch, block_passes
     spoil, cause = BAD_IMAGES[kind]
     args = ["--split", "query"] if command == "extract" else []
     # the query split holds 2 images: one-image chunks put the second in chunk 2
-    for position, batch in ((0, pipeline.EXTRACT_BATCH), (1, 1)):
-        monkeypatch.setattr(pipeline, "EXTRACT_BATCH", batch)
+    for position, chunk in ((0, cdpm.model.FEATURE_CHUNK), (1, 1)):
+        monkeypatch.setattr(cdpm.model, "FEATURE_CHUNK", chunk)
         block_passes.clear()
         copy = tmp_path / f"bench{position}"
         shutil.copytree(bench, copy)
@@ -731,6 +731,50 @@ def test_cli_align_bad_splits_is_usage_error(tmp_path, capsys, extract_inputs, s
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("usage error: --splits expects"), err
     assert not (tmp_path / "align.csv").exists()
+
+
+def test_cli_synth_data_refuses_a_non_empty_out(tmp_path, capsys):
+    """A second synth-data into a data set's directory, or onto a file, is one
+    usage error line and leaves every file there byte-identical."""
+    def synth(out, identities):
+        return cli.main(["synth-data", "--out", str(out), "--identities", str(identities),
+                         "--images-per-id", "2", "--test-identities", "2",
+                         "--test-images-per-id", "2"])
+
+    out = tmp_path / "bench"
+    assert synth(out, 3) == cli.EXIT_OK
+    stray = tmp_path / "stray.txt"
+    stray.write_text("not a data set\n")
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    for target in (out, stray):
+        assert synth(target, 2) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:") and str(target) in err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    (tmp_path / "empty").mkdir()
+    assert synth(tmp_path / "empty", 2) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["extract", "align", "evaluate", "ablate"])
+def test_cli_out_makes_its_missing_parent_directories(tmp_path, monkeypatch, extract_inputs,
+                                                      command):
+    """extract, align, evaluate and ablate write --out under directories that
+    do not exist yet, as train makes its --out directory."""
+    bench, tensors = extract_inputs
+    checkpoint = tmp_path / "net.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(2)
+    for name, cam in (("q.bin", 1), ("g.bin", 2)):
+        tensorio.write_descriptors(name, {f"{i:04d}_c{cam}_0000": rng.standard_normal(4)
+                                          for i in (1, 2)})
+    out = tmp_path / "missing" / "deeper" / "out.x"
+    data_args = [] if command == "evaluate" else ["--data", str(bench)]
+    rc = cli.main([command, *data_args,
+                   *_command_args(command, checkpoint, out, tmp_path / "runs")])
+    assert rc == cli.EXIT_OK
+    assert out.is_file() and out.stat().st_size
 
 
 @pytest.mark.parametrize("flag,value,message", [

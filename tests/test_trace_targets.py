@@ -89,9 +89,10 @@ def test_install_then_restore_gives_back_every_binding(spans):
 def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch, tiny_bench):
     """A two-worker backbone forward (kept and forward-only) and backward
     over several image blocks, a refined part branch's forward and
-    backward, and descriptor extraction and alignment scoring over several
-    chunks, each chunk's backbone overlapping the last one's heads, call
-    every traced function on this thread."""
+    backward, and descriptor extraction, alignment scoring and a stage-2
+    feature cache build over several chunks, each chunk's backbone
+    overlapping the caller's work on the last one, call every traced
+    function on this thread."""
     threads = []
 
     class ThreadRecordingTracer(spans.Tracer):
@@ -105,10 +106,13 @@ def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch, tiny_bench)
             return wrapper
 
     monkeypatch.setattr(ops, "WORKERS", 2)
-    monkeypatch.setattr(pipeline, "EXTRACT_BATCH", 7)
+    monkeypatch.setattr(cdpm.model, "FEATURE_CHUNK", 7)
     index, anns = tiny_bench
-    assert len(index.split("train")) >= 3 * pipeline.EXTRACT_BATCH
+    assert len(index.split("train")) >= 3 * cdpm.model.FEATURE_CHUNK
     net = CdpmNetwork(ModelConfig(classes=4), np.random.default_rng(0))
+    train = training.build_train_set(index, anns, net.cfg,
+                                     AugmentationConfig(translation_copies=1),
+                                     np.random.default_rng(0))
     images = np.random.default_rng(1).random((3, 384, 128, 3))
     with ThreadRecordingTracer(cdpm, spans.TRACE_TARGETS) as tracer:
         net.backbone.features(images)
@@ -119,10 +123,11 @@ def test_wrapped_calls_run_on_the_calling_thread(spans, monkeypatch, tiny_bench)
         branch.backward(ctx, np.ones_like(scores))
         pipeline.extract_descriptors(net, index, "train", SelectionConfig())
         pipeline.alignment_report(net, index, anns, ("train",))
+        training._build_feature_cache(net, train, np.arange(len(train)), training.ImageStore())
     names = {span[0] for span in tracer.spans}
     assert {"layers.Conv.bwd", "ops.conv2d_backward", "model.PartBranch.bwd",
             "pipeline.extract_descriptors", "pipeline.alignment_report", "data.read_ppm",
-            "model.DetectionHeads.fwd"} <= names
+            "model.DetectionHeads.fwd", "training.ImageStore.miss"} <= names
     assert len(threads) == len(tracer.spans)
     assert set(threads) == {threading.get_ident()}
 

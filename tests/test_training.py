@@ -768,13 +768,13 @@ def test_feature_cache_reads_pixels_with_the_bits_of_floats(tiny_bench):
     train = build_train_set(index, anns, net.cfg, aug, np.random.default_rng(2))
     assert train.shifts.any()
     store = training.ImageStore()
-    cache = training._build_feature_cache(net, train, np.arange(len(train)), store, 16)
+    assert len(train) > 2 * model.FEATURE_CHUNK
+    cache = training._build_feature_cache(net, train, np.arange(len(train)), store)
     floats = np.stack([data.to_unit_float(training.load_copy(train, r, store))
                        for r in range(len(train))])
     assert np.array_equal(cache, net.backbone.features(floats))
     rows = np.array([5, 0, 5, len(train) - 1])  # one frozen-backbone batch
-    assert np.array_equal(training._build_feature_cache(net, train, rows, store, len(rows)),
-                          cache[rows])
+    assert np.array_equal(training._build_feature_cache(net, train, rows, store), cache[rows])
 
 
 def test_image_store_hands_out_read_only_pixels(tiny_bench):
@@ -794,8 +794,8 @@ def test_extract_peak_memory_below_one_float_chunk(tiny_bench, monkeypatch):
     monkeypatch.setattr(ops, "WORKERS", 1)
     index, anns = tiny_bench
     net = calibrated_full_model(index)
-    assert len(index.split("train")) >= pipeline.EXTRACT_BATCH
-    float_chunk = pipeline.EXTRACT_BATCH * 384 * 128 * 3 * 8
+    assert len(index.split("train")) >= model.FEATURE_CHUNK
+    float_chunk = model.FEATURE_CHUNK * 384 * 128 * 3 * 8
     selection = alignment.SelectionConfig()
     runs = {
         "extract": lambda: pipeline.extract_descriptors(net, index, "train", selection),
@@ -817,44 +817,87 @@ def full_model(tiny_bench):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("batch", [30, 8, 7], ids=["one_chunk", "exact_multiple", "remainder"])
+@pytest.mark.parametrize("chunk", [30, 8, 7], ids=["one_chunk", "exact_multiple", "remainder"])
 def test_pipelined_chunks_give_the_bits_of_one_chunk_at_a_time(tiny_bench, full_model,
-                                                               monkeypatch, workers, batch):
+                                                               monkeypatch, workers, chunk):
     """Descriptors and alignment rows of the pipelined chunk loop equal
     `net.descriptor` and `net.part_tops` run on one chunk at a time."""
     monkeypatch.setattr(ops, "WORKERS", workers)
-    monkeypatch.setattr(pipeline, "EXTRACT_BATCH", batch)
+    monkeypatch.setattr(model, "FEATURE_CHUNK", chunk)
     index, anns = tiny_bench
     net, selection = full_model, alignment.SelectionConfig()
     records = index.split("train")
     assert len(records) == 24
     got = pipeline.extract_descriptors(net, index, "train", selection)
     report = pipeline.alignment_report(net, index, anns, ("train",), selection)
+    usable = [r for r in records if body_rows(anns.get(r.image_id)) is not None]
     want_descs, want_rows = {}, []
-    for i in range(0, len(records), batch):
-        chunk = records[i : i + batch]
-        pixels = np.stack([data.read_person_image(r.path) for r in chunk])
-        want_descs.update(zip([r.image_id for r in chunk], net.descriptor(pixels, selection)))
-        usable = [j for j, r in enumerate(chunk) if body_rows(anns.get(r.image_id)) is not None]
-        tops = net.part_tops(net.backbone.features(pixels[usable]), selection)
-        want_rows += [(chunk[j].image_id, k + 1, int(t) + 1, float(t))
-                      for j, row in zip(usable, tops) for k, t in enumerate(row)]
+    for i in range(0, len(records), chunk):
+        pixels = np.stack([data.read_person_image(r.path) for r in records[i : i + chunk]])
+        want_descs.update(zip([r.image_id for r in records[i : i + chunk]],
+                              net.descriptor(pixels, selection)))
+    for i in range(0, len(usable), chunk):
+        pixels = np.stack([data.read_person_image(r.path) for r in usable[i : i + chunk]])
+        tops = net.part_tops(net.backbone.features(pixels), selection)
+        want_rows += [(r.image_id, k + 1, int(t) + 1, float(t))
+                      for r, row in zip(usable[i : i + chunk], tops) for k, t in enumerate(row)]
     assert list(got) == list(want_descs)
     assert all(np.array_equal(got[key], want_descs[key]) for key in got)
     assert [(r.image_id, r.part, r.window, r.top) for r in report.rows] == want_rows
 
 
+#: sha256 of the repr of `alignment_report`'s rows as tuples over the tiny
+#: bench's train, query and gallery images with every third one unannotated
+ALIGNMENT_ROWS_DIGEST = "0c4573c9825d890f504f3af94c284a8ddc80465695443d78ae52591485f2dc8b"
+
+
+def test_alignment_rows_keep_their_bits_when_images_lack_annotations(tiny_bench, full_model):
+    """The 22 annotated of 33 images fill other chunks than all 33 do; the
+    rows hash as when each chunk of all records was filtered instead."""
+    index, anns = tiny_bench
+    splits = ("train", "query", "gallery")
+    records = [r for split in splits for r in index.split(split)]
+    kept = {r.image_id: anns[r.image_id] for i, r in enumerate(records) if i % 3}
+    assert len(records) > model.FEATURE_CHUNK >= len(kept)
+    report = pipeline.alignment_report(full_model, index, kept, splits)
+    rows = [(r.image_id, r.part, r.window, r.top, r.iou, r.uniform_iou) for r in report.rows]
+    assert [r[0] for r in rows[::full_model.cfg.parts]] == list(kept)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ALIGNMENT_ROWS_DIGEST
+
+
 def test_stopping_early_joins_the_backbone_pass_in_flight(tiny_bench, full_model,
-                                                           block_passes):
+                                                           block_passes, monkeypatch):
     """Closing the chunk loop after its first chunk joins the second chunk's
     backbone pass, which was started before the first chunk was yielded."""
+    monkeypatch.setattr(model, "FEATURE_CHUNK", 4)
     records = tiny_bench[0].split("train")
-    chunks = pipeline._chunk_features(full_model, [records[:4], records[4:8], records[8:12]])
+    chunks = full_model.backbone.chunk_features(records[:12], pipeline._read_pixels)
     chunk, fmap = next(chunks)
     assert chunk == records[:4] and fmap.shape == (4, 24, 8, 64)
     assert block_passes == [True, False]
     chunks.close()
     assert block_passes == [True, True]
+
+
+def test_feature_cache_read_error_joins_every_pass(tiny_bench, block_passes, monkeypatch):
+    """A stage-2 cache build whose chunk 2 holds an unreadable copy raises
+    that error, and chunk 1's pass, started before the read, has ended."""
+    monkeypatch.setattr(model, "FEATURE_CHUNK", 4)
+    index, anns = tiny_bench
+    net = CdpmNetwork(model_cfg(index), np.random.default_rng(0))
+    train = build_train_set(index, anns, net.cfg, AugmentationConfig(translation_copies=1),
+                            np.random.default_rng(0))
+    bad = train.records[5].path
+
+    class FailingStore(training.ImageStore):
+        def load(self, path):
+            if path == bad:
+                raise data.DataError(f"{path}: truncated pixel data")
+            return super().load(path)
+
+    with pytest.raises(data.DataError, match="truncated pixel data"):
+        training._build_feature_cache(net, train, np.arange(len(train)), FailingStore())
+    assert block_passes == [True]
 
 
 @pytest.fixture(scope="module")

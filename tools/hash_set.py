@@ -11,8 +11,9 @@ tree whose `src/` is imported (default: the tree holding this script).
 The set: `synth-data` with 8 identities x 4 train images and 4 x 3 test
 images at seed 3; `train` at seed 5 with 3 translation copies, batch 12 and
 `train.epoch_scale=0.04`, in the default and the `model.mgf=true` config;
-for each run the query/gallery/train `extract` dumps and the `align` CSV;
-then `ablate` at the same settings. To check that a change keeps every
+for each run the query/gallery/train `extract` dumps, the `align` CSV and
+the single- and multi-query `evaluate` reports of its query and gallery
+dumps; then `ablate` at the same settings. To check that a change keeps every
 output bit, run the script once per checkout and diff the two listings:
 
     python tools/hash_set.py /tmp/before --checkout ../parent > before.txt
@@ -49,6 +50,10 @@ def commands() -> list[list[str]]:
             cmds.append(["extract", *checkpoint, "--split", split,
                          "--out", f"{name}/{split}.desc"])
         cmds.append(["align", *checkpoint, "--out", f"{name}/align.csv"])
+        for protocol in ("single", "multi"):
+            cmds.append(["evaluate", "--query", f"{name}/query.desc",
+                         "--gallery", f"{name}/gallery.desc", "--protocol", protocol,
+                         "--out", f"{name}/evaluate_{protocol}.csv"])
     cmds.append(["ablate", "--data", "bench", "--out", "ablation/ablation.csv",
                  "--workdir", "ablation/runs", *TRAIN_SETTINGS])
     return cmds
