@@ -67,7 +67,8 @@ def _config_from(args) -> "Config":
 
 def _out_file(path: Path) -> Path:
     """`path`, once its missing parent directories are made; called right
-    before the one write of a command, so a failed run leaves none behind."""
+    before the one write of a command, so a run that fails before writing
+    leaves no directory behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 

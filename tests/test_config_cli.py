@@ -263,34 +263,42 @@ def test_cli_evaluate_on_descriptor_dumps(tmp_path, capsys):
     assert "rank-1 1.0000" in capsys.readouterr().out
 
 
-def _missing(path):
-    path.unlink()
-    yield str(path)
+def _missing(paths, side):
+    paths[side].unlink()
+    yield str(paths[side])
 
 
-def _every_cut(path):
-    blob = path.read_bytes()
+def _every_cut(paths, side):
+    blob = paths[side].read_bytes()
     assert len(blob) == 110
     for cut in range(len(blob)):  # a cut at the record boundary (byte 60) too
-        path.write_bytes(blob[:cut])
-        yield f"{path}: truncated"
+        paths[side].write_bytes(blob[:cut])
+        yield f"{paths[side]}: truncated"
 
 
-def _every_entry(change):
-    def spoil(path):
+def _non_finite(paths, side):
+    descs = tensorio.read_descriptors(paths[side])
+    tensorio.write_descriptors(paths[side], {k: np.where(np.arange(v.size) == 1, np.nan, v)
+                                             for k, v in descs.items()})
+    yield f"{next(iter(descs))!r} is not finite"
+
+
+def _zero_length(paths, side):
+    # both dumps, so neither side fails the one-length check first; the
+    # gallery is checked first, so its first entry is the one named
+    for path in paths.values():
         descs = tensorio.read_descriptors(path)
-        tensorio.write_descriptors(path, {k: change(v) for k, v in descs.items()})
-        yield repr(next(iter(descs)))
-    return spoil
+        tensorio.write_descriptors(path, {k: v[:0] for k, v in descs.items()})
+    yield f"descriptor of {next(iter(tensorio.read_descriptors(paths['gallery'])))!r} is empty"
 
 
-#: bad dump kind -> a generator that spoils a good dump in place, once per
-#: case, and yields what the error must name: the file, or its first entry
+#: bad dump kind -> a generator that spoils the `side` dump of good `paths`
+#: in place, once per case, and yields the text the error must hold
 BAD_DUMPS = {
     "missing": _missing,
     "truncated": _every_cut,
-    "non_finite": _every_entry(lambda v: np.where(np.arange(v.size) == 1, np.nan, v)),
-    "zero_length": _every_entry(lambda v: v[:0]),
+    "non_finite": _non_finite,
+    "zero_length": _zero_length,
 }
 
 
@@ -298,7 +306,7 @@ BAD_DUMPS = {
 @pytest.mark.parametrize("kind", BAD_DUMPS)
 def test_cli_evaluate_bad_dump_is_data_error(tmp_path, capsys, kind, side):
     """A missing, truncated (at every byte), non-finite or zero-length query
-    or gallery dump is one data error line naming it, and no report."""
+    or gallery dump is one data error line naming its cause, and no report."""
     rng = np.random.default_rng(1)
     paths = {s: tmp_path / f"{s}.bin" for s in ("query", "gallery")}
     tensorio.write_descriptors(paths["query"], {f"{i:04d}_c1_0000": rng.standard_normal(4)
@@ -306,12 +314,12 @@ def test_cli_evaluate_bad_dump_is_data_error(tmp_path, capsys, kind, side):
     tensorio.write_descriptors(paths["gallery"], {f"{i:04d}_c2_0000": rng.standard_normal(4)
                                                   for i in (1, 2)})
     report = tmp_path / "r.csv"
-    for named in BAD_DUMPS[kind](paths[side]):
+    for cause in BAD_DUMPS[kind](paths, side):
         rc = cli.main(["evaluate", "--query", str(paths["query"]),
                        "--gallery", str(paths["gallery"]), "--out", str(report)])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_DATA, err
-        assert err.count("\n") == 1 and err.startswith("data error:") and named in err, err
+        assert err.count("\n") == 1 and err.startswith("data error:") and cause in err, err
         assert "Traceback" not in err and not report.exists()
 
 
