@@ -129,13 +129,16 @@ def load_config(
     seed: int | None = None,
 ) -> Config:
     """Defaults, then file values, then --set overrides, then --seed, applied
-    together; a value the run's dataclasses refuse is a ConfigError."""
+    together; a file that cannot be read, or a value the run's dataclasses
+    refuse, is a ConfigError."""
     assignments: dict[str, str] = {}
     if path is not None:
         try:
             text = Path(path).read_text("utf-8")
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: not UTF-8: {e}") from e
+        except OSError as e:
+            raise ConfigError(f"cannot read config {path}: {e.strerror or e}") from e
         assignments.update(parse_config_text(text))
     assignments.update(overrides or {})
     if seed is not None:

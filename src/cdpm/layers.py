@@ -165,7 +165,9 @@ class Dense(Block):
 
 
 class Conv(Block):
-    """Small-kernel 2-D convolution with optional normalization and relu."""
+    """Small-kernel 2-D convolution with optional normalization and relu: the
+    spatial branch of `SpatialChannelAttention`. The backbone holds its own
+    kernels and runs them as one stack (`model.ToyBackbone`)."""
 
     def __init__(
         self,

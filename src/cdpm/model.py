@@ -19,8 +19,7 @@ from . import alignment, ops, tensorio
 from .alignment import MAP_HEIGHT, WINDOW_COUNT, WINDOW_HEIGHT
 from .annotations import IMAGE_HEIGHT
 from .data import IMAGE_WIDTH, PIXEL_MAX
-from .layers import (Block, ChannelAttention, Conv, Dense, SpatialChannelAttention,
-                     init_weights)
+from .layers import Block, ChannelAttention, Dense, SpatialChannelAttention, init_weights
 
 #: images per chunk of a forward-only pass over many images (`chunk_features`)
 FEATURE_CHUNK = 24
@@ -92,16 +91,15 @@ class ToyBackbone(Block):
             raise ValueError(f"need {len(self.STRIDES)} channel widths, got {channels}")
         self.out_channels = channels[-1]
         widths = (3,) + tuple(channels)
+        # each conv's 3x3 kernel (fan-in 9 C_in) and bias; every conv pads by 1
         self.convs = [
-            self._child(
-                Conv(f"backbone.conv{i + 1}", 3, widths[i], widths[i + 1],
-                     stride=s, padding=1, activation="relu")
-            )
-            for i, s in enumerate(self.STRIDES)
+            (self._param(f"backbone.conv{i + 1}.w", np.zeros((3, 3, c_in, c_out)), 9 * c_in),
+             self._param(f"backbone.conv{i + 1}.b", np.zeros(c_out)))
+            for i, (c_in, c_out) in enumerate(zip(widths, widths[1:]))
         ]
 
     def _kernels(self) -> list[tuple]:
-        return [(c.w.value, c.b.value, c.stride, c.padding) for c in self.convs]
+        return [(w.value, b.value, s, 1) for (w, b), s in zip(self.convs, self.STRIDES)]
 
     def _stack(self, images, keep: bool):
         """Start the conv stack on the block workers; returns its wait handle."""
@@ -161,9 +159,9 @@ class ToyBackbone(Block):
 
     def backward(self, acts, grad_out: np.ndarray) -> None:
         grads = ops.conv_relu_stack_backward(acts, self._kernels(), grad_out)
-        for conv, (gw, gb) in zip(self.convs, grads):
-            conv.w.grad += gw
-            conv.b.grad += gb
+        for (w, b), (gw, gb) in zip(self.convs, grads):
+            w.grad += gw
+            b.grad += gb
 
 
 class PartBranch(Block):

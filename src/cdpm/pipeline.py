@@ -73,6 +73,19 @@ class AlignmentReport:
     uniform_mean_iou: float
 
 
+def _scored_records(index: data.DatasetIndex, annotations: dict[str, BoundaryAnnotation],
+                    splits: tuple[str, ...]) -> tuple[list[data.Record], np.ndarray]:
+    """The records of `splits` whose annotation gives body rows, in split
+    order, and their body spans (N, 2); a data error when there are none."""
+    scored = [(r, body) for split in splits for r in index.split(split)
+              if (body := body_rows(annotations.get(r.image_id))) is not None]
+    if not scored:
+        raise data.DataError(f"no {' or '.join(splits)} image offers aligned ground truth "
+                             f"to score in {index.annotations_path}")
+    records, spans = zip(*scored)
+    return list(records), np.array(spans)
+
+
 def alignment_report(
     net: CdpmNetwork,
     index: data.DatasetIndex,
@@ -85,37 +98,22 @@ def alignment_report(
     Images without aligned ground truth are skipped. Each part's window is
     the one `descriptor` gathers: the detected window, or, when the network
     has no detection heads, the uniform-division window (window = 0 marks
-    that case). `uniform_iou` scores the uniform part interval itself.
+    that case). `uniform_iou` scores the uniform part interval itself. The
+    chunk loop only collects part tops; scoring runs once over all of them.
     """
     selection = selection or alignment.SelectionConfig()
-    parts = net.cfg.parts
-    uniform = alignment.part_bounds(0, alignment.MAP_HEIGHT, parts)
-    records = [r for split in splits for r in index.split(split)]
-    bodies = {r.image_id: body for r in records
-              if (body := body_rows(annotations.get(r.image_id))) is not None}
-    usable = [r for r in records if r.image_id in bodies]
-    rows: list[AlignmentRow] = []
-    with contextlib.closing(net.backbone.chunk_features(usable, _read_pixels)) as chunks:
-        for chunk, fmap in chunks:
-            tops = net.part_tops(fmap, selection).astype(np.float64)
-            truth = alignment.part_bounds(*np.array([bodies[r.image_id] for r in chunk]).T,
-                                          parts)
-            iou = _part_iou(tops, tops + WINDOW_HEIGHT, truth)
-            uniform_iou = _part_iou(uniform[:-1], uniform[1:], truth)
-            for i, record in enumerate(chunk):
-                for k in range(parts):
-                    window = int(tops[i, k]) + 1 if net.heads is not None else 0
-                    rows.append(AlignmentRow(record.image_id, k + 1, window, float(tops[i, k]),
-                                             float(iou[i, k]), float(uniform_iou[i, k])))
-    if not rows:
-        raise data.DataError(
-            f"no image offers aligned ground truth to score in {index.annotations_path}"
-        )
-    return AlignmentReport(
-        rows=rows,
-        mean_iou=float(np.mean([r.iou for r in rows])),
-        uniform_mean_iou=float(np.mean([r.uniform_iou for r in rows])),
-    )
+    records, spans = _scored_records(index, annotations, splits)
+    with contextlib.closing(net.backbone.chunk_features(records, _read_pixels)) as chunks:
+        tops = np.concatenate([net.part_tops(fmap, selection) for _, fmap in chunks])
+    truth = alignment.part_bounds(spans[:, 0], spans[:, 1], net.cfg.parts)
+    uniform = alignment.part_bounds(0, alignment.MAP_HEIGHT, net.cfg.parts)
+    iou = _part_iou(tops, tops + WINDOW_HEIGHT, truth)
+    uniform_iou = _part_iou(uniform[:-1], uniform[1:], truth)
+    windows = tops + 1 if net.heads is not None else np.zeros_like(tops)
+    rows = [AlignmentRow(record.image_id, k + 1, int(w), float(t), float(a), float(u))
+            for record, *cols in zip(records, windows, tops, iou, uniform_iou)
+            for k, (w, t, a, u) in enumerate(zip(*cols))]
+    return AlignmentReport(rows, float(iou.mean()), float(uniform_iou.mean()))
 
 
 def write_alignment_csv(path: str | Path, report: AlignmentReport) -> None:
@@ -157,10 +155,7 @@ def run_ablation(base_cfg: Config, out_dir: str | Path) -> list[AblationRow]:
     out_dir = Path(out_dir)
     index = data.load_dataset(base_cfg.data_root)
     annotations = index.annotations
-    scored = [r for split in ("query", "gallery") for r in index.split(split)]
-    if all(body_rows(annotations.get(r.image_id)) is None for r in scored):
-        raise data.DataError("no query or gallery image offers aligned ground truth to "
-                             f"score in {index.annotations_path}")
+    _scored_records(index, annotations, ("query", "gallery"))
     rows = []
     for name, flags in ABLATION_CONFIGS:
         cfg = replace(base_cfg, model=replace(base_cfg.model, with_mgf=False, **flags))

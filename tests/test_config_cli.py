@@ -447,7 +447,9 @@ def test_cli_ablate_without_alignment_truth_fails_before_training(
         "--set", "train.batch_size=6", "--set", "augment.translation_copies=1",
     ])
     assert rc == cli.EXIT_DATA
-    assert "data error" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("data error: no query or gallery image offers aligned "
+                                       "ground truth to score in "
+                                       f"{bench / 'annotations.csv'}\n")
     assert not list(runs.rglob("*.cdpm")) and not list(runs.rglob("train_log.csv"))
 
 
@@ -846,3 +848,49 @@ def test_non_utf8_config_file_rejected(tmp_path):
     path.write_bytes(b"train.seed = \xff\n")
     with pytest.raises(ConfigError, match="not UTF-8"):
         load_config(path)
+
+
+#: bad input kind -> (its flag, how its path is made, exit code, the cause named)
+BAD_INPUTS = {
+    "config_missing": ("--config", lambda path: None, cli.EXIT_USAGE,
+                       "No such file or directory"),
+    "config_directory": ("--config", Path.mkdir, cli.EXIT_USAGE, "Is a directory"),
+    "config_not_utf8": ("--config", lambda path: path.write_bytes(b"train.seed = \xff\n"),
+                        cli.EXIT_USAGE, "not UTF-8"),
+    "config_no_equals": ("--config", lambda path: path.write_text("train.seed 5\n"),
+                         cli.EXIT_USAGE, "line 1: expected 'section.key = value'"),
+    "data_missing": ("--data", lambda path: None, cli.EXIT_DATA, "empty train split"),
+    "data_file": ("--data", lambda path: path.write_text("not a data set\n"), cli.EXIT_DATA,
+                  "empty train split"),
+    "data_empty": ("--data", Path.mkdir, cli.EXIT_DATA, "empty train split"),
+}
+BAD_INPUT_CASES = [
+    (command, kind) for kind, (flag, *_) in BAD_INPUTS.items()
+    for command in (["synth-data", "train", "extract", "align", "evaluate", "ablate"]
+                    if flag == "--config" else ["train", "extract", "align", "ablate"])
+]
+
+
+@pytest.mark.parametrize("command,kind", BAD_INPUT_CASES)
+def test_cli_bad_config_or_data_path(tmp_path, capsys, extract_inputs, command, kind):
+    """A --config file that cannot be read or parsed is a usage error in
+    every command, and a --data path that holds no data set is a data error
+    in every command that reads one: one line naming the cause, written
+    before the command makes any file or directory."""
+    flag, make, code, cause = BAD_INPUTS[kind]
+    bench, tensors = extract_inputs
+    checkpoint = tmp_path / "net.cdpm"
+    tensorio.save_tensors(checkpoint, tensors)
+    bad = tmp_path / "bad"
+    make(bad)
+    inputs = {} if command in ("synth-data", "evaluate") else {"--data": bench}
+    inputs[flag] = bad
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main([command, *(arg for item in inputs.items() for arg in map(str, item)),
+                   *_command_args(command, checkpoint, tmp_path / "out", tmp_path / "runs")])
+    assert rc == code
+    err = capsys.readouterr().err
+    prefix = "usage error:" if code == cli.EXIT_USAGE else "data error:"
+    assert err.count("\n") == 1 and err.startswith(prefix) and cause in err, err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before

@@ -865,6 +865,20 @@ def test_alignment_rows_keep_their_bits_when_images_lack_annotations(tiny_bench,
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == ALIGNMENT_ROWS_DIGEST
 
 
+def test_alignment_report_without_scorable_images_starts_no_pass(tiny_bench, block_passes):
+    """When no image of the requested splits has body rows, alignment
+    scoring is a data error naming the splits and the annotation file,
+    raised before any backbone pass starts."""
+    index, anns = tiny_bench
+    net = CdpmNetwork(model_cfg(index), np.random.default_rng(0))
+    gallery_only = {r.image_id: anns[r.image_id] for r in index.split("gallery")}
+    with pytest.raises(data.DataError) as caught:
+        pipeline.alignment_report(net, index, gallery_only, ("train", "query"))
+    assert str(caught.value) == ("no train or query image offers aligned ground truth to "
+                                 f"score in {index.annotations_path}")
+    assert block_passes == []
+
+
 def test_stopping_early_joins_the_backbone_pass_in_flight(tiny_bench, full_model,
                                                            block_passes, monkeypatch):
     """Closing the chunk loop after its first chunk joins the second chunk's

@@ -13,8 +13,10 @@ images at seed 3; `train` at seed 5 with 3 translation copies, batch 12 and
 `train.epoch_scale=0.04`, in the default and the `model.mgf=true` config;
 for each run the query/gallery/train `extract` dumps, the `align` CSV and
 the single- and multi-query `evaluate` reports of its query and gallery
-dumps; then `ablate` at the same settings. To check that a change keeps every
-output bit, run the script once per checkout and diff the two listings:
+dumps; then `ablate` at the same settings, and `align` on the ablation's
+`baseline` checkpoint, whose network has no detection heads (every row has
+window 0). To check that a change keeps every output bit, run the script once
+per checkout and diff the two listings:
 
     python tools/hash_set.py /tmp/before --checkout ../parent > before.txt
     python tools/hash_set.py /tmp/after > after.txt
@@ -56,6 +58,8 @@ def commands() -> list[list[str]]:
                          "--out", f"{name}/evaluate_{protocol}.csv"])
     cmds.append(["ablate", "--data", "bench", "--out", "ablation/ablation.csv",
                  "--workdir", "ablation/runs", *TRAIN_SETTINGS])
+    cmds.append(["align", "--checkpoint", "ablation/runs/baseline/final.cdpm", "--data", "bench",
+                 "--out", "ablation/baseline_align.csv"])
     return cmds
 
 
