@@ -152,10 +152,12 @@ def load_dataset(root: str | Path) -> DatasetIndex:
     """Scan a dataset directory into an index with contiguous train labels.
 
     Files with unparsable names are skipped (counted and logged). Train and
-    test (query + gallery) identity sets must be disjoint; an empty train
-    split is rejected.
+    test (query + gallery) identity sets must be disjoint; a root that does
+    not exist or is not a directory, and an empty train split, are rejected.
     """
     root = Path(root)
+    if not root.is_dir():
+        raise DataError(f"{root}: {'not a directory' if root.exists() else 'does not exist'}")
     index = DatasetIndex(root=root)
     for split in SPLITS:
         folder = root / split
@@ -311,63 +313,6 @@ def parsing_pixel_counts(
     return int(head), int(lower)
 
 
-def generate_synthetic(
-    spec: SyntheticSpec,
-    root: str | Path,
-    split: str = "train",
-    identity_start: int = 1,
-) -> dict[str, BoundaryAnnotation]:
-    """Render one split and return its exact boundary annotations.
-
-    For split="test" the images are divided into a camera-1 query portion
-    (first ceil(m / 3) images) and a camera-2 gallery portion.
-    Annotations are returned keyed by image id; the caller merges splits
-    and writes root/annotations.csv.
-    """
-    root = Path(root)
-    if split == "train":
-        folders = {"train": root / "train"}
-    elif split == "test":
-        folders = {"query": root / "query", "gallery": root / "gallery"}
-    else:
-        raise DataError(f"split must be 'train' or 'test', got {split!r}")
-    for f in folders.values():
-        f.mkdir(parents=True, exist_ok=True)
-    n_query = (spec.images_per_identity + 2) // 3
-    annotations: dict[str, BoundaryAnnotation] = {}
-    for ident_idx in range(spec.identities):
-        identity = identity_start + ident_idx
-        colors = identity_colors(spec.seed, identity)
-        for img_idx in range(spec.images_per_identity):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([spec.seed, 0x1A6E, identity, img_idx])
-            )
-            scale = float(rng.uniform(*spec.scale_range))
-            off_hi = min(spec.offset_range[1], 1.0 - scale)
-            offset = float(rng.uniform(spec.offset_range[0], max(spec.offset_range[0], off_hi)))
-            u_px, v_px = place_pedestrian(offset, scale)
-            img = render_pedestrian(colors, u_px, v_px, rng, spec.noise_level)
-            if split == "train":
-                camera, folder = 1 + img_idx % 2, folders["train"]
-            elif img_idx < n_query:
-                camera, folder = 1, folders["query"]
-            else:
-                camera, folder = 2, folders["gallery"]
-            image_id = f"{identity:04d}_c{camera}_{img_idx:04d}"
-            write_ppm(folder / f"{image_id}.ppm", to_uint8(img))
-            width = IMAGE_WIDTH - 2 * (IMAGE_WIDTH // 8)  # nominal extent
-            head, lower = parsing_pixel_counts(u_px, v_px, width)
-            annotations[image_id] = BoundaryAnnotation(
-                image_id=image_id,
-                upper_px=u_px,
-                lower_px=v_px,
-                head_pixels=head,
-                lower_pixels=lower,
-                source="synthetic",
-            )
-    return annotations
-
-
 def generate_benchmark(
     out_root: str | Path,
     train_identities: int,
@@ -379,8 +324,11 @@ def generate_benchmark(
     noise_level: float = SyntheticSpec.noise_level,
     seed: int = 0,
 ) -> DatasetIndex:
-    """Full train/query/gallery benchmark with disjoint identity pools; the
-    placement and noise defaults are `SyntheticSpec`'s."""
+    """Full train/query/gallery benchmark with disjoint identity pools (train
+    first, from 1) and exact annotations in out_root/annotations.csv; the
+    placement and noise defaults are `SyntheticSpec`'s. Train images
+    alternate cameras 1 and 2; of each test identity's m images, the first
+    ceil(m / 3) are camera-1 queries and the rest camera-2 gallery images."""
     out_root = Path(out_root)
     train_spec = SyntheticSpec(
         identities=train_identities,
@@ -393,11 +341,35 @@ def generate_benchmark(
     test_spec = replace(
         train_spec, identities=test_identities, images_per_identity=test_images_per_identity
     )
-    anns = generate_synthetic(train_spec, out_root, "train", identity_start=1)
-    anns.update(
-        generate_synthetic(
-            test_spec, out_root, "test", identity_start=train_identities + 1
-        )
-    )
+    for split in SPLITS:
+        (out_root / split).mkdir(parents=True, exist_ok=True)
+    width = IMAGE_WIDTH - 2 * (IMAGE_WIDTH // 8)  # nominal body extent
+    anns: dict[str, BoundaryAnnotation] = {}
+    for spec, first, is_train in ((train_spec, 1, True),
+                                  (test_spec, train_identities + 1, False)):
+        n_query = (spec.images_per_identity + 2) // 3
+        for identity in range(first, first + spec.identities):
+            colors = identity_colors(spec.seed, identity)
+            for img_idx in range(spec.images_per_identity):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([spec.seed, 0x1A6E, identity, img_idx])
+                )
+                scale = float(rng.uniform(*spec.scale_range))
+                off_hi = min(spec.offset_range[1], 1.0 - scale)
+                offset = float(rng.uniform(spec.offset_range[0],
+                                           max(spec.offset_range[0], off_hi)))
+                u_px, v_px = place_pedestrian(offset, scale)
+                img = render_pedestrian(colors, u_px, v_px, rng, spec.noise_level)
+                if is_train:
+                    split, camera = "train", 1 + img_idx % 2
+                elif img_idx < n_query:
+                    split, camera = "query", 1
+                else:
+                    split, camera = "gallery", 2
+                image_id = f"{identity:04d}_c{camera}_{img_idx:04d}"
+                write_ppm(out_root / split / f"{image_id}.ppm", to_uint8(img))
+                head, lower = parsing_pixel_counts(u_px, v_px, width)
+                anns[image_id] = BoundaryAnnotation(image_id, u_px, v_px, head, lower,
+                                                    "synthetic")
     save_annotations(out_root / "annotations.csv", anns)
     return load_dataset(out_root)

@@ -501,16 +501,18 @@ class CdpmNetwork(Block):
         self, images: np.ndarray, selection: alignment.SelectionConfig | None = None
     ) -> np.ndarray:
         """Concatenated image representation, shape (B, descriptor_dim), of
-        uint8 pixels or [0, 1] float intensities (see `ToyBackbone.features`)."""
-        return self.feature_descriptor(self.backbone.features(images), selection)
+        uint8 pixels or [0, 1] float intensities (see `ToyBackbone.features`),
+        read at the part windows `part_tops` selects."""
+        fmap = self.backbone.features(images)
+        tops = self.part_tops(fmap, selection or alignment.SelectionConfig())
+        return self.feature_descriptor(fmap, tops)
 
-    def feature_descriptor(
-        self, fmap: np.ndarray, selection: alignment.SelectionConfig | None = None
-    ) -> np.ndarray:
-        """`descriptor` of the images whose backbone feature map is `fmap`."""
+    def feature_descriptor(self, fmap: np.ndarray, part_tops: np.ndarray) -> np.ndarray:
+        """The descriptor of the images whose backbone feature map is `fmap`,
+        read at the part windows whose tops are `part_tops` (B, K), detected,
+        uniform or taken from ground truth alike."""
         if not self.initialized:
             raise NotInitializedError("parameters are neither initialized nor loaded")
-        part_tops = self.part_tops(fmap, selection or alignment.SelectionConfig())
         pieces = self._branch_features(
             fmap, alignment.branch_tops(part_tops, self.cfg.granularities)
         )

@@ -24,25 +24,34 @@ def _read_pixels(records) -> np.ndarray:
     return np.stack([data.read_person_image(r.path) for r in records])
 
 
+def _describe(net: CdpmNetwork, records, selection: alignment.SelectionConfig):
+    """Descriptor rows of `records` (not empty), in record order, and the
+    part tops (N, K) they read, from one `ToyBackbone.chunk_features` pass
+    over their stored uint8 pixels. Each row is a view of its chunk's array."""
+    descs, tops = [], []
+    with contextlib.closing(net.backbone.chunk_features(records, _read_pixels)) as chunks:
+        for _, fmap in chunks:
+            tops.append(net.part_tops(fmap, selection))
+            descs.extend(net.feature_descriptor(fmap, tops[-1]))
+    return descs, np.concatenate(tops)
+
+
+def _split_records(index: data.DatasetIndex, split: str) -> list[data.Record]:
+    if not (records := index.split(split)):
+        raise data.DataError(f"split {split!r} is empty")
+    return records
+
+
 def extract_descriptors(
     net: CdpmNetwork,
     index: data.DatasetIndex,
     split: str,
     selection: alignment.SelectionConfig,
 ) -> dict[str, np.ndarray]:
-    """Descriptor per image of one split, in index order. The backbone reads
-    each chunk as stored uint8 pixels, one chunk ahead of the heads and part
-    branches (see `ToyBackbone.chunk_features`)."""
-    records = index.split(split)
-    if not records:
-        raise data.DataError(f"split {split!r} is empty")
-    out: dict[str, np.ndarray] = {}
-    with contextlib.closing(net.backbone.chunk_features(records, _read_pixels)) as chunks:
-        for chunk, fmap in chunks:
-            descs = net.feature_descriptor(fmap, selection)
-            for record, vec in zip(chunk, descs):
-                out[record.image_id] = vec
-    return out
+    """Descriptor per image of one split, by image id in index order (see
+    `_describe`)."""
+    records = _split_records(index, split)
+    return dict(zip([r.image_id for r in records], _describe(net, records, selection)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +108,19 @@ def alignment_report(
     the one `descriptor` gathers: the detected window, or, when the network
     has no detection heads, the uniform-division window (window = 0 marks
     that case). `uniform_iou` scores the uniform part interval itself. The
-    chunk loop only collects part tops; scoring runs once over all of them.
+    chunk loop only collects part tops; `_score_alignment` scores them once.
     """
     selection = selection or alignment.SelectionConfig()
     records, spans = _scored_records(index, annotations, splits)
     with contextlib.closing(net.backbone.chunk_features(records, _read_pixels)) as chunks:
         tops = np.concatenate([net.part_tops(fmap, selection) for _, fmap in chunks])
+    return _score_alignment(net, records, spans, tops)
+
+
+def _score_alignment(net: CdpmNetwork, records: list[data.Record], spans: np.ndarray,
+                     tops: np.ndarray) -> AlignmentReport:
+    """Score the part tops (N, K) of `records` against the exact part
+    intervals of their body spans (N, 2); see `alignment_report`."""
     truth = alignment.part_bounds(spans[:, 0], spans[:, 1], net.cfg.parts)
     uniform = alignment.part_bounds(0, alignment.MAP_HEIGHT, net.cfg.parts)
     iou = _part_iou(tops, tops + WINDOW_HEIGHT, truth)
@@ -148,14 +164,18 @@ class AblationRow:
 def run_ablation(base_cfg: Config, out_dir: str | Path) -> list[AblationRow]:
     """Train and evaluate the four configurations on one dataset and seed.
 
-    The dataset and its annotations load once, before any training; the
-    four runs read the same cached `index.annotations`. A dataset whose
-    query and gallery images offer no aligned ground truth is a data error.
+    Before any training, the dataset and its annotations load once, and the
+    query and gallery splits must be non-empty and offer aligned ground
+    truth. Each trained network makes one pass over query + gallery; its
+    descriptors are ranked and the scored images' part tops scored.
     """
     out_dir = Path(out_dir)
     index = data.load_dataset(base_cfg.data_root)
-    annotations = index.annotations
-    _scored_records(index, annotations, ("query", "gallery"))
+    query, gallery = _split_records(index, "query"), _split_records(index, "gallery")
+    scored, spans = _scored_records(index, index.annotations, ("query", "gallery"))
+    test = query + gallery
+    ids, n = [r.image_id for r in test], len(query)
+    is_scored = np.isin(ids, [r.image_id for r in scored])
     rows = []
     for name, flags in ABLATION_CONFIGS:
         cfg = replace(base_cfg, model=replace(base_cfg.model, with_mgf=False, **flags))
@@ -163,10 +183,10 @@ def run_ablation(base_cfg: Config, out_dir: str | Path) -> list[AblationRow]:
         log.info("ablation %s: training into %s", name, run_dir)
         model_cfg = cfg.model_config(classes=index.class_count)
         net = run_training(index, model_cfg, cfg.train, run_dir).network
-        queries = extract_descriptors(net, index, "query", cfg.selection)
-        gallery = extract_descriptors(net, index, "gallery", cfg.selection)
-        report = evaluate.evaluate_retrieval(queries, gallery, "single")
-        align_rep = alignment_report(net, index, annotations, selection=cfg.selection)
+        descs, tops = _describe(net, test, cfg.selection)
+        report = evaluate.evaluate_retrieval(dict(zip(ids[:n], descs)),
+                                             dict(zip(ids[n:], descs[n:])), "single")
+        align_rep = _score_alignment(net, scored, spans, tops[is_scored])
         mean_iou = align_rep.mean_iou if cfg.model.with_alignment else align_rep.uniform_mean_iou
         rows.append(AblationRow(name, report.rank1, report.mean_ap, mean_iou))
         log.info(

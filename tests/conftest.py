@@ -5,6 +5,12 @@ from cdpm import data, ops
 from cdpm.annotations import load_annotations
 
 
+def pytest_addoption(parser):
+    parser.addoption("--golden", action="store_true",
+                     help="also rerun tools/hash_set.py --check against the committed "
+                          "manifest (about a minute)")
+
+
 @pytest.fixture(scope="module")
 def tiny_bench(tmp_path_factory):
     """A 6-identity synthetic benchmark and its annotations."""

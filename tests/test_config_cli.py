@@ -427,17 +427,25 @@ def test_cli_ablate_grid_rows_and_shared_stage1(tmp_path, capsys, tiny_bench):
             assert np.array_equal(p.value, q.value), (a, b, p.name)
 
 
-@pytest.mark.parametrize("annotations", [None, "no_boundaries"])
+@pytest.mark.parametrize("fault", [None, "no_boundaries", "empty_query"])
 def test_cli_ablate_without_alignment_truth_fails_before_training(
-    tmp_path, capsys, tiny_bench, annotations
+    tmp_path, capsys, tiny_bench, fault
 ):
     """Alignment cannot be scored without the annotation file, or when no
-    query or gallery image has body rows: a data error before any training."""
+    query or gallery image has body rows, and nothing can be ranked with an
+    empty query split: a data error before any training."""
     index, anns = tiny_bench
     bench = tmp_path / "bench"
     shutil.copytree(index.root, bench)
-    (bench / "annotations.csv").unlink()
-    if annotations == "no_boundaries":
+    cause = ("no query or gallery image offers aligned ground truth to score in "
+             f"{bench / 'annotations.csv'}")
+    if fault == "empty_query":
+        for path in (bench / "query").iterdir():
+            path.unlink()
+        cause = "split 'query' is empty"
+    else:
+        (bench / "annotations.csv").unlink()
+    if fault == "no_boundaries":
         (bench / "annotations.csv").write_text(
             "".join(f"{image_id},,,5000,5000,manual\n" for image_id in anns), "utf-8")
     runs = tmp_path / "runs"
@@ -447,9 +455,7 @@ def test_cli_ablate_without_alignment_truth_fails_before_training(
         "--set", "train.batch_size=6", "--set", "augment.translation_copies=1",
     ])
     assert rc == cli.EXIT_DATA
-    assert capsys.readouterr().err == ("data error: no query or gallery image offers aligned "
-                                       "ground truth to score in "
-                                       f"{bench / 'annotations.csv'}\n")
+    assert capsys.readouterr().err == f"data error: {cause}\n"
     assert not list(runs.rglob("*.cdpm")) and not list(runs.rglob("train_log.csv"))
 
 
@@ -859,9 +865,9 @@ BAD_INPUTS = {
                         cli.EXIT_USAGE, "not UTF-8"),
     "config_no_equals": ("--config", lambda path: path.write_text("train.seed 5\n"),
                          cli.EXIT_USAGE, "line 1: expected 'section.key = value'"),
-    "data_missing": ("--data", lambda path: None, cli.EXIT_DATA, "empty train split"),
+    "data_missing": ("--data", lambda path: None, cli.EXIT_DATA, "bad: does not exist"),
     "data_file": ("--data", lambda path: path.write_text("not a data set\n"), cli.EXIT_DATA,
-                  "empty train split"),
+                  "bad: not a directory"),
     "data_empty": ("--data", Path.mkdir, cli.EXIT_DATA, "empty train split"),
 }
 BAD_INPUT_CASES = [

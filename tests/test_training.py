@@ -1,5 +1,6 @@
 """Schedules, optimizer, augmentation, batch composition, and full runs."""
 import collections
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -10,6 +11,7 @@ import conv_reference
 from cdpm import alignment, augment, data, losses, model, ops, pipeline, training
 from cdpm.annotations import BoundaryAnnotation, body_rows
 from cdpm.augment import AugmentationConfig
+from cdpm.config import Config, apply_assignments
 from cdpm.losses import LossWeights, TripletConfig
 from cdpm.model import CdpmNetwork, ModelConfig, gather_windows
 from cdpm.training import (
@@ -535,8 +537,7 @@ def test_granularity_windows_follow_the_part_windows_in_training_as_in_descripto
     flags = StepFlags(refinement=True, detection=False, mgf=True, backbone_grad=False)
     training.train_step(net, batch, flags, LossWeights(), tri, fmap=fmap)
     stepped, gathered[:] = list(gathered), []
-    monkeypatch.setattr(net, "part_tops", lambda fmap, selection: batch.tops[:, :parts])
-    net.feature_descriptor(fmap)
+    net.feature_descriptor(fmap, batch.tops[:, :parts])
     assert len(stepped) == len(net.part_branches) and gathered == stepped
 
 
@@ -877,6 +878,71 @@ def test_alignment_report_without_scorable_images_starts_no_pass(tiny_bench, blo
     assert str(caught.value) == ("no train or query image offers aligned ground truth to "
                                  f"score in {index.annotations_path}")
     assert block_passes == []
+
+
+@pytest.mark.parametrize("heads", [True, False], ids=["detected", "uniform"])
+def test_one_pass_gives_the_descriptors_and_alignment_rows_of_two(tiny_bench, full_model,
+                                                                  monkeypatch, heads):
+    """`_describe` over query + gallery gives `extract_descriptors`' bits, and
+    its part tops of the scored records give `_score_alignment` the rows and
+    means of `alignment_report`, with chunks that straddle the query/gallery
+    border and a third of the images unannotated. At a chunk of 7 no chunk
+    holds a single image, whose dense layers take numpy's matrix-vector path
+    and so other bits."""
+    monkeypatch.setattr(model, "FEATURE_CHUNK", 7)
+    index, anns = tiny_bench
+    net = full_model if heads else CdpmNetwork(model_cfg(index, with_alignment=False),
+                                               np.random.default_rng(7))
+    selection = alignment.SelectionConfig()
+    records = index.split("query") + index.split("gallery")
+    kept = {r.image_id: anns[r.image_id] for i, r in enumerate(records) if i % 3}
+    descs, tops = pipeline._describe(net, records, selection)
+    want = {**pipeline.extract_descriptors(net, index, "query", selection),
+            **pipeline.extract_descriptors(net, index, "gallery", selection)}
+    assert list(want) == [r.image_id for r in records]
+    assert len(descs) == len(want)
+    assert all(np.array_equal(got, vec) for got, vec in zip(descs, want.values()))
+    assert tops.shape == (len(records), net.cfg.parts)
+    scored, spans = pipeline._scored_records(index, kept, ("query", "gallery"))
+    got = pipeline._score_alignment(net, scored, spans,
+                                    tops[[r.image_id in kept for r in records]])
+    report = pipeline.alignment_report(net, index, kept, selection=selection)
+    assert len(report.rows) == len(kept) * net.cfg.parts
+    assert [dataclasses.astuple(r) for r in got.rows] == [dataclasses.astuple(r)
+                                                          for r in report.rows]
+    assert (got.mean_iou, got.uniform_mean_iou) == (report.mean_iou, report.uniform_mean_iou)
+
+
+def test_ablation_runs_one_backbone_pass_per_trained_configuration(tiny_bench, tmp_path,
+                                                                   monkeypatch):
+    """Once a configuration's training ends, exactly one chunk loop starts
+    before the next one trains, over the query then the gallery records."""
+    index, _ = tiny_bench
+    events, training = [], [False]
+    trained, chunk_features = pipeline.run_training, model.ToyBackbone.chunk_features
+
+    def recording_training(*args, **kwargs):
+        training[0] = True
+        try:
+            return trained(*args, **kwargs)
+        finally:
+            training[0] = False
+            events.append("trained")
+
+    def recording_chunks(self, items, read):
+        if not training[0]:
+            events.append([r.image_id for r in items])
+        return chunk_features(self, items, read)
+
+    monkeypatch.setattr(pipeline, "run_training", recording_training)
+    monkeypatch.setattr(model.ToyBackbone, "chunk_features", recording_chunks)
+    cfg = apply_assignments(Config(data_root=str(index.root)), {
+        "train.epoch_scale": "0.02", "train.batch_size": "6",
+        "augment.translation_copies": "1", "model.feature_dim": "16"})
+    rows = pipeline.run_ablation(cfg, tmp_path / "runs")
+    test_ids = [r.image_id for r in index.split("query") + index.split("gallery")]
+    assert [r.name for r in rows] == [name for name, _ in pipeline.ABLATION_CONFIGS]
+    assert events == ["trained", test_ids] * len(rows)
 
 
 def test_stopping_early_joins_the_backbone_pass_in_flight(tiny_bench, full_model,
