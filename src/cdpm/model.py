@@ -124,8 +124,10 @@ class ToyBackbone(Block):
         return self._stack(images, keep=False)()[0]
 
     def chunk_features(self, items, read):
-        """Yield (chunk, feature map) for consecutive `FEATURE_CHUNK`-item
-        slices of `items`, in order; `read(chunk)` gives a chunk's images.
+        """Yield (chunk, feature map) for ceil(N / `FEATURE_CHUNK`) consecutive
+        slices of the N `items`, in order and at most one item apart in size
+        (a lone image takes numpy's matrix-vector path in the dense layers,
+        and other bits); `read(chunk)` gives a chunk's images.
 
         Chunk i + 1's pass runs on the block workers while the caller works
         on chunk i's map: for each chunk this reads the next chunk (on the
@@ -134,7 +136,8 @@ class ToyBackbone(Block):
         pass in flight is joined before this returns, so no worker outlives
         it. With one worker each pass runs when it starts.
         """
-        chunks = [items[i : i + FEATURE_CHUNK] for i in range(0, len(items), FEATURE_CHUNK)]
+        n = -(-len(items) // FEATURE_CHUNK)
+        chunks = [items[len(items) * i // n : len(items) * (i + 1) // n] for i in range(n)]
         if not chunks:
             return
         wait = self._stack(read(chunks[0]), keep=False)
@@ -347,13 +350,8 @@ class CdpmNetwork(Block):
 
     def baseline_parameters(self):
         """Backbone and base part branches without their attention masks."""
-        keep = []
-        for p in self.parameters():
-            name = p.name
-            is_base_branch = name.startswith("part") and ".sca." not in name
-            if name.startswith("backbone.") or is_base_branch:
-                keep.append(p)
-        return keep
+        return [p for p in self.parameters() if p.name.startswith("backbone.")
+                or (p.name.startswith("part") and ".sca." not in p.name)]
 
     # -- checkpoints ---------------------------------------------------------
 

@@ -12,8 +12,11 @@ of (seed, config, dataset).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
+import os
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -351,11 +354,6 @@ def train_step(
 # the full run
 
 
-#: largest train-set size for which frozen-backbone features are precomputed;
-#: above it each frozen-backbone batch computes the same features itself
-FEATURE_CACHE_LIMIT = 6000
-
-
 @dataclass(frozen=True)
 class TrainSettings:
     seed: int = 0
@@ -387,13 +385,23 @@ class TrainResult:
 def _build_feature_cache(
     net: CdpmNetwork, train: TrainSet, rows: np.ndarray, store: ImageStore
 ) -> np.ndarray:
-    """Frozen-backbone feature maps of the given rows, without online
-    augmentation, so the backbone reads each copy's uint8 pixels; a chunk's
-    copies are read while the chunk before it runs on the backbone."""
+    """Frozen-backbone feature maps of the given (non-empty) rows, without
+    online augmentation, in an array mapped over an unlinked temporary file
+    whose blocks are reserved first: a full temporary directory is an
+    OSError here, not a SIGBUS at a later write."""
     def read(chunk):
         return np.stack([load_copy(train, r, store) for r in chunk])
 
-    return np.concatenate([fmap for _, fmap in net.backbone.chunk_features(rows, read)])
+    done = 0
+    with contextlib.closing(net.backbone.chunk_features(rows, read)) as chunks:
+        for chunk, fmap in chunks:
+            if not done:
+                with tempfile.TemporaryFile() as fh:
+                    os.posix_fallocate(fh.fileno(), 0, len(rows) * fmap[0].nbytes)
+                    cache = np.memmap(fh, fmap.dtype, "r+", shape=(len(rows), *fmap.shape[1:]))
+            cache[done : done + len(chunk)] = fmap
+            done += len(chunk)
+    return cache
 
 
 def write_train_log(path: Path, rows: list[dict]) -> None:
@@ -431,35 +439,28 @@ def run_training(
                      stage.name)
             continue
         use_triplet = settings.triplet if stage.flags.mgf else None
-        batches = max(1, len(train) // settings.batch_size)
+        batches = max(1, len(train) // (use_triplet or settings).batch_size)
         calib = compose_batch(
             train, store, batch_rng, settings.augmentation,
             settings.batch_size, use_triplet,
         )
         net.calibrate(calib.images)
         # A frozen-backbone stage trains without online augmentation, so its
-        # features are a fixed function of each row: precomputed once when
-        # the train set fits under the limit, else computed per batch. The
-        # limit only decides memory; the features are the same bits either way.
-        frozen = not stage.flags.backbone_grad
-        feature_cache = None
-        if frozen and len(train) <= FEATURE_CACHE_LIMIT:
+        # features are a fixed function of each row, computed once up front.
+        features = None
+        if not stage.flags.backbone_grad:
             log.info("%s: caching frozen-backbone features for %d copies",
                      stage.name, len(train))
-            feature_cache = _build_feature_cache(net, train, np.arange(len(train)), store)
+            features = _build_feature_cache(net, train, np.arange(len(train)), store)
         for epoch in range(stage.epochs):
             lr = learning_rate(stage, epoch)
             sums: dict[str, float] = {}
             for b in range(batches):
                 batch = compose_batch(
                     train, store, batch_rng, settings.augmentation,
-                    settings.batch_size, use_triplet, load_images=not frozen,
+                    settings.batch_size, use_triplet, load_images=features is None,
                 )
-                fmap = None
-                if feature_cache is not None:
-                    fmap = feature_cache[batch.rows]
-                elif frozen:
-                    fmap = _build_feature_cache(net, train, batch.rows, store)
+                fmap = None if features is None else features[batch.rows]
                 terms = train_step(net, batch, stage.flags, settings.weights,
                                    settings.triplet, fmap=fmap)
                 if not np.isfinite(terms["total"]):

@@ -1,7 +1,9 @@
 """Config file parsing, overrides, and the command-line surface."""
 import csv
+import errno
 import functools
 import importlib
+import os
 import pkgutil
 import re
 import shutil
@@ -670,6 +672,27 @@ def test_cli_train_bad_data_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error:"), err
     assert not out.exists()
+
+
+def test_cli_train_without_room_for_the_feature_cache(tmp_path, capsys, monkeypatch,
+                                                     block_passes, extract_inputs):
+    """When the temporary directory cannot hold stage 2's feature cache,
+    `train` is one data error line and no traceback, raised before any
+    write into the cache, and the backbone pass in flight has ended."""
+    bench, _ = extract_inputs
+
+    def full(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "posix_fallocate", full)
+    monkeypatch.setattr(cdpm.model, "FEATURE_CHUNK", 2)  # 4 copies: chunk 2 in flight
+    rc = cli.main(["train", "--data", str(bench), "--out", str(tmp_path / "run"),
+                   *_QUICK_TRAIN])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert block_passes and all(block_passes)
+    assert not (tmp_path / "run" / "stage2_new_modules.cdpm").exists()
 
 
 @pytest.mark.parametrize("command", ["align", "train", "ablate"])

@@ -1,5 +1,6 @@
 """`tools/hash_set.py`: the committed golden-output manifest and its check."""
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,20 @@ def test_outputs_hash_as_the_committed_manifest(hash_set, tmp_path, request):
     if code == hash_set.EXIT_HOST:
         pytest.skip("this host's facts differ from the manifest's: no verdict")
     assert code == 0
+
+
+def test_every_command_runs_with_one_blas_thread(hash_set, monkeypatch, tmp_path):
+    """A caller's BLAS thread count does not reach the commands: it can change
+    the last bits of a matrix product, so every command runs with one."""
+    envs = []
+
+    def run(args, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(args, 0)
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setattr(hash_set.subprocess, "run", run)
+    assert hash_set.run_set(tmp_path / "run", tmp_path) == {}
+    assert len(envs) == len(hash_set.commands())
+    assert all(env[var] == "1" for env in envs
+               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))

@@ -2,6 +2,7 @@
 import collections
 import dataclasses
 import hashlib
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -913,6 +914,35 @@ def test_one_pass_gives_the_descriptors_and_alignment_rows_of_two(tiny_bench, fu
     assert (got.mean_iou, got.uniform_mean_iou) == (report.mean_iou, report.uniform_mean_iou)
 
 
+def test_chunks_are_near_equal_slices(monkeypatch):
+    """N items make ceil(N / FEATURE_CHUNK) chunks, in order, of at most
+    FEATURE_CHUNK items and at most one item apart in size."""
+    monkeypatch.setattr(model.ToyBackbone, "_stack", lambda self, images, keep: lambda: [images])
+    backbone = blank_net().backbone
+    for n in range(100):
+        chunks = [chunk for chunk, _ in backbone.chunk_features(list(range(n)), list)]
+        sizes = [len(chunk) for chunk in chunks] or [0]
+        assert sum(chunks, []) == list(range(n))
+        assert len(chunks) == -(-n // model.FEATURE_CHUNK)
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= model.FEATURE_CHUNK
+
+
+def test_no_chunk_holds_a_lone_image(tiny_bench, full_model, monkeypatch):
+    """At a chunk of 4 the 9 query + gallery images make chunks of 3 + 3 + 3,
+    not 4 + 4 + 1, so `_describe` over them gives the bits of
+    `extract_descriptors` over each split; a lone image's dense layers would
+    take numpy's matrix-vector path."""
+    monkeypatch.setattr(model, "FEATURE_CHUNK", 4)
+    index, _ = tiny_bench
+    selection = alignment.SelectionConfig()
+    records = index.split("query") + index.split("gallery")
+    assert len(records) == 9
+    descs, _ = pipeline._describe(full_model, records, selection)
+    want = [vec for split in ("query", "gallery")
+            for vec in pipeline.extract_descriptors(full_model, index, split, selection).values()]
+    assert all(np.array_equal(got, vec) for got, vec in zip(descs, want, strict=True))
+
+
 def test_ablation_runs_one_backbone_pass_per_trained_configuration(tiny_bench, tmp_path,
                                                                    monkeypatch):
     """Once a configuration's training ends, exactly one chunk loop starts
@@ -1041,23 +1071,82 @@ def test_baseline_config_skips_stage2(tiny_bench, tmp_path):
     assert not (tmp_path / "base" / "stage2_new_modules.cdpm").exists()
 
 
-def test_stage2_without_feature_cache_gives_the_same_run(tiny_bench, tmp_path,
-                                                         monkeypatch):
-    """Above FEATURE_CACHE_LIMIT stage 2 computes each batch's features itself
-    and still draws no online augmentation, so the run keeps its bits."""
+@pytest.fixture(scope="module")
+def recorded_run(tiny_bench, tmp_path_factory):
+    """An mgf run of 24 copies at batch_size 8 but P x A = 3 x 2, each stage
+    one epoch, with its own temporary directory. Records, per stage, each
+    step's rows and fmap and whether a backbone pass started during it; the
+    items of every chunk loop; and each feature cache built."""
     index, _ = tiny_bench
     cfg = model_cfg(index, with_mgf=True)
     settings = TrainSettings(
-        seed=5, epoch_scale=0.04, batch_size=6,
+        seed=5, epoch_scale=0.02, batch_size=8,
         triplet=TripletConfig(identities_per_batch=3, images_per_identity=2),
         augmentation=AugmentationConfig(translation_copies=1),
     )
-    run_training(index, cfg, settings, tmp_path / "cached")
-    monkeypatch.setattr(training, "FEATURE_CACHE_LIMIT", 0)
-    run_training(index, cfg, settings, tmp_path / "per_batch")
-    for name in ("stage2_new_modules.cdpm", "final.cdpm", "train_log.csv"):
-        cached = (tmp_path / "cached" / name).read_bytes()
-        assert (tmp_path / "per_batch" / name).read_bytes() == cached, name
+    stages = {s.flags: s.name for s in stage_schedule(CdpmNetwork(cfg))}
+    steps, loops, caches, passes = collections.defaultdict(list), [], [], [0]
+    step, build = training.train_step, training._build_feature_cache
+    chunk_features, stack = model.ToyBackbone.chunk_features, model.ToyBackbone._stack
+
+    def recording_step(net, batch, flags, *args, fmap=None):
+        before = passes[0]
+        terms = step(net, batch, flags, *args, fmap=fmap)
+        steps[stages[flags]].append((batch.rows, None if fmap is None else fmap.copy(),
+                                     passes[0] > before))
+        return terms
+
+    def recording_build(*args):
+        caches.append(np.array(build(*args)))
+        return caches[-1]
+
+    def recording_chunks(self, items, read):
+        loops.append(list(items))
+        return chunk_features(self, items, read)
+
+    def counting_stack(self, images, keep):
+        passes[0] += 1
+        return stack(self, images, keep)
+
+    out, tmp = tmp_path_factory.mktemp("recorded"), tmp_path_factory.mktemp("tmp")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "train_step", recording_step)
+        mp.setattr(training, "_build_feature_cache", recording_build)
+        mp.setattr(model.ToyBackbone, "chunk_features", recording_chunks)
+        mp.setattr(model.ToyBackbone, "_stack", counting_stack)
+        mp.setattr(tempfile, "tempdir", str(tmp))
+        run_training(index, cfg, settings, out)
+    return steps, loops, caches, out, tmp
+
+
+def test_triplet_stages_size_their_epochs_by_the_batch_they_draw(recorded_run):
+    """Stage 1 draws batch_size rows a step, the mgf stages P x A: each
+    epoch is 24 // 8 steps in stage 1 and 24 // 6 in stages 2 and 3."""
+    steps = recorded_run[0]
+    assert {name: [len(rows) for rows, _, _ in taken] for name, taken in steps.items()} == {
+        "stage1_baseline": [8] * 3, "stage2_new_modules": [6] * 4, "stage3_end2end": [6] * 4}
+
+
+def test_frozen_stage_reads_one_feature_cache(recorded_run):
+    """The frozen stage starts one chunk loop, over every row, before its
+    steps; no step of it starts a backbone pass, and each step's fmap is its
+    rows of that cache. The stages that train the backbone run it per step."""
+    steps, loops, caches, _, _ = recorded_run
+    assert loops == [list(range(24))] and len(caches) == 1
+    for rows, fmap, backbone_ran in steps["stage2_new_modules"]:
+        assert not backbone_ran and np.array_equal(fmap, caches[0][rows])
+    assert all(ran for name in ("stage1_baseline", "stage3_end2end")
+               for _, _, ran in steps[name])
+
+
+def test_run_leaves_only_its_outputs(recorded_run):
+    """The feature cache's file is unlinked: the output directory holds the
+    run's checkpoints and log, and the temporary directory nothing."""
+    _, _, _, out, tmp = recorded_run
+    assert sorted(p.name for p in out.iterdir()) == [
+        "final.cdpm", "stage1_baseline.cdpm", "stage2_new_modules.cdpm",
+        "stage3_end2end.cdpm", "train_log.csv"]
+    assert list(tmp.iterdir()) == []
 
 
 def test_run_training_bit_identical_for_same_seed(tiny_bench, tmp_path):

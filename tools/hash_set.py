@@ -8,6 +8,8 @@ OUT_DIR must not exist. The commands run with OUT_DIR as their working
 directory and relative paths only, so runs in differently named directories
 write the same bytes, `config.used` included. `--checkout` names the source
 tree whose `src/` is imported (default: the tree holding this script).
+Every command runs with one BLAS thread, whatever the caller's environment
+sets: OpenBLAS's thread count can change the last bits of a matrix product.
 
 The set: `synth-data` with 8 identities x 4 train images and 4 x 3 test
 images at seed 3; `train` at seed 5 with 3 translation copies, batch 12 and
@@ -53,6 +55,7 @@ TRAIN_SETTINGS = [
     "--set", "train.epoch_scale=0.04",
 ]
 RUNS = {"default": [], "mgf": ["--set", "model.mgf=true"]}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def commands() -> list[list[str]]:
@@ -107,7 +110,8 @@ def run_set(out_dir: Path, checkout: Path) -> dict[str, str]:
     """Run `commands()` in the new directory `out_dir` with `checkout`'s
     sources; the sha256 of every file written, keyed by relative path."""
     out_dir.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"),
+               **dict.fromkeys(BLAS_THREAD_VARS, "1"))
     for cmd in commands():
         done = subprocess.run([sys.executable, "-m", "cdpm.cli", *cmd], cwd=out_dir,
                               env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
