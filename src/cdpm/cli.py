@@ -65,6 +65,17 @@ def _config_from(args) -> "Config":
     return load_config(args.config, overrides, args.seed)
 
 
+def _config_with_data(args) -> "Config":
+    """The config with `--data`, when given, as its data root; a command
+    that has neither is a usage error."""
+    cfg = _config_from(args)
+    if args.data is not None:
+        cfg = replace(cfg, data_root=str(args.data))
+    if not cfg.data_root:
+        raise UsageError(f"{args.command} needs --data or data.root in the config")
+    return cfg
+
+
 def _out_file(path: Path) -> Path:
     """`path`, once its missing parent directories are made; called right
     before the one write of a command, so a run that fails before writing
@@ -148,11 +159,7 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _config_from(args)
-    if args.data is not None:
-        cfg = replace(cfg, data_root=str(args.data))
-    if not cfg.data_root:
-        raise UsageError("train needs --data or data.root in the config")
+    cfg = _config_with_data(args)
     index = data.load_dataset(cfg.data_root)
     index.annotations  # a bad data set fails here, before --out is made
     args.out.mkdir(parents=True, exist_ok=True)
@@ -203,11 +210,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _config_from(args)
-    if args.data is not None:
-        cfg = replace(cfg, data_root=str(args.data))
-    if not cfg.data_root:
-        raise UsageError("ablate needs --data or data.root in the config")
+    cfg = _config_with_data(args)
     workdir = args.workdir or args.out.parent / "ablation_runs"
     rows = pipeline.run_ablation(cfg, workdir)
     pipeline.write_ablation_csv(_out_file(args.out), rows)

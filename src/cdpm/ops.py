@@ -10,7 +10,6 @@ test suite.
 from __future__ import annotations
 
 import os
-import threading
 from functools import lru_cache, partial
 
 import numpy as np
@@ -55,28 +54,12 @@ def _block_images(batch: int, bytes_per_image: int) -> int:
     return max(1, min(batch, BLOCK_BYTES // bytes_per_image))
 
 
-class _Starts:
-    """The image-block starts of one pass; each goes to the first worker
-    that asks for the next one."""
-
-    def __init__(self, batch: int, step: int):
-        self._starts = iter(range(0, batch, step))
-        self._lock = threading.Lock()
-
-    def __iter__(self):
-        while True:
-            with self._lock:
-                i = next(self._starts, None)
-            if i is None:
-                return
-            yield i
-
-
 def _run_blocks(work, batch: int, step: int, scratch=tuple, result=None):
-    """Start `work(starts, *scratch())` on min(WORKERS, blocks) workers that
-    share out the block starts of `batch` images in blocks of `step`, and
-    return a wait handle: calling it joins every worker, re-raises the first
-    exception (in worker order) and returns `result`.
+    """Start `work(starts, *scratch())` on n = min(WORKERS, blocks) workers,
+    where worker j takes the block starts `range(j * step, batch, n * step)`
+    of `batch` images in blocks of `step`, and return a wait handle: calling
+    it joins every worker, re-raises the first exception (in worker order)
+    and returns `result`. The workers share no mutable state.
 
     `scratch` makes one worker's reused buffers. It is called here, on the
     calling thread, so the buffers come from that thread's allocator arena;
@@ -90,9 +73,8 @@ def _run_blocks(work, batch: int, step: int, scratch=tuple, result=None):
     before it reads `result` or returns.
     """
     global _pool
-    blocks = -(-batch // step)
-    starts = _Starts(batch, step)
-    tasks = [partial(work, starts, *scratch()) for _ in range(min(WORKERS, blocks))]
+    n = min(WORKERS, -(-batch // step))
+    tasks = [partial(work, range(j * step, batch, n * step), *scratch()) for j in range(n)]
     if len(tasks) <= 1:
         for task in tasks:
             task()
@@ -347,13 +329,13 @@ def bilinear_resize_backward(
 #   kernel and bias gradients differ from it in the last bits; a single
 #   block (the attention convs) computes exactly that GEMM and sum.
 #
-# The image blocks run on one worker per core (`WORKERS`, `_run_blocks`):
-# each worker pulls the next block start and reuses its own buffers, and
-# every block writes only its own slice or slot of the result, and blocks
-# are sized by BLOCK_BYTES alone, so the bits do not depend on the core
-# count. Workers call only numpy and this module's private helpers, never a
-# public function: a tracer that wraps those may keep state that is not
-# thread-safe. A multi-threaded BLAS (OPENBLAS_NUM_THREADS > 1) adds its
+# The image blocks run on n workers, one per core at most (`WORKERS`,
+# `_run_blocks`): worker j takes blocks j, j + n, j + 2n, ... and reuses its
+# own buffers, every block writes only its own slice or slot of the result,
+# and blocks are sized by BLOCK_BYTES alone, so the bits do not depend on
+# the core count. Workers call only numpy and this module's private
+# helpers, never a public function: a tracer that wraps those may keep
+# state that is not thread-safe. A multi-threaded BLAS (OPENBLAS_NUM_THREADS > 1) adds its
 # threads on top of these workers. `start_conv_relu_stack` returns while its
 # workers still run, so the caller can overlap its own work with a forward
 # pass (extraction runs a chunk's heads while the next chunk's backbone runs).
@@ -400,16 +382,17 @@ def _patch_sizes(shapes, kernels) -> list[int]:
     return [ho * wo * w[..., 0].size for (ho, wo, _), (w, *_) in zip(shapes[1:], kernels)]
 
 
-def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
+def _conv_stack(x, kernels, relu: bool, standardize=(1.0, 0.0, 1.0), keep: bool = False):
     """Run `x` (B, H, W, C) through the convolutions `kernels`, each
     (w, b, stride, padding) and followed by relu if `relu`, one image block
-    at a time: a worker carries its block through every layer before it
-    takes the next block.
+    at a time: a worker carries each of its blocks through every layer
+    before it takes its next.
 
-    `standardize` = (scale, mean, std) maps each block to
-    (x / scale - mean) / std first, written straight into the first layer's
-    padded input, so integer `x` is converted block by block. Starts the
-    pass and returns its wait handle (see `_run_blocks`), which gives every
+    Each block is first mapped to (x / scale - mean) / std by `standardize`
+    = (scale, mean, std), written straight into the first layer's padded
+    input, so integer `x` is converted block by block. The default identity
+    leaves float64 input's bits as they are, -0.0 included. Starts the pass
+    and returns its wait handle (see `_run_blocks`), which gives every
     layer's whole-batch input and the last output with `keep`, else only
     the last output, as a one-item list.
     """
@@ -430,18 +413,15 @@ def _conv_stack(x, kernels, relu: bool, standardize=None, keep: bool = False):
         acts[k] = np.empty((bsz, *shapes[k]))
     # one reused buffer for the outputs no kept array takes, sized for the largest
     act_size = max([np.prod(shapes[k + 1]) for k in range(last) if acts[k + 1] is None] or [0])
+    scale, mean, std = standardize
 
     def forward(starts, pads, cols, act):
         for i in starts:
             n = min(step, bsz - i)
             inner = _interior(pads[0][:n], kernels[0][3])
-            if standardize is None:
-                inner[...] = x[i : i + n]
-            else:
-                scale, mean, std = standardize
-                np.divide(x[i : i + n], scale, out=inner)
-                inner -= mean
-                inner /= std
+            np.divide(x[i : i + n], scale, out=inner)
+            inner -= mean
+            inner /= std
             if acts[0] is not None:
                 acts[0][i : i + n] = inner
             for k, (w, b, stride, _) in enumerate(kernels):

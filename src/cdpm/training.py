@@ -387,8 +387,8 @@ def _build_feature_cache(
 ) -> np.ndarray:
     """Frozen-backbone feature maps of the given (non-empty) rows, without
     online augmentation, in an array mapped over an unlinked temporary file
-    whose blocks are reserved first: a full temporary directory is an
-    OSError here, not a SIGBUS at a later write."""
+    whose blocks are reserved first: a full temporary directory is a
+    DataError naming it here, not a SIGBUS at a later write."""
     def read(chunk):
         return np.stack([load_copy(train, r, store) for r in chunk])
 
@@ -396,8 +396,14 @@ def _build_feature_cache(
     with contextlib.closing(net.backbone.chunk_features(rows, read)) as chunks:
         for chunk, fmap in chunks:
             if not done:
+                size = len(rows) * fmap[0].nbytes
                 with tempfile.TemporaryFile() as fh:
-                    os.posix_fallocate(fh.fileno(), 0, len(rows) * fmap[0].nbytes)
+                    try:
+                        os.posix_fallocate(fh.fileno(), 0, size)
+                    except OSError as e:
+                        raise data.DataError(
+                            f"no room for the {size}-byte stage-2 feature cache in "
+                            f"{tempfile.gettempdir()}: {e}") from e
                     cache = np.memmap(fh, fmap.dtype, "r+", shape=(len(rows), *fmap.shape[1:]))
             cache[done : done + len(chunk)] = fmap
             done += len(chunk)

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import re
 import shutil
+import tempfile
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -689,10 +690,23 @@ def test_cli_train_without_room_for_the_feature_cache(tmp_path, capsys, monkeypa
     rc = cli.main(["train", "--data", str(bench), "--out", str(tmp_path / "run"),
                    *_QUICK_TRAIN])
     assert rc == cli.EXIT_DATA
+    size = 4 * 24 * 8 * 64 * 8  # 4 rows, each a 24x8x64 float64 feature map
     assert capsys.readouterr().err == (
-        f"data error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        f"data error: no room for the {size}-byte stage-2 feature cache in "
+        f"{tempfile.gettempdir()}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
     assert block_passes and all(block_passes)
     assert not (tmp_path / "run" / "stage2_new_modules.cdpm").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_cli_needs_a_data_root(tmp_path, capsys, command):
+    """`train` and `ablate` without --data or data.root are one usage error
+    line, and write nothing."""
+    rc = cli.main([command, *_command_args(command, None, tmp_path / "out", tmp_path / "runs")])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: {command} needs --data or data.root in the config\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["align", "train", "ablate"])

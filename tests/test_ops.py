@@ -400,8 +400,8 @@ def test_conv2d_backward_leaves_grad_out_untouched():
 
 
 def test_blocks_reraise_only_after_every_task_has_ended(monkeypatch):
-    """The worker that takes block 3 fails at once; the other still takes
-    every block left before the exception reaches the caller."""
+    """Worker 1 fails at block 3, so its block 5 never runs; worker 0 still
+    ends its last block (4) before the exception reaches the caller."""
     monkeypatch.setattr(ops, "WORKERS", 2)
     done = []
 
@@ -414,7 +414,49 @@ def test_blocks_reraise_only_after_every_task_has_ended(monkeypatch):
 
     with pytest.raises(ops.ShapeError, match="block 3"):
         ops._run_blocks(work, 6, 1)()
-    assert sorted(done) == [0, 1, 2, 4, 5]
+    assert sorted(done) == [0, 1, 2, 4]
+
+
+@pytest.mark.parametrize("workers, batch, step", [(1, 5, 2), (2, 5, 1), (2, 7, 2), (3, 7, 1)])
+def test_worker_j_of_n_runs_blocks_j_plus_multiples_of_n(monkeypatch, workers, batch, step):
+    """However slow worker 0 is, worker j of n runs exactly the blocks
+    j, j + n, j + 2n, ... and no other worker takes one of them."""
+    monkeypatch.setattr(ops, "WORKERS", workers)
+    tags = iter(range(workers))
+    ran = {}
+
+    def work(starts, j):
+        for i in starts:
+            if j == 0:
+                time.sleep(0.02)
+            ran.setdefault(j, []).append(i)
+
+    ops._run_blocks(work, batch, step, scratch=lambda: (next(tags),))()
+    n = min(workers, -(-batch // step))
+    assert ran == {j: list(range(j * step, batch, n * step)) for j in range(n)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_conv2d_keeps_the_bits_of_zeros_subnormals_and_huge_inputs(monkeypatch, workers):
+    """The identity standardisation leaves -0.0, subnormals and +-1e300 as
+    they are: conv2d equals the reference bit for bit, in one block per
+    image and on either worker count, and the kept input is `x` byte for
+    byte."""
+    rng = np.random.default_rng(3)
+    x = np.zeros((3, 6, 5, 2))
+    x[0] = -0.0
+    x[0, ::2] = np.array([5e-324, -2.5e-310])  # image 0: -0.0 and subnormals
+    x[1] = rng.choice([1e300, -1e300, -0.0], size=x[1].shape)
+    x[2] = rng.standard_normal(x[2].shape)
+    w = rng.standard_normal((3, 3, 2, 4))
+    b = np.array([-0.0, 0.0, 1.0, -1.0])
+    monkeypatch.setattr(ops, "WORKERS", workers)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 8 * 6 * 5 * 9 * 2)  # one image per block
+    want = ref.conv2d(x, w, b, 1, 1)
+    assert np.all(np.isfinite(want)) and np.any((want != 0.0) & (np.abs(want) < 1e-300))
+    assert np.array_equal(ops.conv2d(x, w, b, 1, 1), want)
+    kept = ops._conv_stack(x, [(w, b, 1, 1)], relu=False, keep=True)()[0]
+    assert kept.tobytes() == x.tobytes()
 
 
 def test_blocks_reraise_the_first_exception_in_task_order(monkeypatch):
