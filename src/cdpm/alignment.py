@@ -2,8 +2,8 @@
 
 All row coordinates are real-valued rows of the one MAP_HEIGHT-row feature
 map. Intervals are half-open [u, l). The stride-1 windows of height h have
-tops 0 .. MAP_HEIGHT - h; window index r is 1-based and covers rows
-[r - 1, r - 1 + h). A part layout is one float array of K + 1 boundaries,
+tops 0 .. MAP_HEIGHT - h, and a window is named by its top: window r covers
+rows [r, r + h). A part layout is one float array of K + 1 boundaries,
 (..., K + 1), for one body or a batch of bodies: part k spans
 [b[..., k - 1], b[..., k]). Every function works on whole arrays of
 windows, parts or images at once.
@@ -74,7 +74,7 @@ def soft_label_matrix(bounds: np.ndarray) -> np.ndarray:
 def offset_targets(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Regression targets and their mask, each (..., R, K).
 
-    offsets[..., r, k] is the distance from window r+1's center to part
+    offsets[..., r, k] is the distance from window r's center to part
     k+1's center, in window heights. The mask is 1 where |offset| < 1; only
     those entries contribute to the regression loss.
     """
@@ -130,8 +130,8 @@ def select_window(
 
     If at least two windows score above the threshold, the one with the
     smallest |offset| among them wins; otherwise the highest-scoring window
-    wins. Ties go to the smaller window index. Returns 1-based indices of
-    shape scores.shape[:-1].
+    wins. Ties go to the smaller top. Returns the winning windows' tops,
+    of shape scores.shape[:-1].
     """
     scores = np.asarray(scores, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -139,8 +139,7 @@ def select_window(
         raise ValueError(f"scores {scores.shape} and offsets {offsets.shape} must match")
     above = scores > cfg.threshold
     nearest = np.argmin(np.where(above, np.abs(offsets), np.inf), axis=-1)
-    best = np.where(above.sum(axis=-1) >= 2, nearest, np.argmax(scores, axis=-1))
-    return best + 1
+    return np.where(above.sum(axis=-1) >= 2, nearest, np.argmax(scores, axis=-1))
 
 
 def infer_granularity_layout(part_tops: np.ndarray, granularity: int) -> np.ndarray:

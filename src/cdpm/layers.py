@@ -126,20 +126,13 @@ class BatchNorm(Block):
 
 
 class Dense(Block):
-    """Affine map on the last axis with optional normalization and activation."""
+    """Affine map on the last axis, then an optional normalization and an
+    optional relu."""
 
-    def __init__(
-        self,
-        name: str,
-        in_dim: int,
-        out_dim: int,
-        activation: str = "none",
-        normalize: bool = False,
-    ):
+    def __init__(self, name: str, in_dim: int, out_dim: int, relu: bool = False,
+                 normalize: bool = False):
         super().__init__()
-        if activation not in ("none", "relu"):
-            raise ValueError(f"unknown activation {activation!r}")
-        self.activation = activation
+        self.relu = relu
         self.w = self._param(f"{name}.w", np.zeros((in_dim, out_dim)), in_dim)
         self.b = self._param(f"{name}.b", np.zeros(out_dim))
         self.norm = self._child(BatchNorm(f"{name}.bn", out_dim)) if normalize else None
@@ -149,12 +142,12 @@ class Dense(Block):
         norm_ctx = None
         if self.norm is not None:
             pre, norm_ctx = self.norm.forward(pre)
-        out = ops.relu(pre) if self.activation == "relu" else pre
+        out = ops.relu(pre) if self.relu else pre
         return out, (x, pre, norm_ctx)
 
     def backward(self, ctx, grad_out: np.ndarray) -> np.ndarray:
         x, pre, norm_ctx = ctx
-        if self.activation == "relu":
+        if self.relu:
             grad_out = ops.relu_backward(pre, grad_out)
         if self.norm is not None:
             grad_out = self.norm.backward(norm_ctx, grad_out)
@@ -165,47 +158,32 @@ class Dense(Block):
 
 
 class Conv(Block):
-    """Small-kernel 2-D convolution with optional normalization and relu: the
-    spatial branch of `SpatialChannelAttention`. The backbone holds its own
-    kernels and runs them as one stack (`model.ToyBackbone`)."""
+    """3x3 one-channel convolution (padding 1), normalization and an optional
+    relu: the spatial branch of `SpatialChannelAttention`. The backbone holds
+    its own kernels and runs them as one stack (`model.ToyBackbone`)."""
 
-    def __init__(
-        self,
-        name: str,
-        kernel: int,
-        in_ch: int,
-        out_ch: int,
-        stride: int = 1,
-        padding: int = 1,
-        activation: str = "none",
-        normalize: bool = False,
-    ):
+    def __init__(self, name: str, stride: int, relu: bool):
         super().__init__()
         self.stride = stride
-        self.padding = padding
-        self.activation = activation
-        self.w = self._param(f"{name}.w", np.zeros((kernel, kernel, in_ch, out_ch)),
-                             kernel * kernel * in_ch)
-        self.b = self._param(f"{name}.b", np.zeros(out_ch))
-        self.norm = self._child(BatchNorm(f"{name}.bn", out_ch)) if normalize else None
+        self.relu = relu
+        self.w = self._param(f"{name}.w", np.zeros((3, 3, 1, 1)), 9)
+        self.b = self._param(f"{name}.b", np.zeros(1))
+        self.norm = self._child(BatchNorm(f"{name}.bn", 1))
 
     def forward(self, x: np.ndarray):
-        out = ops.conv2d(x, self.w.value, self.b.value, self.stride, self.padding)
-        norm_ctx = None
-        if self.norm is not None:
-            out, norm_ctx = self.norm.forward(out)
-        if self.activation == "relu":
+        out = ops.conv2d(x, self.w.value, self.b.value, self.stride, 1)
+        out, norm_ctx = self.norm.forward(out)
+        if self.relu:
             # in place; (out > 0) still marks the pre-activation sign for backward
             np.maximum(out, 0.0, out=out)
         return out, (x, out, norm_ctx)
 
     def backward(self, ctx, grad_out: np.ndarray) -> np.ndarray:
         x, out, norm_ctx = ctx
-        if self.activation == "relu":
+        if self.relu:
             grad_out = ops.relu_backward(out, grad_out)
-        if self.norm is not None:
-            grad_out = self.norm.backward(norm_ctx, grad_out)
-        gx, gw, gb = ops.conv2d_backward(x, self.w.value, grad_out, self.stride, self.padding)
+        grad_out = self.norm.backward(norm_ctx, grad_out)
+        gx, gw, gb = ops.conv2d_backward(x, self.w.value, grad_out, self.stride, 1)
         self.w.grad += gw
         self.b.grad += gb
         return gx
@@ -218,10 +196,10 @@ class ChannelAttention(Block):
     scaled elementwise by the gate. Works on any (..., C) input.
     """
 
-    def __init__(self, name: str, channels: int, reduction: int = 16):
+    def __init__(self, name: str, channels: int, reduction: int):
         super().__init__()
         hidden = max(channels // reduction, 1)
-        self.fc1 = self._child(Dense(f"{name}.fc1", channels, hidden, "relu", normalize=True))
+        self.fc1 = self._child(Dense(f"{name}.fc1", channels, hidden, relu=True, normalize=True))
         self.fc2 = self._child(Dense(f"{name}.fc2", hidden, channels))
 
     def forward(self, x: np.ndarray):
@@ -249,19 +227,15 @@ class SpatialChannelAttention(Block):
     input is scaled by the resulting single-channel mask.
     """
 
-    def __init__(self, name: str, channels: int, reduction: int = 16):
+    def __init__(self, name: str, channels: int, reduction: int):
         super().__init__()
         hidden = max(channels // reduction, 1)
-        self.spatial1 = self._child(
-            Conv(f"{name}.spatial1", 3, 1, 1, 2, 1, "relu", normalize=True)
-        )
-        self.spatial2 = self._child(Conv(f"{name}.spatial2", 3, 1, 1, 1, 1, normalize=True))
+        self.spatial1 = self._child(Conv(f"{name}.spatial1", stride=2, relu=True))
+        self.spatial2 = self._child(Conv(f"{name}.spatial2", stride=1, relu=False))
         self.channel1 = self._child(
-            Dense(f"{name}.channel1", channels, hidden, "relu", normalize=True)
+            Dense(f"{name}.channel1", channels, hidden, relu=True, normalize=True)
         )
-        self.channel2 = self._child(
-            Dense(f"{name}.channel2", hidden, channels, normalize=True)
-        )
+        self.channel2 = self._child(Dense(f"{name}.channel2", hidden, channels, normalize=True))
         self.fuse = self._child(Dense(f"{name}.fuse", channels, 1, normalize=True))
 
     def forward(self, x: np.ndarray):

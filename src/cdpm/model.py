@@ -179,7 +179,7 @@ class PartBranch(Block):
             if cfg.with_refinement
             else None
         )
-        self.reduce = self._child(Dense(f"{name}.reduce", in_channels, cfg.feature_dim, "relu"))
+        self.reduce = self._child(Dense(f"{name}.reduce", in_channels, cfg.feature_dim, relu=True))
         self.classifier = self._child(
             Dense(f"{name}.classifier", cfg.feature_dim, cfg.classes)
         )
@@ -206,66 +206,70 @@ class PartBranch(Block):
         return ggated
 
 
+class RegressionHead(Block):
+    """One part's offset regressor: a channel-attention gate, a dense layer,
+    and a dense map to one tanh-normalized offset per window."""
+
+    def __init__(self, name: str, in_channels: int, reduction: int):
+        super().__init__()
+        self.attn = self._child(ChannelAttention(f"{name}.attn", in_channels, reduction))
+        self.reduce = self._child(
+            Dense(f"{name}.conv", in_channels, in_channels, relu=True, normalize=True)
+        )
+        self.out = self._child(Dense(f"{name}.fc", in_channels, 1))
+
+    def forward(self, window_vecs: np.ndarray):
+        """window_vecs: (B, R, C) -> offsets (B, R)."""
+        a, ctx_a = self.attn.forward(window_vecs)
+        m, ctx_m = self.reduce.forward(a)
+        pre, ctx_o = self.out.forward(m)
+        offsets = ops.tanh(pre)[..., 0]
+        return offsets, (ctx_a, ctx_m, ctx_o, offsets)
+
+    def backward(self, ctx, grad_offsets: np.ndarray) -> np.ndarray:
+        """Returns the gradient w.r.t. the window vectors."""
+        ctx_a, ctx_m, ctx_o, offsets = ctx
+        gpre = ops.tanh_backward(offsets, grad_offsets)[..., None]
+        gm = self.out.backward(ctx_o, gpre)
+        return self.attn.backward(ctx_a, self.reduce.backward(ctx_m, gm))
+
+
 class DetectionHeads(Block):
     """Window classification and per-part offset regression heads.
 
     Both consume the shared per-window pooled vectors. The classification
-    head is a dense layer plus a dense map to K+1 sigmoid scores. Each of
-    the K regression heads owns a channel-attention gate, a dense layer,
-    and a dense map to one tanh-normalized offset; the heads share nothing
-    with each other.
+    head is a dense layer plus a dense map to K+1 sigmoid scores. The K
+    `RegressionHead`s, one per part, share nothing with each other.
     """
 
     def __init__(self, cfg: ModelConfig, in_channels: int):
         super().__init__()
-        self.parts = cfg.parts
         self.cls_reduce = self._child(
-            Dense("valign.cls.conv", in_channels, in_channels, "relu", normalize=True)
+            Dense("valign.cls.conv", in_channels, in_channels, relu=True, normalize=True)
         )
         self.cls_out = self._child(Dense("valign.cls.fc", in_channels, cfg.parts + 1))
-        self.reg_attn = []
-        self.reg_reduce = []
-        self.reg_out = []
-        for k in range(1, cfg.parts + 1):
-            self.reg_attn.append(
-                self._child(ChannelAttention(f"valign.reg{k}.attn", in_channels,
-                                             cfg.attention_reduction))
-            )
-            self.reg_reduce.append(
-                self._child(Dense(f"valign.reg{k}.conv", in_channels, in_channels,
-                                  "relu", normalize=True))
-            )
-            self.reg_out.append(self._child(Dense(f"valign.reg{k}.fc", in_channels, 1)))
+        self.regression = [
+            self._child(RegressionHead(f"valign.reg{k}", in_channels, cfg.attention_reduction))
+            for k in range(1, cfg.parts + 1)
+        ]
 
     def forward(self, window_vecs: np.ndarray):
         """window_vecs: (B, R, C) -> scores (B, R, K+1), offsets (B, R, K)."""
         mid, ctx_cr = self.cls_reduce.forward(window_vecs)
         logits, ctx_co = self.cls_out.forward(mid)
         scores = ops.sigmoid(logits)
-        offsets = []
-        reg_ctxs = []
-        for k in range(self.parts):
-            a, ctx_a = self.reg_attn[k].forward(window_vecs)
-            m, ctx_m = self.reg_reduce[k].forward(a)
-            pre, ctx_o = self.reg_out[k].forward(m)
-            offsets.append(ops.tanh(pre)[..., 0])
-            reg_ctxs.append((ctx_a, ctx_m, ctx_o))
-        out_offsets = np.stack(offsets, axis=-1)
-        ctx = (window_vecs.shape, ctx_cr, ctx_co, scores, reg_ctxs, out_offsets)
-        return scores, out_offsets, ctx
+        offsets, reg_ctxs = zip(*(head.forward(window_vecs) for head in self.regression))
+        ctx = (ctx_cr, ctx_co, scores, reg_ctxs)
+        return scores, np.stack(offsets, axis=-1), ctx
 
     def backward(self, ctx, grad_scores: np.ndarray, grad_offsets: np.ndarray):
         """Returns the gradient w.r.t. the shared window vectors."""
-        vec_shape, ctx_cr, ctx_co, scores, reg_ctxs, offsets = ctx
+        ctx_cr, ctx_co, scores, reg_ctxs = ctx
         glogits = ops.sigmoid_backward(scores, grad_scores)
         gmid = self.cls_out.backward(ctx_co, glogits)
         gvecs = self.cls_reduce.backward(ctx_cr, gmid)
-        for k in range(self.parts):
-            ctx_a, ctx_m, ctx_o = reg_ctxs[k]
-            gpre = ops.tanh_backward(offsets[..., k], grad_offsets[..., k])[..., None]
-            gm = self.reg_out[k].backward(ctx_o, gpre)
-            ga = self.reg_reduce[k].backward(ctx_m, gm)
-            gvecs = gvecs + self.reg_attn[k].backward(ctx_a, ga)
+        for k, head in enumerate(self.regression):
+            gvecs = gvecs + head.backward(reg_ctxs[k], grad_offsets[..., k])
         return gvecs
 
 
@@ -470,7 +474,7 @@ class CdpmNetwork(Block):
     def select_part_windows(
         self, scores: np.ndarray, offsets: np.ndarray, selection: alignment.SelectionConfig
     ) -> np.ndarray:
-        """Per-image 1-based window index for each part, (B, K), from scores
+        """Per-image selected window top for each part, (B, K), from scores
         (B, R, K+1), whose column k - 1 is part k, and offsets (B, R, K)."""
         parts = self.cfg.parts
         return alignment.select_window(
@@ -485,7 +489,7 @@ class CdpmNetwork(Block):
         if self.heads is None:
             return np.tile(self.uniform_tops, (len(fmap), 1))
         scores, offsets, _ = self.detection_forward(fmap)
-        return self.select_part_windows(scores, offsets, selection) - 1
+        return self.select_part_windows(scores, offsets, selection)
 
     def _branch_features(self, fmap: np.ndarray, tops: np.ndarray) -> list[np.ndarray]:
         """Every part branch's feature, given its window tops (B, branches)."""

@@ -69,7 +69,7 @@ def _part_iou(lo, hi, bounds: np.ndarray) -> np.ndarray:
 class AlignmentRow:
     image_id: str
     part: int
-    window: int  # 1-based selected window (0 when uniform division is used)
+    window: int  # the window's top + 1, or 0 when uniform division is used
     top: float
     iou: float
     uniform_iou: float
@@ -186,8 +186,7 @@ def run_ablation(base_cfg: Config, out_dir: str | Path) -> list[AblationRow]:
         descs, tops = _describe(net, test, cfg.selection)
         report = evaluate.evaluate_retrieval(dict(zip(ids[:n], descs)),
                                              dict(zip(ids[n:], descs[n:])), "single")
-        align_rep = _score_alignment(net, scored, spans, tops[is_scored])
-        mean_iou = align_rep.mean_iou if cfg.model.with_alignment else align_rep.uniform_mean_iou
+        mean_iou = _score_alignment(net, scored, spans, tops[is_scored]).mean_iou
         rows.append(AblationRow(name, report.rank1, report.mean_ap, mean_iou))
         log.info(
             "ablation %s: rank1 %.4f mAP %.4f meanIoU %.4f",

@@ -188,33 +188,34 @@ def test_offset_targets_translation_equivariance():
 
 
 def selection_oracle(scores, offsets, threshold):
-    """Literal restatement of the selection rule with explicit loops."""
+    """Literal restatement of the selection rule with explicit loops; returns
+    the picked window's top."""
     above = [r for r in range(len(scores)) if scores[r] > threshold]
     if len(above) >= 2:
         best = above[0]
         for r in above[1:]:
             if abs(offsets[r]) < abs(offsets[best]):
                 best = r
-        return best + 1
+        return best
     best = 0
     for r in range(1, len(scores)):
         if scores[r] > scores[best]:
             best = r
-    return best + 1
+    return best
 
 
 def test_select_window_spec_cases():
     cfg = al.SelectionConfig(threshold=0.6)
-    assert al.select_window([0.7, 0.65, 0.4], [0.3, -0.1, 0.0], cfg) == 2
+    assert al.select_window([0.7, 0.65, 0.4], [0.3, -0.1, 0.0], cfg) == 1
     # all at or below threshold -> argmax score
-    assert al.select_window([0.5, 0.6, 0.3], [0.9, 0.0, 0.0], cfg) == 2
+    assert al.select_window([0.5, 0.6, 0.3], [0.9, 0.0, 0.0], cfg) == 1
     # single window above threshold wins regardless of offset
-    assert al.select_window([0.9, 0.2, 0.1], [0.99, 0.0, 0.0], cfg) == 1
+    assert al.select_window([0.9, 0.2, 0.1], [0.99, 0.0, 0.0], cfg) == 0
     # one pick per leading index, windows along the last axis
     picks = al.select_window(
         [[0.7, 0.65, 0.4], [0.5, 0.6, 0.3]], [[0.3, -0.1, 0.0], [0.9, 0.0, 0.0]], cfg
     )
-    np.testing.assert_array_equal(picks, [2, 2])
+    np.testing.assert_array_equal(picks, [1, 1])
     with pytest.raises(ValueError):
         al.select_window([0.5, 0.6], [0.1, 0.2, 0.3], cfg)
 
@@ -240,8 +241,8 @@ def test_select_window_matches_oracle_on_random_instances():
 
 def test_select_window_tie_breaks_to_smaller_index():
     cfg = al.SelectionConfig(threshold=0.5)
-    assert al.select_window([0.9, 0.9, 0.9], [0.2, 0.2, 0.2], cfg) == 1
-    assert al.select_window([0.4, 0.4, 0.4], [0.1, 0.0, 0.3], cfg) == 1
+    assert al.select_window([0.9, 0.9, 0.9], [0.2, 0.2, 0.2], cfg) == 0
+    assert al.select_window([0.4, 0.4, 0.4], [0.1, 0.0, 0.3], cfg) == 0
 
 
 def test_select_part_windows_reads_part_k_from_column_k_minus_1():
@@ -475,7 +476,8 @@ def test_outputs_keep_the_bits_of_the_per_window_implementation():
     net = CdpmNetwork(ModelConfig(classes=2))
     scores = rng.integers(0, 6, (16, 21, 7)) / 5.0
     offsets = rng.integers(-3, 4, (16, 21, 6)) / 3.0
-    picks = [net.select_part_windows(scores, offsets, al.SelectionConfig(t))
+    # tops + 1: the 1-based window indices that implementation returned
+    picks = [net.select_part_windows(scores, offsets, al.SelectionConfig(t)) + 1
              for t in (0.0, 0.6, 1.0)]
     assert _digest(picks) == "96f7653899c0a0a9b21c31bada899c910758aa5729e51eb26927500c0b5fda6a"
 

@@ -406,13 +406,17 @@ def test_cli_train_and_align_with_eight_parts(tmp_path):
 def test_cli_ablate_grid_rows_and_shared_stage1(tmp_path, capsys, tiny_bench):
     """Each weight is drawn from the seed and its own name, and stage 1 trains
     with refinement off, so runs that differ only in refinement end stage 1
-    with the same baseline parameters, bit for bit."""
+    with the same baseline parameters, bit for bit. Every row's meanIoU is
+    that of the windows its descriptors read, as `align` scores them on the
+    run's final checkpoint; at K = 5 the uniform windows are not the
+    uniform parts, so a configuration without heads tells the two apart."""
     index, _ = tiny_bench
     out, runs = tmp_path / "ablation.csv", tmp_path / "runs"
     rc = cli.main([
         "ablate", "--data", str(index.root), "--out", str(out), "--workdir", str(runs),
         "--seed", "4", "--set", "train.epoch_scale=0.02", "--set", "train.batch_size=6",
         "--set", "augment.translation_copies=1", "--set", "model.feature_dim=16",
+        "--set", "model.parts=5",
     ])
     assert rc == cli.EXIT_OK
     with open(out, newline="") as fh:
@@ -421,6 +425,9 @@ def test_cli_ablate_grid_rows_and_shared_stage1(tmp_path, capsys, tiny_bench):
     for row in rows:
         for metric in ("rank1", "mAP", "meanIoU"):
             assert 0.0 <= float(row[metric]) <= 1.0, row
+        final = CdpmNetwork.load(runs / row["config"] / "final.cdpm")
+        report = pipeline.alignment_report(final, index, index.annotations)
+        assert row["meanIoU"] == f"{report.mean_iou:.6f}", row
     assert "cdpm: rank1" in capsys.readouterr().out
     for a, b in (("baseline", "baseline_h"), ("baseline_v", "cdpm")):
         nets = [CdpmNetwork.load(runs / name / "stage1_baseline.cdpm") for name in (a, b)]

@@ -43,10 +43,16 @@ def check_block(block, x, forward, backward, tol=1e-6):
 
 
 def test_dense_gradients():
-    for act in ("none", "relu"):
-        d = drawn(Dense(f"d_{act}", 5, 4, act))
-        x = RNG.standard_normal((3, 5)) + 0.3
+    """Both settings of the relu flag, on one set of weights: relu=True
+    clips the affine map relu=False gives at zero."""
+    x = RNG.standard_normal((3, 5)) + 0.3
+    outs = {}
+    for relu in (False, True):
+        d = drawn(Dense("d", 5, 4, relu=relu))
+        outs[relu] = d.forward(x)[0]
         check_block(d, x, d.forward, d.backward)
+    assert (outs[False] < 0).any()
+    np.testing.assert_array_equal(outs[True], np.maximum(outs[False], 0.0))
 
 
 def test_dense_grad_accumulates():
@@ -60,20 +66,36 @@ def test_dense_grad_accumulates():
     np.testing.assert_allclose(d.w.grad, 2 * once)
 
 
+def _drawn_conv(stride: int, relu: bool) -> Conv:
+    """A mask conv with drawn weights and non-trivial normalization."""
+    c = drawn(Conv(f"c{stride}{relu}", stride, relu))
+    c.norm.mean.value[...] = 0.1
+    c.norm.var.value[...] = 1.7
+    c.norm.scale.value[...] = 0.8
+    c.norm.shift.value[...] = 0.05
+    return c
+
+
 def test_conv_block_gradients():
-    for stride in (1, 2):
-        c = drawn(Conv("c", 3, 2, 3, stride=stride, padding=1, activation="relu"))
-        x = RNG.standard_normal((2, 6, 4, 2)) + 0.2
-        check_block(c, x, c.forward, c.backward)
+    """3x3 kernel, padding 1: stride 1 keeps the 7x4 map, stride 2 gives 4x2."""
+    for stride, out_hw in ((1, (7, 4)), (2, (4, 2))):
+        for relu in (False, True):
+            c = _drawn_conv(stride, relu)
+            x = RNG.standard_normal((2, 7, 4, 1)) + 0.2
+            assert c.forward(x)[0].shape == (2, *out_hw, 1)
+            check_block(c, x, c.forward, c.backward)
 
 
 def test_conv_block_gradients_across_image_blocks(monkeypatch):
-    # two images per block, so a batch of 5 ends in a one-image remainder
-    monkeypatch.setattr(ops, "BLOCK_BYTES", 2 * 8 * 3 * 2 * 9 * 2)
     for stride in (1, 2):
-        c = drawn(Conv("c", 3, 2, 3, stride=stride, padding=1, activation="relu"))
-        x = RNG.standard_normal((5, 6, 4, 2)) + 0.2
-        check_block(c, x, c.forward, c.backward)
+        # a block holds two images' 3x3 one-channel patches, so a batch of 5
+        # ends in a one-image remainder
+        out_h, out_w = 6 // stride, 4 // stride
+        monkeypatch.setattr(ops, "BLOCK_BYTES", 2 * 8 * out_h * out_w * 9)
+        for relu in (False, True):
+            c = _drawn_conv(stride, relu)
+            x = RNG.standard_normal((5, 6, 4, 1)) + 0.2
+            check_block(c, x, c.forward, c.backward)
 
 
 def test_channel_attention_shapes_and_gradients():

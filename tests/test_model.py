@@ -13,6 +13,7 @@ from cdpm.model import (
     ModelConfig,
     NotInitializedError,
     PartBranch,
+    RegressionHead,
     ToyBackbone,
     gather_windows,
     scatter_window_grad,
@@ -96,18 +97,32 @@ def test_detection_heads_zero_init_neutral():
 
 
 def test_detection_heads_structure():
+    """One classification head, then K `RegressionHead`s, whose parameters
+    and buffers keep the names and registration order checkpoints store."""
     cfg = small_cfg()
     heads = DetectionHeads(cfg, 8)
     assert heads.cls_out.w.value.shape[1] == cfg.parts + 1
-    assert len(heads.reg_out) == cfg.parts
-    names = [p.name for p in heads.parameters()]
-    assert len(names) == len(set(names))
+    assert len(heads.regression) == cfg.parts
+    assert all(type(h) is RegressionHead for h in heads.regression)
+
+    def dense(name, normalized):
+        return [f"{name}.w", f"{name}.b"] + [f"{name}.bn.scale", f"{name}.bn.shift"] * normalized
+
     per_head = [
-        {n for n in names if n.startswith(f"valign.reg{k}.")} for k in range(1, 7)
+        dense(f"valign.reg{k}.attn.fc1", True) + dense(f"valign.reg{k}.attn.fc2", False)
+        + dense(f"valign.reg{k}.conv", True) + dense(f"valign.reg{k}.fc", False)
+        for k in range(1, cfg.parts + 1)
     ]
-    for i in range(6):
-        for j in range(i + 1, 6):
-            assert not per_head[i] & per_head[j]
+    assert [p.name for p in heads.parameters()] == (
+        dense("valign.cls.conv", True) + dense("valign.cls.fc", False) + sum(per_head, [])
+    )
+    norms = ["valign.cls.conv"] + [f"valign.reg{k}.{layer}" for k in range(1, cfg.parts + 1)
+                                   for layer in ("attn.fc1", "conv")]
+    assert [p.name for p in heads.buffers()] == [
+        f"{n}.bn.{stat}" for n in norms for stat in ("mean", "var")
+    ]
+    for head, names in zip(heads.regression, per_head, strict=True):
+        assert [p.name for p in head.parameters()] == names
 
 
 def test_detection_heads_gradients():
@@ -314,8 +329,8 @@ def test_select_part_windows_routes_per_part(net):
     offsets[0, 9, 2] = 0.05
     offsets[0, 11, 2] = 0.4
     picks = net.select_part_windows(scores, offsets, alignment.SelectionConfig(0.6))
-    assert picks[0, 0] == 5
-    assert picks[0, 2] == 10  # smaller |offset| among the two candidates
+    assert picks[0, 0] == 4
+    assert picks[0, 2] == 9  # smaller |offset| among the two candidates
 
 
 def test_forward_only_passes_never_build_whole_batch_patches():
